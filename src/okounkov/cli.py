@@ -6,7 +6,8 @@ Usage: okounkov run --job job.json --out results/ [--render]
 A job file is `{"schema": 1, "kind": <kind>, "input": {...},
 "output_path": "name.json"}`.  Output JSON is deterministic
 (sorted keys, fixed formatting): identical inputs give byte-identical
-artifacts.  Exit codes: 0 success, 1 input error, 2 check failure.
+artifacts.  Exit codes: 0 success, 1 input error, 2 check failure,
+3 internal error.
 """
 from __future__ import annotations
 
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def _run(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import polytope, surface
+from . import linalg, polytope, surface
 from .numbers import RadVal, format_rat
 from .polytope import Polytope, SliceSpec
 from .surface import PicClass, SurfaceModel, E, intersect
@@ -59,8 +59,8 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     built-in curve list of the blown-up model.
     """
     w = [Fraction(x) for x in w]
-    if len(w) != model.s or any(x < 1 for x in w):
-        raise ValueError("weights must be s positive integers (or >= 1)")
+    if len(w) != model.s or any(x <= 0 for x in w):
+        raise ValueError("weights must be s positive rationals")
     if not surface.is_nef(model, L):
         raise ValueError("Seshadri constant defined here for nef classes")
     best = None
@@ -81,12 +81,10 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     return RadVal.rational(max(best, Fraction(0)))
 
 
-def _sum_E(s: int, points=None, weights=None) -> PicClass:
-    pts = list(range(s)) if points is None else list(points)
-    ws = [Fraction(1)] * len(pts) if weights is None else list(weights)
+def _sum_E(s: int, points=None) -> PicClass:
     total = PicClass(0, (0,) * s)
-    for i, wi in zip(pts, ws):
-        total = total + E(s, i).scale(wi)
+    for i in range(s) if points is None else points:
+        total = total + E(s, i)
     return total
 
 
@@ -145,8 +143,6 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
 
 def _symbolic_zariski(model, L, T, supp):
     """Affine-in-t Zariski data on a fixed support: P(t) = P0 + t*P1."""
-    from . import linalg
-
     if supp:
         gram = [[intersect(a, b) for b in supp] for a in supp]
         a0 = linalg.solve(gram, [intersect(L, c) for c in supp])

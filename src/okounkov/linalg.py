@@ -8,10 +8,6 @@ Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 
-def vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -20,17 +16,8 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vscale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
-def mat_vec(m, v: Vec) -> Vec:
-    return tuple(dot(vec(row), v) for row in m)
 
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:

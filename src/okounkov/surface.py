@@ -156,44 +156,64 @@ class ZariskiDecomp:
 
 
 def is_psef(model: SurfaceModel, D: PicClass) -> bool:
-    """Pseudoeffectivity: membership in the cone of the effective generators."""
-    gens = model.psef_generators()
-    target = [D.d] + [-x for x in D.m]
-    cols = [[g.d] + [-x for x in g.m] for g in gens]
-    return lp.in_cone(cols, target)
+    """Pseudoeffectivity: the support-growth verdict on built-in models; a
+    user curve list may be incomplete, so there cone membership decides."""
+    if model.mode == "user":
+        cols = [[g.d] + [-x for x in g.m] for g in model.psef_generators()]
+        return lp.in_cone(cols, [D.d] + [-x for x in D.m])
+    return _decompose(model, D) is not None
 
 
 def is_nef(model: SurfaceModel, D: PicClass) -> bool:
     return all(intersect(D, C) >= 0 for C in model.psef_generators())
 
 
-def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
-    """Zariski decomposition D = P + N by iterative support growth."""
-    if not is_psef(model, D):
-        raise ValueError("Zariski decomposition needs a pseudoeffective class")
-    support: list[PicClass] = []
+def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
+    """Zariski decomposition D = P + N by support growth, or None exactly
+    when D is not pseudoeffective.
+
+    For psef D and a complete curve list each stage's support lies in
+    Neg(D): its Gram matrix is negative definite, the multiplicities stay
+    >= 0, it has at most s curves, and the loop ends with nef P (Bauer,
+    J. Algebraic Geom. 2009).  Nef P plus N >= 0 shows D psef, so any other
+    outcome rejects D.  On a user list that outcome, after the cone test
+    accepted D, means the list is inconsistent.
+    """
+    if model.mode == "user" and not is_psef(model, D):
+        return None
+    support, coeffs = [], ()
     while True:
-        if support:
-            gram = [[intersect(a, b) for b in support] for a in support]
-            rhs = [intersect(D, c) for c in support]
-            coeffs = linalg.solve(gram, rhs)
-            if coeffs is None:
-                raise ValueError(
-                    "singular support system: the curve list is inconsistent"
-                )
-        else:
-            coeffs = ()
         P = D
         for c, a in zip(support, coeffs):
             P = P - c.scale(a)
         new = [C for C in model.neg_curves
                if intersect(P, C) < 0 and all(C != S for S in support)]
         if not new:
-            pairs = tuple(
-                (c, a) for c, a in zip(support, coeffs) if a != 0
-            )
-            return ZariskiDecomp(P, pairs)
+            if is_nef(model, P):
+                return ZariskiDecomp(P, tuple(
+                    (c, a) for c, a in zip(support, coeffs) if a != 0))
+            break
         support.extend(new)
+        if len(support) > model.s:
+            break
+        gram = [[intersect(a, b) for b in support] for a in support]
+        if linalg.det(gram) == 0:
+            break
+        coeffs = linalg.solve(gram, [intersect(D, c) for c in support])
+        if any(a < 0 for a in coeffs):
+            break
+    if model.mode == "user":
+        raise ValueError("the user curve list is inconsistent: the class is in "
+                         "its cone but has no Zariski decomposition over it")
+    return None
+
+
+def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
+    """Zariski decomposition D = P + N by iterative support growth."""
+    Z = _decompose(model, D)
+    if Z is None:
+        raise ValueError("Zariski decomposition needs a pseudoeffective class")
+    return Z
 
 
 def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[str]:
@@ -221,17 +241,12 @@ def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[st
 
 
 def is_big(model: SurfaceModel, D: PicClass) -> bool:
-    if not is_psef(model, D):
-        return False
-    P = zariski(model, D).positive
-    return intersect(P, P) > 0
+    return vol(model, D) > 0
 
 
 def vol(model: SurfaceModel, D: PicClass) -> Fraction:
-    if not is_psef(model, D):
-        return Fraction(0)
-    P = zariski(model, D).positive
-    return intersect(P, P)
+    Z = _decompose(model, D)
+    return Fraction(0) if Z is None else intersect(Z.positive, Z.positive)
 
 
 def base_loci(model: SurfaceModel, D: PicClass) -> dict:
@@ -240,9 +255,9 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     bminus = support of the Zariski negative part; bplus additionally
     collects the model curves orthogonal to the positive part.
     """
-    if not is_big(model, D):
+    Z = _decompose(model, D)
+    if Z is None or intersect(Z.positive, Z.positive) <= 0:
         raise ValueError("base loci computed for big classes only")
-    Z = zariski(model, D)
     bminus = [c for c, _ in Z.negative_support]
     extra = [C for C in model.neg_curves
              if intersect(Z.positive, C) == 0 and all(C != b for b in bminus)]
@@ -269,13 +284,8 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
         raise ValueError("grid_step must be positive")
     r = len(points)
     Z0 = zariski(model, D)
-    shift = []
-    for i in points:
-        s_i = Fraction(0)
-        for c, a in Z0.negative_support:
-            # multiplicity of E_i in N = coefficient of E_i, i.e. -m_i
-            s_i += a * (-c.m[i])
-        shift.append(s_i)
+    shift = [next((a for c, a in Z0.negative_support if c == E(model.s, i)),
+                  Fraction(0)) for i in points]
     steps = int(t_max / grid_step)
     pts = []
     for tvec in itertools.product(range(steps + 1), repeat=r):

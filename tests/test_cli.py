@@ -1,5 +1,6 @@
 import json
 
+from okounkov import cli
 from okounkov.cli import main
 from okounkov.polytope import Polytope
 
@@ -309,3 +310,18 @@ def test_result_polytope_round_trip(tmp_path):
     body = Polytope.from_json(read_result(out, "body.json")["result"])
     assert body.ambient_dim == 4
     assert Polytope.from_json(body.to_json()).vertices == body.vertices
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(payload):
+        raise RuntimeError("chamber walk did not terminate")
+
+    monkeypatch.setitem(cli._HANDLERS, "nagata", broken)
+    code, _ = run_job(tmp_path, {
+        "schema": 1, "kind": "nagata",
+        "input": {"r": 2, "d": "1", "m": ["1", "1"]},
+    })
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "chamber walk did not terminate" in err

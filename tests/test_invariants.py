@@ -45,6 +45,17 @@ def test_seshadri_values():
         RadVal.rational(F(1, 2))
 
 
+def test_seshadri_rational_weights_scale():
+    m2 = SurfaceModel(2)
+    L = PicClass(3, (1, 1))
+    for w in ([1, 1], [2, 1]):
+        half = [F(x, 2) for x in w]
+        assert seshadri_eps(m2, L, half) == seshadri_eps(m2, L, w) * 2
+    for bad in ([1, 0], [1, -1], [1]):
+        with pytest.raises(ValueError, match="positive rationals"):
+            seshadri_eps(m2, L, bad)
+
+
 def test_seshadri_rejects_non_nef():
     with pytest.raises(ValueError, match="nef"):
         seshadri_eps(SurfaceModel(1), PicClass(1, (-2,)), [1])

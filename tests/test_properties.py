@@ -1,8 +1,10 @@
+import functools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from okounkov import polytope
+from okounkov import lp, polytope, surface
 from okounkov.numbers import RadVal, parse_rat, format_rat, squarefree_split
 from okounkov.polytope import (
     affine_image,
@@ -11,6 +13,7 @@ from okounkov.polytope import (
     minkowski_sum,
     volume,
 )
+from okounkov.surface import E, H, PicClass, SurfaceModel
 
 F = Fraction
 
@@ -188,3 +191,56 @@ def test_minkowski_contains_translates(pts1, pts2):
     for q in Q.vertices:
         shifted = affine_image(P, [[1, 0], [0, 1]], q)
         assert contains(S, shifted)
+
+
+# -- psef verdict against the cone-membership oracle ------------------
+
+@functools.cache
+def _model(s):
+    return SurfaceModel(s)
+
+
+def _lp_psef(model, D):
+    cols = [[g.d] + [-x for x in g.m] for g in model.psef_generators()]
+    return lp.in_cone(cols, [D.d] + [-x for x in D.m])
+
+
+@st.composite
+def signed_classes(draw):
+    """Signed classes on Bl_s, s = 1..7: wild ones, and nonnegative
+    generator combinations pushed by a small step along -H or -E_i, which
+    often leaves the cone just outside a face."""
+    s = draw(st.integers(1, 7))
+    model = _model(s)
+    if draw(st.booleans()):
+        return model, PicClass(draw(rationals),
+                               tuple(draw(rationals) for _ in range(s)))
+    gens = model.psef_generators()
+    D = PicClass(0, (0,) * s)
+    for g in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+        D = D + g.scale(draw(st.fractions(0, 3, max_denominator=3)))
+    push = draw(st.sampled_from([H(s)] + [E(s, i) for i in range(s)]))
+    step = draw(st.fractions(0, F(1, 2), max_denominator=12))
+    return model, D - push.scale(step)
+
+
+@settings(deadline=None, max_examples=60)
+@given(signed_classes())
+def test_is_psef_matches_cone_membership(case):
+    model, D = case
+    assert surface.is_psef(model, D) == _lp_psef(model, D)
+
+
+def test_is_psef_matches_cone_membership_s8():
+    s = 8
+    model = _model(s)
+    face = E(s, 0) + (H(s) - E(s, 1) - E(s, 2)).scale(2)  # psef, volume 0
+    tiny = H(s).scale(F(1, 100))
+    rng = random.Random(8)
+    wild = [PicClass(F(rng.randint(-4, 9), rng.randint(1, 3)),
+                     tuple(F(rng.randint(-4, 6), rng.randint(1, 3))
+                           for _ in range(s)))
+            for _ in range(2)]
+    expected = [True, True, False, False, False]
+    for D, want in zip([face, face + tiny, face - tiny] + wild, expected):
+        assert surface.is_psef(model, D) == _lp_psef(model, D) == want, D

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from okounkov import surface
-from okounkov.polytope import contains
+from okounkov.polytope import contains, volume
 from okounkov.surface import (
     E,
     H,
@@ -68,6 +68,29 @@ def test_user_mode_model():
     m = SurfaceModel(9, mode="user",
                      neg_curves=tuple(E(9, i) for i in range(9)))
     assert len(m.neg_curves) == 9
+
+
+def test_user_mode_psef_is_cone_membership():
+    # -K = 3H - sum E_i is nef against every generator of the list {E_i},
+    # yet lies outside their cone: only cone membership gets this right.
+    m = SurfaceModel(9, mode="user",
+                     neg_curves=tuple(E(9, i) for i in range(9)))
+    minus_k = cls(3, *[1] * 9)
+    assert is_nef(m, minus_k)
+    assert not is_psef(m, minus_k)
+    with pytest.raises(ValueError, match="pseudoeffective"):
+        zariski(m, minus_k)
+
+
+def test_user_mode_inconsistent_curve_list():
+    # E_1 and 2E_1 give a singular support system for H + 3E_1, a class
+    # inside the cone of the list.
+    m = SurfaceModel(2, mode="user",
+                     neg_curves=(E(2, 0), E(2, 0).scale(2)))
+    D = cls(1, -3, 0)
+    assert is_psef(m, D)
+    with pytest.raises(ValueError, match="curve list is inconsistent"):
+        zariski(m, D)
 
 
 def test_nef_examples():
@@ -194,6 +217,16 @@ def test_surface_body_shifted_class():
     m1 = SurfaceModel(1)
     body = surface_body_outer(m1, cls(1, -2), [0], F(1, 2), F(1))
     assert set(body.vertices) == {(2, 0), (3, 0), (3, 1)}
+
+
+def test_surface_body_shift_uses_own_exceptional_multiplicity():
+    # N(L) = (H-E1-E2) + (H-E1-E3) meets the flag curve E3 but does not
+    # contain it, so the body starts at nu_1 = 0.
+    m3 = SurfaceModel(3)
+    L = cls(6, 5, 2, 2)
+    body = surface_body_outer(m3, L, [2], F(1, 2), F(4))
+    assert set(body.vertices) == {(0, 0), (0, 1), (2, 1), (3, 0)}
+    assert 2 * volume(body) == vol(m3, L) == 5
 
 
 def test_surface_body_projections():

@@ -65,12 +65,9 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
         raise ValueError("Seshadri constant defined here for nef classes")
     best = None
     for C in model.psef_generators():
-        # den = sum w_i (E_i . C); only curves actually meeting the points
-        # constrain the threshold.
-        den = sum(
-            (wi * intersect(E(model.s, i), C) for i, wi in enumerate(w)),
-            Fraction(0),
-        )
+        # den = sum w_i (E_i . C), and E_i . C = m_i(C); only curves
+        # actually meeting the points constrain the threshold.
+        den = sum((wi * mi for wi, mi in zip(w, C.m)), Fraction(0))
         if den <= 0:
             continue
         cand = intersect(L, C) / den
@@ -96,11 +93,12 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
     support-change walls until the volume root falls inside the current
     chamber, and returns that root exactly (rational or quadratic surd).
     """
-    if not surface.is_big(model, L):
+    Z = surface._decompose(model, L)
+    if Z is None or intersect(Z.positive, Z.positive) <= 0:
         raise ValueError("Nakayama constant defined for big classes")
     T = _sum_E(model.s, points)
     t = Fraction(0)
-    supp = [c for c, _ in surface.zariski(model, L).negative_support]
+    supp = [c for c, _ in Z.negative_support]
     for _ in range(10000):
         P0, P1, a0, a1 = _symbolic_zariski(model, L, T, supp)
         # Events where the chamber description stops being valid.
@@ -327,10 +325,11 @@ def positive_xi_criterion(model: SurfaceModel, D: PicClass, points) -> bool:
     support and no augmented-base-locus curve passes through a flag point
     (the flag points are general on their exceptional curves, so only a
     curve actually meeting E_i positively can cover them)."""
-    if not origin_criterion(model, D, points):
-        return False
     bl = surface.base_loci(model, D)
     flagged = [E(model.s, i) for i in points]
+    # origin_criterion, on the same base loci
+    if any(any(C == Ei for Ei in flagged) for C in bl["bminus"]):
+        return False
     exceptional = [E(model.s, j) for j in range(model.s)]
     for C in bl["bplus"]:
         if any(C == Ej for Ej in exceptional):

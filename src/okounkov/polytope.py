@@ -7,11 +7,12 @@ bodies get the honest surface measure (a diagonal segment has length sqrt(2)).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from . import linalg, lp
+from . import linalg
 from .linalg import Vec, dot, vadd, vsub
 from .numbers import RadVal, format_rat, parse_rat
 
@@ -75,16 +76,15 @@ class Polytope:
     def halfspaces(self) -> tuple[list[Halfspace], list[Equality]]:
         """(facet halfspaces, affine-hull equalities); cached."""
         if self._hrep is None:
-            self._hrep = _hrep_from_vertices(self.vertices, self.ambient_dim)
+            self._hrep = _hrep_from_vertices(self.vertices,
+                                             self.ambient_dim)[:2]
         return self._hrep
 
     def dim(self) -> int:
         """Dimension of the affine span (-1 for empty)."""
         if self.is_empty:
             return -1
-        v0 = self.vertices[0]
-        diffs = [list(vsub(v, v0)) for v in self.vertices[1:]]
-        return linalg.rank(diffs)
+        return len(_affine_frame(self.vertices)[0])
 
     def to_json(self) -> dict:
         return {
@@ -100,7 +100,10 @@ class Polytope:
 
 
 def hull(points, ambient_dim: int) -> Polytope:
-    """Convex hull with irredundant, lexicographically sorted vertex list."""
+    """Convex hull with irredundant, lexicographically sorted vertex list.
+
+    The facets are computed on the way and cached as the H-representation.
+    """
     pts = []
     for p in points:
         v = tuple(Fraction(x) for x in p)
@@ -110,12 +113,9 @@ def hull(points, ambient_dim: int) -> Polytope:
             )
         pts.append(v)
     pts = sorted(set(pts))
-    extreme = []
-    for i, p in enumerate(pts):
-        others = [list(q) for j, q in enumerate(pts) if j != i]
-        if not others or not lp.in_convex_hull(others, list(p)):
-            extreme.append(p)
-    return Polytope(ambient_dim, tuple(extreme))
+    halfs, eqs, is_vertex = _hrep_from_vertices(pts, ambient_dim)
+    verts = tuple(p for p, keep in zip(pts, is_vertex) if keep)
+    return Polytope(ambient_dim, verts, _hrep=(halfs, eqs))
 
 
 def cone_base(graded_points) -> Polytope:
@@ -197,26 +197,13 @@ def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
 
 def volume(P: Polytope) -> RadVal:
     """Volume of P inside its affine span, induced Euclidean metric."""
-    if P.is_empty or len(P.vertices) == 1:
+    if P.is_empty:
         return RadVal.rational(0)
-    v0 = P.vertices[0]
-    diffs = [vsub(v, v0) for v in P.vertices[1:]]
-    basis = _independent_subset(diffs)
-    d = len(basis)
-    if d == 0:
+    basis, coords = _affine_frame(P.vertices)
+    if not basis:
         return RadVal.rational(0)
-    coords = [_affine_coords(vsub(v, v0), basis) for v in P.vertices]
-    simplices = _triangulate(coords)
-    cvol = Fraction(0)
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    for simplex in simplices:
-        mat = [list(vsub(coords[i], coords[simplex[0]])) for i in simplex[1:]]
-        cvol += abs(linalg.det(mat))
-    cvol /= fact
     gram = [[dot(a, b) for b in basis] for a in basis]
-    return RadVal.sqrt(linalg.det(gram)) * cvol
+    return RadVal.sqrt(linalg.det(gram)) * _pyramid_volume(coords)
 
 
 def inverted_slice_simplex(xi, n: int) -> Polytope:
@@ -243,57 +230,113 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 
 # -- internal helpers ------------------------------------------------
 
-def _independent_subset(vectors: list[Vec]) -> list[Vec]:
-    """Greedy maximal linearly independent subset (first-come order)."""
-    chosen: list[Vec] = []
-    for v in vectors:
-        if linalg.rank([list(u) for u in chosen] + [list(v)]) > len(chosen):
-            chosen.append(v)
-    return chosen
+def _affine_frame(points) -> tuple[list[list[Fraction]], list[Vec]]:
+    """Basis of the affine span of points about points[0], and coordinates.
+
+    The basis is the RREF of the differences p - points[0], so a difference
+    is the sum of the basis rows weighted by its pivot entries: those
+    entries are its coordinates.  Full-dimensional points get the identity
+    basis and coordinates p - points[0].
+    """
+    v0 = points[0]
+    diffs = [vsub(p, v0) for p in points]
+    basis, pivots = linalg.rref(diffs[1:])
+    return basis, [tuple(x[c] for c in pivots) for x in diffs]
 
 
-def _affine_coords(x: Vec, basis: list[Vec]) -> Vec:
-    """Coordinates of x in span(basis) via the normal equations."""
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    rhs = [dot(a, x) for a in basis]
-    y = linalg.solve(gram, rhs)
-    if y is None:
-        raise ValueError("point outside the affine span")
-    # The normal equations always solve; verify x really lies in the span.
-    recon = tuple(
-        sum((y[k] * basis[k][t] for k in range(len(basis))), Fraction(0))
-        for t in range(len(x))
-    )
-    if recon != tuple(x):
-        raise ValueError("point outside the affine span")
-    return y
+def _int_row(v) -> tuple[int, ...]:
+    """Positive integer multiple of a rational vector."""
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
-def _hrep_from_vertices(vertices, ambient_dim):
-    """Facet halfspaces + affine-hull equalities of a vertex set."""
-    if not vertices:
+def _dd(rows):
+    """Extreme rays of the pointed cone {x : row . x >= 0}, integer rows.
+
+    Motzkin's double description (Fukuda & Prodon, "Double description
+    method revisited", 1996): start from the simplicial cone of the first
+    n independent rows, then add the other rows one at a time.  A new row
+    keeps the rays on its side and joins each adjacent pair of rays it
+    separates; two rays are adjacent when no third ray is tight at every
+    row tight at both.  Returns [(ray, mask)] with each ray a primitive
+    integer tuple and mask the bitmask of the rows tight at it, or None
+    when the rows have rank below n (the cone is not pointed).
+    """
+    n = len(rows[0])
+    _, basis = linalg.rref([list(col) for col in zip(*rows)])
+    if len(basis) < n:
+        return None
+    inv, _ = linalg.rref([list(rows[i]) + [int(i == j) for j in basis]
+                          for i in basis])
+    # Column j of the inverse is tight at every basis row but the j-th.
+    full = sum(1 << i for i in basis)
+    rays = [(tuple(map(int, linalg.primitive([row[n + j] for row in inv]))),
+             full ^ (1 << i)) for j, i in enumerate(basis)]
+    for i, a in enumerate(rows):
+        if full >> i & 1:
+            continue
+        vals = [sum(map(mul, a, r)) for r, _ in rays]
+        masks = [m for _, m in rays]
+        out = [(r, m | 1 << i if v == 0 else m)
+               for (r, m), v in zip(rays, vals) if v >= 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            rp, mp = rays[p]
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                z = mp & masks[q]
+                # p and q themselves contain z; a third ray means the two
+                # span no edge.
+                if (z.bit_count() < n - 2
+                        or sum(m & z == z for m in masks) > 2):
+                    continue
+                r = [vp * y - vq * x for x, y in zip(rp, rays[q][0])]
+                g = gcd(*r)
+                out.append((tuple(x // g for x in r), z | 1 << i))
+        rays = out
+    return rays
+
+
+def _facet_rays(coords):
+    """Facets h.y <= c of full-dimensional points in Q^d as ((c, *h), mask),
+    the mask listing the points on the facet: the rays of the cone
+    {(c, h) : c - h.y >= 0 for every point y}."""
+    return _dd([_int_row((Fraction(1),) + tuple(-x for x in y))
+                for y in coords])
+
+
+def _hrep_from_vertices(points, ambient_dim):
+    """(facet halfspaces, affine-hull equalities, vertex flags) of the hull
+    of distinct points; hull passes them sorted, so points[0] is a vertex."""
+    if not points:
         # Canonical infeasible system.
         zero = (Fraction(0),) * ambient_dim
-        return [(zero, Fraction(-1))], []
-    v0 = vertices[0]
-    diffs = [vsub(v, v0) for v in vertices[1:]]
-    basis = _independent_subset(diffs)
+        return [(zero, Fraction(-1))], [], []
+    v0 = points[0]
+    basis, coords = _affine_frame(points)
     d = len(basis)
     # Equalities: normals orthogonal to the span.
-    normals = linalg.nullspace([list(b) for b in basis], ambient_dim)
+    normals = linalg.nullspace(basis, ambient_dim)
     eqs = [(linalg.primitive(nrm), dot(linalg.primitive(nrm), v0))
            for nrm in normals]
     if d == 0:
-        return [], eqs
-    coords = [_affine_coords(vsub(v, v0), basis) for v in vertices]
-    facets_local = _facets(coords)
+        return [], eqs, [True]
+    facets_local = _facet_rays(coords)
+    # A point is a vertex iff no other point lies on a strict superset of
+    # its facets.
+    on = [sum(1 << f for f, (_, m) in enumerate(facets_local) if m >> k & 1)
+          for k in range(len(points))]
+    is_vertex = [not any(o != mine and o & mine == mine for o in on)
+                 for mine in on]
     # Pull each local halfspace h.y <= c back through y = L(x - v0),
     # where L solves Gram(basis) L = basis-matrix (normal equations).
     gram = [[dot(a, b) for b in basis] for a in basis]
     halfs = []
-    for h, c in facets_local:
+    for (c, *h), _ in facets_local:
         # Row functional: y_h(x) = h . y = (G^{-1} B (x - v0)) . h = w.(x-v0)
-        lam = linalg.solve(gram, list(h))
+        lam = linalg.solve(gram, h)
         w = tuple(
             sum((lam[k] * basis[k][t] for k in range(d)), Fraction(0))
             for t in range(ambient_dim)
@@ -311,107 +354,52 @@ def _hrep_from_vertices(vertices, ambient_dim):
             scale = -scale
         halfs.append((n_prim, offset / scale))
     halfs = sorted(set(halfs))
-    return halfs, eqs
+    return halfs, eqs, is_vertex
 
 
-def _facets(coords: list[Vec]) -> list[Halfspace]:
-    """Facet halfspaces of a full-dimensional vertex set in R^d."""
-    d = len(coords[0])
-    if d == 1:
-        lo = min(c[0] for c in coords)
-        hi = max(c[0] for c in coords)
-        return [((Fraction(-1),), -lo), ((Fraction(1),), hi)]
-    seen = set()
-    out = []
-    for subset in itertools.combinations(range(len(coords)), d):
-        p0 = coords[subset[0]]
-        rows = [list(vsub(coords[i], p0)) for i in subset[1:]]
-        if linalg.rank(rows) != d - 1:
-            continue
-        nrm = linalg.nullspace(rows, d)
-        if len(nrm) != 1:
-            continue
-        h = linalg.primitive(nrm[0])
-        c = dot(h, p0)
-        below = all(dot(h, q) <= c for q in coords)
-        above = all(dot(h, q) >= c for q in coords)
-        if below and not above:
-            cand = (h, c)
-        elif above and not below:
-            cand = (tuple(-x for x in h), -c)
-        else:
-            continue
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    return out
+def _pyramid_volume(points) -> Fraction:
+    """Volume of the hull of full-dimensional points in Q^d.
 
-
-def _triangulate(coords: list[Vec]) -> list[tuple[int, ...]]:
-    """Index-tuple triangulation of a full-dimensional point set in R^d.
-
-    Stars from the lexicographically smallest vertex over recursively
-    triangulated facets.
+    The hull is the union of the pyramids from the lexicographically
+    smallest point over the facets h.y <= c that miss it; a pyramid has
+    volume (c - h.apex) vol(F) / |h| / d, and vol(F) / |h| is the volume
+    of F projected along e_k, divided by |h_k|, for any h_k != 0.
     """
-    d = len(coords[0])
-    idx = list(range(len(coords)))
-    return _triangulate_rec(coords, idx, d)
-
-
-def _triangulate_rec(coords, idx, d) -> list[tuple[int, ...]]:
-    pts = [coords[i] for i in idx]
-    if d == 0 or len(idx) == d + 1:
-        return [tuple(idx)]
-    facets = _facets_with_members(pts)
-    apex_pos = min(range(len(pts)), key=lambda i: pts[i])
-    apex = idx[apex_pos]
-    simplices = []
-    for members, (h, c) in facets:
-        if dot(h, pts[apex_pos]) == c:
-            continue  # apex lies on this facet
-        sub_idx = [idx[i] for i in members]
-        sub_pts = [pts[i] for i in members]
-        # Express the facet in its own (d-1)-dim coordinates.
-        f0 = sub_pts[0]
-        fbasis = _independent_subset([vsub(p, f0) for p in sub_pts[1:]])
-        fcoords = [_affine_coords(vsub(p, f0), fbasis) for p in sub_pts]
-        for tri in _triangulate_rec(fcoords, list(range(len(sub_idx))), d - 1):
-            simplices.append(tuple(sorted((apex, *[sub_idx[t] for t in tri]))))
-    return simplices
-
-
-def _facets_with_members(pts: list[Vec]):
-    """Facets of a full-dimensional point set, with incident point indices."""
-    out = []
-    for h, c in _facets(pts):
-        members = [i for i, p in enumerate(pts) if dot(h, p) == c]
-        out.append((members, (h, c)))
-    return out
+    d = len(points[0])
+    if d == 1:
+        return max(points)[0] - min(points)[0]
+    apex = min(points)
+    total = Fraction(0)
+    for (c, *h), mask in _facet_rays(points):
+        height = c - dot(h, apex)
+        if height == 0:
+            continue
+        k = next(t for t in range(d) if h[t])
+        face = [p[:k] + p[k + 1:]
+                for j, p in enumerate(points) if mask >> j & 1]
+        total += height * _pyramid_volume(face) / abs(h[k])
+    return total / d
 
 
 def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:
-    """Enumerate vertices of {x : eqs hold, halfs satisfied} (bounded case)."""
+    """Enumerate vertices of {x : eqs hold, halfs satisfied} (bounded case).
+
+    With the equalities solved as x = x0 + sum y_k u_k, the vertices are the
+    rays (t, y), t > 0, of {t >= 0, t (c - n.x0) - sum y_k n.u_k >= 0}.
+    """
     eq_rows = [list(n) for n, _ in eqs]
-    eq_rank = linalg.rank(eq_rows) if eq_rows else 0
-    need = dim - eq_rank
-    verts = []
-    seen = set()
-    if need < 0:
+    x0 = (linalg.solve(eq_rows, [c for _, c in eqs]) if eqs
+          else (Fraction(0),) * dim)
+    if x0 is None:
         return []
-    for subset in itertools.combinations(range(len(halfs)), need):
-        rows = [list(n) for n, _ in eqs] + [list(halfs[i][0]) for i in subset]
-        rhs = [c for _, c in eqs] + [halfs[i][1] for i in subset]
-        if linalg.rank(rows) != dim:
-            continue
-        x = linalg.solve(rows, rhs)
-        if x is None or x in seen:
-            continue
-        seen.add(x)
-        if (all(dot(n, x) <= c for n, c in halfs)
-                and all(dot(n, x) == c for n, c in eqs)):
-            verts.append(x)
-    if need == 0 and not halfs:
-        x = linalg.solve(eq_rows, [c for _, c in eqs])
-        if x is not None:
-            verts.append(x)
-    return verts
+    dirs = linalg.nullspace(eq_rows, dim)
+    rows = [(Fraction(1),) + (Fraction(0),) * len(dirs)]
+    rows += [(c - dot(n, x0),) + tuple(-dot(n, u) for u in dirs)
+             for n, c in halfs]
+    rays = _dd([_int_row(r) for r in rows])
+    if rays is None:
+        return []
+    return [tuple(x0[j] + sum((Fraction(yk, t) * u[j]
+                               for yk, u in zip(y, dirs)), Fraction(0))
+                  for j in range(dim))
+            for (t, *y), _ in rays if t > 0]

@@ -97,6 +97,25 @@ def test_nakayama_rejects_non_big():
         nakayama_mu(SurfaceModel(2), PicClass(1, (1, 1)))
 
 
+def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
+    from okounkov import surface
+
+    calls = []
+    real = surface._decompose
+
+    def counted(model, D):
+        calls.append(D)
+        return real(model, D)
+
+    monkeypatch.setattr(surface, "_decompose", counted)
+    nakayama_mu(SurfaceModel(3), PicClass(3, (0, 0, 0)))
+    assert len(calls) == 1
+    calls.clear()
+    s = setups["bl2p2"]
+    positive_xi_criterion(SurfaceModel(s.s), s.L, list(range(s.r)))
+    assert len(calls) == 1
+
+
 # -- xi ---------------------------------------------------------------
 
 def test_xi_values(setups):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,13 +23,6 @@ F = Fraction
 
 def verts(P):
     return set(P.vertices)
-
-
-def rebuild_from_hrep(P):
-    """Independent V-rep reconstruction from the H-rep."""
-    halfs, eqs = P.halfspaces()
-    pts = polytope._vertices_from_constraints(halfs, eqs, P.ambient_dim)
-    return hull(pts, P.ambient_dim)
 
 
 def test_hull_removes_interior_point():
@@ -167,9 +161,18 @@ def test_hrep_vrep_round_trip():
         hull([(0, 0), (1, 1)], 2),
         inverted_slice_simplex([1, 2], 2),
         hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3),
+        hull(itertools.product((0, 1), repeat=4), 4),
+        hull([(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
+              (0, 0, 0, 1), (1, 1, 1, 1)], 4),
+        # a square and a segment in R^3
+        hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3),
+        hull([(0, 0, 0), (1, 2, 3)], 3),
+        inverted_slice_simplex([1, 2, 3], 2),
     ]
     for P in bodies:
-        assert verts(rebuild_from_hrep(P)) == verts(P)
+        back = polytope._vertices_from_constraints(*P.halfspaces(),
+                                                   P.ambient_dim)
+        assert sorted(back) == list(P.vertices)
 
 
 def test_volume_squared_rational():
@@ -184,3 +187,10 @@ def test_volume_squared_rational():
 def test_polytope_json_round_trip():
     P = hull([(F(1, 2), F(-3, 4)), (1, 0), (0, 1)], 2)
     assert verts(Polytope.from_json(P.to_json())) == verts(P)
+
+
+def test_five_cube():
+    P = hull(itertools.product((0, 1), repeat=5), 5)
+    halfs, eqs = P.halfspaces()
+    assert len(P.vertices) == 32 and len(halfs) == 10 and not eqs
+    assert volume(P) == RadVal.rational(1)

@@ -125,6 +125,34 @@ def test_hrep_vrep_round_trip(pts):
     assert set(hull(back, 2).vertices) == set(P.vertices)
 
 
+def flat_cloud_3d(k):
+    """Points a + sum_j s_j u_j in R^3 for k integer directions u_j."""
+    ints = st.integers(-2, 2)
+    vec = st.tuples(ints, ints, ints)
+    return st.tuples(
+        vec, st.lists(vec, min_size=k, max_size=k),
+        st.lists(st.lists(small_rationals, min_size=k, max_size=k),
+                 min_size=1, max_size=7),
+    ).map(lambda t: [tuple(t[0][i] + sum(c * u[i] for c, u in zip(cs, t[1]))
+                           for i in range(3)) for cs in t[2]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(points_strategy(3, max_points=8),
+                 points_strategy(4, max_points=8),
+                 flat_cloud_3d(1), flat_cloud_3d(2)))
+def test_hull_vertices_match_lp_oracle(pts):
+    d = len(pts[0])
+    P = hull(pts, d)
+    distinct = sorted({tuple(F(x) for x in p) for p in pts})
+    extreme = [p for p in distinct
+               if not lp.in_convex_hull([list(q) for q in distinct if q != p],
+                                        list(p))]
+    assert list(P.vertices) == extreme
+    back = polytope._vertices_from_constraints(*P.halfspaces(), d)
+    assert sorted(back) == list(P.vertices)
+
+
 # -- volume ------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg, polytope, surface
+from . import polytope, surface
 from .numbers import RadVal, format_rat
 from .polytope import Polytope, SliceSpec
 from .surface import PicClass, SurfaceModel, E, intersect
@@ -100,7 +100,12 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
     t = Fraction(0)
     supp = [c for c, _ in Z.negative_support]
     for _ in range(10000):
-        P0, P1, a0, a1 = _symbolic_zariski(model, L, T, supp)
+        # On the chamber with support supp, P(t) = P0 + t*P1 and the
+        # multiplicities are a0 + t*a1.
+        proj = surface._project(supp, L, T.scale(-1))
+        if proj is None:
+            raise RuntimeError("singular support system in chamber walk")
+        (P0, a0), (P1, a1) = proj
         # Events where the chamber description stops being valid.
         t_next = None
         add_now, drop_now = [], []
@@ -137,23 +142,6 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
             )
         t = t_next
     raise RuntimeError("chamber walk did not terminate")
-
-
-def _symbolic_zariski(model, L, T, supp):
-    """Affine-in-t Zariski data on a fixed support: P(t) = P0 + t*P1."""
-    if supp:
-        gram = [[intersect(a, b) for b in supp] for a in supp]
-        a0 = linalg.solve(gram, [intersect(L, c) for c in supp])
-        a1 = linalg.solve(gram, [-intersect(T, c) for c in supp])
-        if a0 is None or a1 is None:
-            raise ValueError("singular support system in chamber walk")
-    else:
-        a0, a1 = (), ()
-    P0, P1 = L, T.scale(-1)
-    for c, x, y in zip(supp, a0, a1):
-        P0 = P0 - c.scale(x)
-        P1 = P1 - c.scale(y)
-    return P0, P1, list(a0), list(a1)
 
 
 def _first_root_after(A, B, C2, t) -> RadVal | None:

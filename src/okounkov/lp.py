@@ -38,52 +38,52 @@ def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int):
                     best = (ratio, i)
         if best is None:
             raise ValueError("unbounded linear program")
-        _, leave = best
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(len(tableau)):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                row = tableau[i]
-                prow = tableau[leave]
-                tableau[i] = [x - f * y for x, y in zip(row, prow)]
-        basis[leave] = enter
+        _pivot(tableau, basis, best[1], enter)
 
 
-def feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """A solution x >= 0 of A x = b, or None.  Phase-one simplex."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = []
-    for i in range(m):
-        r = [Fraction(x) for x in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            r = [-x for x in r]
-            rhs = -rhs
-        rows.append((r, rhs))
-    # Columns: n originals + m artificials.
+def _pivot(tableau, basis, leave: int, enter: int) -> None:
+    """Pivot on row leave, column enter: enter replaces basis[leave]."""
+    piv = tableau[leave][enter]
+    tableau[leave] = prow = [x / piv for x in tableau[leave]]
+    for i, row in enumerate(tableau):
+        if i != leave and row[enter] != 0:
+            f = row[enter]
+            tableau[i] = [x - f * y for x, y in zip(row, prow)]
+    basis[leave] = enter
+
+
+def _phase_one(rows, b):
+    """Phase-one simplex on {rows x = b, x >= 0}: the optimal tableau (one
+    artificial column per row, before the right-hand side) and its basis,
+    or None when the system is infeasible."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
     tableau = []
-    basis = []
-    for i, (r, rhs) in enumerate(rows):
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(r + art + [rhs])
-        basis.append(n + i)
-    # Phase-one objective: maximize -(sum of artificials).
-    obj = [_ZERO] * (n + m) + [_ZERO]
     for i in range(m):
-        row = tableau[i]
-        obj = [o + x for o, x in zip(obj, row)]
-    for j in range(n, n + m):
-        obj[j] = _ZERO
+        sg = -1 if b[i] < 0 else 1
+        tableau.append([sg * Fraction(x) for x in rows[i]]
+                       + [_ONE if k == i else _ZERO for k in range(m)]
+                       + [sg * Fraction(b[i])])
+    basis = list(range(n, n + m))
+    # Phase-one objective: maximize -(sum of artificials).
+    obj = [sum(col, _ZERO) for col in zip(*tableau)] or [_ZERO]
+    obj[n:n + m] = [_ZERO] * m
     tableau.append(obj)
     _simplex(tableau, basis, n + m)
     if tableau[-1][-1] != 0:
         return None
-    x = [_ZERO] * n
+    return tableau, basis
+
+
+def feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """A solution x >= 0 of A x = b, or None.  Phase-one simplex."""
+    done = _phase_one(A, b)
+    if done is None:
+        return None
+    tableau, basis = done
+    x = [_ZERO] * (len(A[0]) if A else 0)
     for i, bj in enumerate(basis):
-        if bj < n:
+        if bj < len(x):
             x[bj] = tableau[i][-1]
     return x
 
@@ -119,37 +119,13 @@ def maximize(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> t
     m = len(A)
     n = len(c)
     # Split free vars and add slacks: columns = 2n + m (+ artificials in phase 1).
-    rows = []
-    for i in range(m):
-        r = []
-        for j in range(n):
-            aij = Fraction(A[i][j])
-            r.extend([aij, -aij])
-        slack = [_ZERO] * m
-        slack[i] = _ONE
-        rhs = Fraction(b[i])
-        row = r + slack
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        rows.append((row, rhs))
+    rows = [[sg * Fraction(A[i][j]) for j in range(n) for sg in (1, -1)]
+            + [_ONE if k == i else _ZERO for k in range(m)] for i in range(m)]
     ncols = 2 * n + m
-    tableau = []
-    basis = []
-    for i, (row, rhs) in enumerate(rows):
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(row + art + [rhs])
-        basis.append(ncols + i)
-    obj = [_ZERO] * (ncols + m + 1)
-    for i in range(m):
-        obj = [o + x for o, x in zip(obj, tableau[i])]
-    for j in range(ncols, ncols + m):
-        obj[j] = _ZERO
-    tableau.append(obj)
-    _simplex(tableau, basis, ncols + m)
-    if tableau[-1][-1] != 0:
+    done = _phase_one(rows, b)
+    if done is None:
         raise ValueError("infeasible linear program")
+    tableau, basis = done
     # Drive any artificial still in the basis out or drop its row.
     keep = []
     for i in range(len(basis)):
@@ -157,13 +133,7 @@ def maximize(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> t
             enter = next((j for j in range(ncols) if tableau[i][j] != 0), None)
             if enter is None:
                 continue  # redundant row
-            piv = tableau[i][enter]
-            tableau[i] = [x / piv for x in tableau[i]]
-            for k in range(len(tableau)):
-                if k != i and tableau[k][enter] != 0:
-                    f = tableau[k][enter]
-                    tableau[k] = [x - f * y for x, y in zip(tableau[k], tableau[i])]
-            basis[i] = enter
+            _pivot(tableau, basis, i, enter)
         keep.append(i)
     tableau = [
         [tableau[i][j] for j in range(ncols)] + [tableau[i][-1]]

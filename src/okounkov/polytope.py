@@ -330,29 +330,21 @@ def _hrep_from_vertices(points, ambient_dim):
           for k in range(len(points))]
     is_vertex = [not any(o != mine and o & mine == mine for o in on)
                  for mine in on]
-    # Pull each local halfspace h.y <= c back through y = L(x - v0),
-    # where L solves Gram(basis) L = basis-matrix (normal equations).
-    gram = [[dot(a, b) for b in basis] for a in basis]
+    # Pull each local halfspace h.y <= c back through y = L(x - v0), where
+    # L = G^{-1} B solves the normal equations Gram(basis) L = basis-matrix;
+    # one elimination of [G | B] gives L for every facet.
+    red, _ = linalg.rref([[dot(a, b) for b in basis] + list(a)
+                          for a in basis])
+    L = [row[d:] for row in red]
     halfs = []
     for (c, *h), _ in facets_local:
-        # Row functional: y_h(x) = h . y = (G^{-1} B (x - v0)) . h = w.(x-v0)
-        lam = linalg.solve(gram, h)
-        w = tuple(
-            sum((lam[k] * basis[k][t] for k in range(d)), Fraction(0))
-            for t in range(ambient_dim)
-        )
-        offset = c + dot(w, v0)
+        # Row functional: y_h(x) = h . y = h . L (x - v0) = w.(x - v0)
+        w = tuple(sum((hk * row[t] for hk, row in zip(h, L)), Fraction(0))
+                  for t in range(ambient_dim))
+        # w != 0, and primitive() scales it by a positive factor.
         n_prim = linalg.primitive(w)
-        scale = next(
-            (w[t] / n_prim[t] for t in range(ambient_dim) if n_prim[t] != 0),
-            None,
-        )
-        if scale is None:
-            continue
-        if scale < 0:
-            n_prim = tuple(-x for x in n_prim)
-            scale = -scale
-        halfs.append((n_prim, offset / scale))
+        k = next(t for t, x in enumerate(w) if x)
+        halfs.append((n_prim, (c + dot(w, v0)) * n_prim[k] / w[k]))
     halfs = sorted(set(halfs))
     return halfs, eqs, is_vertex
 

@@ -168,6 +168,27 @@ def is_nef(model: SurfaceModel, D: PicClass) -> bool:
     return all(intersect(D, C) >= 0 for C in model.psef_generators())
 
 
+def _project(support, *classes):
+    """For each class X, (X - sum a_c c, a) with Gram(support) a = (X.c)_c,
+    from one elimination of [Gram | X.c for each X]; None when the Gram
+    matrix is singular.  On a Zariski chamber with this support these are
+    the positive part and the multiplicities (Bauer 2009)."""
+    k = len(support)
+    red, pivots = linalg.rref([[intersect(a, b) for b in support]
+                               + [intersect(X, a) for X in classes]
+                               for a in support])
+    if pivots != list(range(k)):
+        return None
+    out = []
+    for j, X in enumerate(classes):
+        a = tuple(row[k + j] for row in red)
+        ac = list(zip(a, support))
+        out.append((PicClass(X.d - sum(x * c.d for x, c in ac),
+                             [X.m[i] - sum(x * c.m[i] for x, c in ac)
+                              for i in range(X.s)]), a))
+    return out
+
+
 def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
     """Zariski decomposition D = P + N by support growth, or None exactly
     when D is not pseudoeffective.
@@ -181,11 +202,8 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
     """
     if model.mode == "user" and not is_psef(model, D):
         return None
-    support, coeffs = [], ()
+    support, P, coeffs = [], D, ()
     while True:
-        P = D
-        for c, a in zip(support, coeffs):
-            P = P - c.scale(a)
         new = [C for C in model.neg_curves
                if intersect(P, C) < 0 and all(C != S for S in support)]
         if not new:
@@ -196,10 +214,10 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
         support.extend(new)
         if len(support) > model.s:
             break
-        gram = [[intersect(a, b) for b in support] for a in support]
-        if linalg.det(gram) == 0:
+        proj = _project(support, D)
+        if proj is None:
             break
-        coeffs = linalg.solve(gram, [intersect(D, c) for c in support])
+        [(P, coeffs)] = proj
         if any(a < 0 for a in coeffs):
             break
     if model.mode == "user":
@@ -274,29 +292,31 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     negative part of D itself.  Grid points where the shifted class stops
     being pseudoeffective are skipped; when the grid hits every chamber
     vertex the hull is exact, otherwise it is an outer bound at the
-    recorded resolution.
+    recorded resolution.  One support-growth loop runs for D and one per
+    grid point.
     """
-    if not is_big(model, D):
+    Z0 = _decompose(model, D)
+    if Z0 is None or intersect(Z0.positive, Z0.positive) <= 0:
         raise ValueError("surface body computed for big classes only")
     grid_step = Fraction(grid_step)
     t_max = Fraction(t_max)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     r = len(points)
-    Z0 = zariski(model, D)
     shift = [next((a for c, a in Z0.negative_support if c == E(model.s, i)),
                   Fraction(0)) for i in points]
     steps = int(t_max / grid_step)
     pts = []
     for tvec in itertools.product(range(steps + 1), repeat=r):
         t = [grid_step * k for k in tvec]
-        Dt = D
-        for i, ti in zip(points, t):
-            Dt = Dt - E(model.s, i).scale(shift[points.index(i)] + ti)
-        if not is_psef(model, Dt):
+        # D - sum (shift_k + t_k) E_i raises m_i by shift_k + t_k.
+        m = list(D.m)
+        for i, sh, ti in zip(points, shift, t):
+            m[i] += sh + ti
+        Z = _decompose(model, PicClass(D.d, tuple(m)))
+        if Z is None:
             continue
-        P = zariski(model, Dt).positive
-        beta = [intersect(P, E(model.s, i)) for i in points]
+        beta = [Z.positive.m[i] for i in points]  # P.E_i = P.m[i]
         # Fiber over t: nu_1 = shift + t, nu_2 in [0, beta] per block.
         for ends in itertools.product(*[(Fraction(0), b) for b in beta]):
             p = []

@@ -14,10 +14,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import linalg, lp, polytope
+from . import polytope
 from .linalg import Vec, dot
 from .numbers import format_rat, parse_rat
 from .polytope import Polytope
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -25,7 +42,8 @@ class Fan:
     """Smooth complete fan: primitive rays plus maximal cones (ray index sets).
 
     Smoothness (each max cone a unimodular basis) and completeness (each
-    codimension-1 cone shared by exactly two max cones, every ray used)
+    codimension-1 cone shared by exactly two max cones lying on opposite
+    sides of it, every ray used, the cones covering space exactly once)
     are validated eagerly; invalid fans are rejected outright.
     """
 
@@ -41,26 +59,52 @@ class Fan:
         n = self.dim
         if any(len(r) != n for r in rays):
             raise ValueError("ray dimension mismatch")
+        dets = []
         for c in cones:
             if len(c) != n or len(set(c)) != n:
                 raise ValueError(f"max cone {c} must list {n} distinct rays")
-            d = linalg.det([[Fraction(x) for x in rays[i]] for i in c])
+            d = _det([rays[i] for i in c])
             if abs(d) != 1:
                 raise ValueError(
                     f"non-smooth cone {c}: ray determinant {d} (need +-1)"
                 )
+            dets.append(d)
+
+        def coord(ci, j, x):
+            # Coordinate j of x in the ray basis of cone ci (Cramer's rule).
+            rows = [rays[i] for i in cones[ci]]
+            rows[j] = x
+            return _det(rows) * dets[ci]
+
         used = {i for c in cones for i in c}
         if used != set(range(len(rays))):
             raise ValueError("every ray must appear in some max cone")
-        # Completeness: each facet of a max cone lies in exactly two of them.
-        facet_count: dict[frozenset, int] = {}
-        for c in cones:
-            for facet in itertools.combinations(c, n - 1):
-                key = frozenset(facet)
-                facet_count[key] = facet_count.get(key, 0) + 1
-        bad = {k: v for k, v in facet_count.items() if v != 2}
+        # Completeness: each facet of a max cone lies in exactly two of
+        # them, on opposite sides of it, and the cones cover space once (a
+        # doubly wound 2-D "fan" passes the first two tests).  sides[facet]
+        # lists (cone, j) with ray j of the cone off the facet.
+        sides: dict[frozenset, list] = {}
+        for ci, c in enumerate(cones):
+            for j in reversed(range(n)):
+                sides.setdefault(frozenset(c[:j] + c[j + 1:]), []).append(
+                    (ci, j))
+        bad = {k: len(v) for k, v in sides.items() if len(v) != 2}
         if bad:
             raise ValueError(f"fan is not complete: unpaired cone facets {bad}")
+        for (ca, ja), (cb, jb) in sides.values():
+            if coord(ca, ja, rays[cones[cb][jb]]) >= 0:
+                raise ValueError(
+                    f"fan is not complete: max cones {cones[ca]} and "
+                    f"{cones[cb]} lie on the same side of their shared facet")
+        # With the facets paired this way the cones cover space a constant
+        # number of times, and a point inside the first cone lies in no
+        # other cone of a fan.
+        p = [sum(x) for x in zip(*(rays[i] for c in cones[:1] for i in c))]
+        cover = sum(all(coord(ci, j, p) >= 0 for j in range(n))
+                    for ci in range(len(cones)))
+        if cover != 1:
+            raise ValueError(f"fan is not complete: the max cones cover a "
+                             f"point {cover} times (need 1)")
 
     def to_json(self) -> dict:
         return {
@@ -104,7 +148,7 @@ class ToricFlagSpec:
     """Ordered flag cones: r max cones given as ordered ray-index lists.
 
     The cones must be pairwise disjoint as cones (checked: no shared ray,
-    and no nonzero vector in two cone hulls, via exact LP).
+    which in a fan means they meet only at the origin).
     """
 
     flags: tuple[tuple[int, ...], ...]
@@ -125,12 +169,10 @@ class ToricFlagSpec:
                 raise ValueError(f"flag {f} is not a maximal cone of the fan")
         for a, b in itertools.combinations(range(self.r), 2):
             fa, fb = self.flags[a], self.flags[b]
+            # Max cones of a fan meet in a common face, so cones with no
+            # shared ray meet only at the origin.
             if set(fa) & set(fb):
                 raise ValueError(f"flag cones {fa} and {fb} share a ray")
-            if not _cones_meet_trivially(fan, fa, fb):
-                raise ValueError(
-                    f"flag cones {fa} and {fb} have nontrivial intersection"
-                )
 
     def ray_vectors(self, fan: Fan) -> list[list[Vec]]:
         return [
@@ -159,22 +201,6 @@ class ValuationVector:
         object.__setattr__(
             self, "entries", tuple(Fraction(e) for e in self.entries)
         )
-
-
-def _cones_meet_trivially(fan: Fan, ca, cb) -> bool:
-    """Do cone(ca) and cone(cb) intersect only in the origin?
-
-    Both cones are simplicial (rays linearly independent), so a nonzero
-    common point exists iff sum(lam * va) = sum(mu * vb) has a solution
-    with lam, mu >= 0 summing to 1.
-    """
-    dim = fan.dim
-    cols = ([[Fraction(x) for x in fan.rays[i]] for i in ca]
-            + [[-Fraction(x) for x in fan.rays[i]] for i in cb])
-    A = [[cols[k][t] for k in range(len(cols))] for t in range(dim)]
-    A.append([Fraction(1)] * len(cols))
-    b = [Fraction(0)] * dim + [Fraction(1)]
-    return lp.feasible_nonneg(A, b) is None
 
 
 def divisor_polytope(fan: Fan, D: ToricDivisor) -> Polytope:
@@ -208,7 +234,7 @@ def extended_body_toric(fan: Fan, D: ToricDivisor,
     divisor is rejected and the caller must supply a linearly equivalent
     representative with that property.
     """
-    flags.validate(fan)
+    M = flag_matrix(fan, flags)
     for f in flags.flags:
         for i in f:
             if D.coeffs[i] != 0:
@@ -217,8 +243,7 @@ def extended_body_toric(fan: Fan, D: ToricDivisor,
                     f"{fan.rays[i]}; choose a linearly equivalent "
                     f"representative vanishing on all flag rays"
                 )
-    P = divisor_polytope(fan, D)
-    return polytope.affine_image(P, flag_matrix(fan, flags))
+    return polytope.affine_image(divisor_polytope(fan, D), M)
 
 
 def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
@@ -269,12 +294,16 @@ def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
     """Inner approximation from graded-semigroup sampling up to level m_max."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    flags.validate(fan)
+    # monomial_valuation of every lattice point, validating the flags once.
+    rays = [i for f in flags.flags for i in f]
+    vecs = [tuple(Fraction(x) for x in fan.rays[i]) for i in rays]
     graded = []
     for m in range(1, m_max + 1):
-        Dm = D.scale(m)
-        for u in lattice_points(divisor_polytope(fan, Dm)):
-            val = monomial_valuation(fan, Dm, flags, u, level=m)
-            graded.append((val.entries, m))
+        a = [m * D.coeffs[i] for i in rays]
+        for u in lattice_points(divisor_polytope(fan, D.scale(m))):
+            graded.append((tuple(ai + dot(u, v) for ai, v in zip(a, vecs)),
+                           m))
     if not graded:
         nr = fan.dim * flags.r
         return Polytope(nr, ())

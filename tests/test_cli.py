@@ -1,6 +1,6 @@
 import json
 
-from okounkov import cli
+from okounkov import cli, surface
 from okounkov.cli import main
 from okounkov.polytope import Polytope
 
@@ -325,3 +325,17 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "chamber walk did not terminate" in err
+
+
+def test_singular_chamber_support_exit_3(tmp_path, monkeypatch, capsys):
+    # A complete curve list never gives a singular support, so a solver
+    # that reports one is an internal fault, not an input error.
+    monkeypatch.setattr(surface, "_project", lambda support, *classes: None)
+    code, _ = run_job(tmp_path, {
+        "schema": 1, "kind": "nakayama",
+        "input": {"s": 4, "class": {"d": "1", "m": ["0"] * 4}},
+    })
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "singular support system in chamber walk" in err

@@ -114,6 +114,10 @@ def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
     s = setups["bl2p2"]
     positive_xi_criterion(SurfaceModel(s.s), s.L, list(range(s.r)))
     assert len(calls) == 1
+    calls.clear()
+    # One loop for D and one per grid point: 3 x 3 grid points.
+    surface.surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), 1)
+    assert len(calls) == 10
 
 
 # -- xi ---------------------------------------------------------------

@@ -48,6 +48,23 @@ def test_incomplete_fan_rejected():
         Fan(2, ((1, 0), (0, 1)), ((0, 1),))
 
 
+def test_same_side_cones_rejected():
+    # Every facet is paired, but cone(e1, e1+e2) and cone(e2, e1) both lie
+    # above the ray e1.
+    with pytest.raises(ValueError, match="same side"):
+        Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 2), (2, 1), (1, 0)))
+
+
+def test_doubly_wound_fan_rejected():
+    # Unimodular consecutive cones with paired facets on opposite sides,
+    # winding twice around the origin (total angle 4 pi).
+    rays = ((1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (0, 1),
+            (-1, 1), (1, -2), (-1, 3), (0, -1))
+    cones = tuple((k, (k + 1) % 12) for k in range(12))
+    with pytest.raises(ValueError, match="cover a point 2 times"):
+        Fan(2, rays, cones)
+
+
 def test_unused_ray_rejected():
     with pytest.raises(ValueError, match="appear in some max cone"):
         Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)),

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
@@ -83,26 +83,32 @@ def solve(rows: Mat, rhs) -> Vec | None:
 
 
 def det(rows: Mat) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix is eliminated with exact divisions, and the scales are
+    divided back out.  Entries may be int or Fraction.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("det of non-square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        pv = m[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+    m, scale = [], 1
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (den // x.denominator) for x in r])
+        scale *= den
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return Fraction(0)
+            m[k], m[i], sign = m[i], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return Fraction(sign * m[-1][-1] if n else 1, scale)
 
 
 def primitive(v: Vec) -> Vec:

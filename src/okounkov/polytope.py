@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -84,7 +84,7 @@ class Polytope:
         """Dimension of the affine span (-1 for empty)."""
         if self.is_empty:
             return -1
-        return len(_affine_frame(self.vertices)[0])
+        return self.ambient_dim - len(self.halfspaces()[1])
 
     def to_json(self) -> dict:
         return {
@@ -196,14 +196,44 @@ def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
 
 
 def volume(P: Polytope) -> RadVal:
-    """Volume of P inside its affine span, induced Euclidean metric."""
+    """Volume of P inside its affine span, induced Euclidean metric.
+
+    A pulling triangulation (De Loera, Rambau & Santos, "Triangulations",
+    2010) read off the cached facets: each face is coned from its first
+    vertex over its facets that miss that vertex, down to single vertices.
+    A chain of apexes v_d, ..., v_1 ending at the vertex v_0 spans a simplex
+    of volume |det(v_i - v_0)| / d! in the coordinates of the affine span.
+    """
     if P.is_empty:
         return RadVal.rational(0)
     basis, coords = _affine_frame(P.vertices)
-    if not basis:
+    d = len(basis)
+    if d == 0:
         return RadVal.rational(0)
+    # Facet masks: the vertices v on each facet n.x <= c, found as the
+    # integer rows (n, -c) orthogonal to (v, 1).  The facets of a face F
+    # are the inclusion-maximal proper nonempty sets F & m.
+    homog = [_int_row(v + (1,)) for v in P.vertices]
+    masks = [sum(1 << j for j, v in enumerate(homog)
+                 if not sum(map(mul, row, v)))
+             for row in (_int_row(n + (-c,)) for n, c in P.halfspaces()[0])]
+
+    def pull(face, apexes):
+        low = face & -face
+        v0 = coords[low.bit_length() - 1]
+        if len(apexes) == d:
+            return abs(linalg.det([vsub(a, v0) for a in apexes]))
+        subs = {face & m for m in masks} - {0, face}
+        # Both tests only prune: a facet through v0 gives flat simplices,
+        # and a chain that skips a dimension ends before depth d.
+        return sum((pull(f, apexes + [v0]) for f in subs
+                    if not f & low
+                    and not any(f != g and f & g == f for g in subs)),
+                   Fraction(0))
+
     gram = [[dot(a, b) for b in basis] for a in basis]
-    return RadVal.sqrt(linalg.det(gram)) * _pyramid_volume(coords)
+    return (RadVal.sqrt(linalg.det(gram))
+            * (pull((1 << len(coords)) - 1, []) / factorial(d)))
 
 
 def inverted_slice_simplex(xi, n: int) -> Polytope:
@@ -299,14 +329,6 @@ def _dd(rows):
     return rays
 
 
-def _facet_rays(coords):
-    """Facets h.y <= c of full-dimensional points in Q^d as ((c, *h), mask),
-    the mask listing the points on the facet: the rays of the cone
-    {(c, h) : c - h.y >= 0 for every point y}."""
-    return _dd([_int_row((Fraction(1),) + tuple(-x for x in y))
-                for y in coords])
-
-
 def _hrep_from_vertices(points, ambient_dim):
     """(facet halfspaces, affine-hull equalities, vertex flags) of the hull
     of distinct points; hull passes them sorted, so points[0] is a vertex."""
@@ -323,7 +345,10 @@ def _hrep_from_vertices(points, ambient_dim):
            for nrm in normals]
     if d == 0:
         return [], eqs, [True]
-    facets_local = _facet_rays(coords)
+    # Facets h.y <= c in the frame as ((c, *h), mask), the mask listing the
+    # points on the facet: the rays of {(c, h) : c - h.y >= 0 at every y}.
+    facets_local = _dd([_int_row((Fraction(1),) + tuple(-x for x in y))
+                        for y in coords])
     # A point is a vertex iff no other point lies on a strict superset of
     # its facets.
     on = [sum(1 << f for f, (_, m) in enumerate(facets_local) if m >> k & 1)
@@ -347,30 +372,6 @@ def _hrep_from_vertices(points, ambient_dim):
         halfs.append((n_prim, (c + dot(w, v0)) * n_prim[k] / w[k]))
     halfs = sorted(set(halfs))
     return halfs, eqs, is_vertex
-
-
-def _pyramid_volume(points) -> Fraction:
-    """Volume of the hull of full-dimensional points in Q^d.
-
-    The hull is the union of the pyramids from the lexicographically
-    smallest point over the facets h.y <= c that miss it; a pyramid has
-    volume (c - h.apex) vol(F) / |h| / d, and vol(F) / |h| is the volume
-    of F projected along e_k, divided by |h_k|, for any h_k != 0.
-    """
-    d = len(points[0])
-    if d == 1:
-        return max(points)[0] - min(points)[0]
-    apex = min(points)
-    total = Fraction(0)
-    for (c, *h), mask in _facet_rays(points):
-        height = c - dot(h, apex)
-        if height == 0:
-            continue
-        k = next(t for t in range(d) if h[t])
-        face = [p[:k] + p[k + 1:]
-                for j, p in enumerate(points) if mask >> j & 1]
-        total += height * _pyramid_volume(face) / abs(h[k])
-    return total / d
 
 
 def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:

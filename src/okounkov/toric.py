@@ -14,27 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import polytope
+from . import linalg, polytope
 from .linalg import Vec, dot
 from .numbers import format_rat, parse_rat
 from .polytope import Polytope
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(r) for r in rows]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if i is None:
-                return 0
-            m[k], m[i], sign = m[i], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -63,7 +46,7 @@ class Fan:
         for c in cones:
             if len(c) != n or len(set(c)) != n:
                 raise ValueError(f"max cone {c} must list {n} distinct rays")
-            d = _det([rays[i] for i in c])
+            d = linalg.det([rays[i] for i in c])
             if abs(d) != 1:
                 raise ValueError(
                     f"non-smooth cone {c}: ray determinant {d} (need +-1)"
@@ -74,7 +57,7 @@ class Fan:
             # Coordinate j of x in the ray basis of cone ci (Cramer's rule).
             rows = [rays[i] for i in cones[ci]]
             rows[j] = x
-            return _det(rows) * dets[ci]
+            return linalg.det(rows) * dets[ci]
 
         used = {i for c in cones for i in c}
         if used != set(range(len(rays))):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from okounkov import polytope
+from okounkov import linalg, polytope
 from okounkov.numbers import RadVal
 from okounkov.polytope import (
     Polytope,
@@ -90,6 +90,13 @@ def test_volume_basics():
     assert volume(hull([(0, 0), (1, 0), (1, 1)], 2)) == RadVal.rational(F(1, 2))
     assert volume(hull([(0, 0), (1, 1)], 2)) == RadVal.sqrt(2)
     assert volume(hull([(5, 5)], 2)) == RadVal.rational(0)
+    # Built directly, with the midpoint of a base edge listed first: the
+    # triangulation is pulled from a point that is not a vertex.
+    pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+    direct = Polytope(3, tuple(tuple(map(F, p))
+                               for p in [(1, 0, 0)] + pyramid))
+    assert volume(direct) == volume(hull(pyramid, 3)) == RadVal.rational(F(4, 3))
+    assert direct.dim() == 3
 
 
 def test_volume_translation_and_scaling():
@@ -106,6 +113,20 @@ def test_volume_3d_simplex():
     # 2-dimensional face volume inside 3-space uses the induced metric
     T = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert volume(T).squared() == F(3, 4)
+    # Non-simple bodies: octahedron, 4-D cross-polytope, square pyramid.
+    for d, expected in [(3, F(4, 3)), (4, F(2, 3))]:
+        cross = [tuple(s * (i == k) for k in range(d))
+                 for i in range(d) for s in (1, -1)]
+        assert volume(hull(cross, d)) == RadVal.rational(expected)
+    pyramid = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], 3)
+    assert volume(pyramid) == RadVal.rational(F(4, 3))
+    # The unit 3-cube mapped into R^5 by M has volume sqrt(det M^T M).
+    M = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [2, 0, -1], [0, 3, 1]]
+    image = affine_image(hull(itertools.product((0, 1), repeat=3), 3), M)
+    MtM = [[sum(row[i] * row[j] for row in M) for j in range(3)]
+           for i in range(3)]
+    assert image.dim() == 3
+    assert volume(image) == RadVal.sqrt(linalg.det(MtM)) == RadVal.sqrt(145)
 
 
 def test_inverted_slice_simplex():
@@ -194,3 +215,20 @@ def test_five_cube():
     halfs, eqs = P.halfspaces()
     assert len(P.vertices) == 32 and len(halfs) == 10 and not eqs
     assert volume(P) == RadVal.rational(1)
+
+
+def test_volume_runs_no_double_description(monkeypatch):
+    # volume reads the facets hull cached; it runs no _dd of its own.
+    moment = [tuple(5 * t ** e for e in range(1, 5))
+              for t in (-5, -3, -2, -1, 0, 1, 2, 4, 5)]
+    centroid = tuple(sum(p[j] for p in moment[:5]) // 5 for j in range(4))
+    bodies = [hull(itertools.product((0, 1), repeat=4), 4),
+              hull(moment + [centroid], 4)]
+    assert len(bodies[1].vertices) == 9
+    calls = []
+    real_dd = polytope._dd
+    monkeypatch.setattr(polytope, "_dd",
+                        lambda rows: calls.append(rows) or real_dd(rows))
+    assert [volume(P) for P in bodies] == [RadVal.rational(1),
+                                           RadVal.rational(164820000)]
+    assert calls == []

@@ -2,9 +2,10 @@ import functools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from okounkov import lp, polytope, surface
+from okounkov import linalg, lp, polytope, surface
 from okounkov.numbers import RadVal, parse_rat, format_rat, squarefree_split
 from okounkov.polytope import (
     affine_image,
@@ -14,6 +15,7 @@ from okounkov.polytope import (
     volume,
 )
 from okounkov.surface import E, H, PicClass, SurfaceModel
+from okounkov.toric import Fan
 
 F = Fraction
 
@@ -219,6 +221,47 @@ def test_minkowski_contains_translates(pts1, pts2):
     for q in Q.vertices:
         shifted = affine_image(P, [[1, 0], [0, 1]], q)
         assert contains(S, shifted)
+
+
+# -- determinant against cofactor expansion ---------------------------
+
+def _cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+@st.composite
+def square_matrices(draw):
+    """int or Fraction matrices of size 0..5; half of them made singular
+    by a last row that combines rows 0 and n-2 (zero when n = 1)."""
+    n = draw(st.integers(0, 5))
+    entries = draw(st.sampled_from([st.integers(-4, 4), small_rationals]))
+    m = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    singular = n > 0 and draw(st.booleans())
+    if singular:
+        a, b = draw(entries), draw(entries)
+        m[-1] = ([a * x + b * y for x, y in zip(m[0], m[n - 2])] if n > 1
+                 else [0])
+    return m, singular
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_matches_cofactor_expansion(case):
+    m, singular = case
+    d = linalg.det(m)
+    assert isinstance(d, Fraction) and d == _cofactor_det(m)
+    if singular:
+        assert d == 0
+
+
+def test_det_empty_and_fan_smoothness():
+    assert linalg.det([]) == 1
+    with pytest.raises(ValueError, match="ray determinant 2 "):
+        Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 
 
 # -- psef verdict against the cone-membership oracle ------------------

@@ -63,19 +63,22 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
         raise ValueError("weights must be s positive rationals")
     if not surface.is_nef(model, L):
         raise ValueError("Seshadri constant defined here for nef classes")
-    best = None
-    for C in model.psef_generators():
-        # den = sum w_i (E_i . C), and E_i . C = m_i(C); only curves
-        # actually meeting the points constrain the threshold.
-        den = sum((wi * mi for wi, mi in zip(w, C.m)), Fraction(0))
-        if den <= 0:
+    # The threshold is min L.C / W.C over the generators C with W.C > 0,
+    # W = sum w_i E_i (W.C = sum w_i m_i(C)).  In rows, L.C / W.C is
+    # num q_W / (den q_L): the scale of C cancels.
+    lrow, qL = surface._row(L)
+    wrow, qW = surface._row(PicClass(0, tuple(-x for x in w)))
+    num = den = None
+    for c in model._rows:
+        dc = surface._dot(c, wrow)
+        if dc <= 0:
             continue
-        cand = intersect(L, C) / den
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+        nc = surface._dot(c, lrow)
+        if den is None or nc * den < num * dc:
+            num, den = nc, dc
+    if den is None:
         raise ValueError("no curve constrains the threshold")
-    return RadVal.rational(max(best, Fraction(0)))
+    return RadVal.rational(max(Fraction(num * qW, den * qL), Fraction(0)))
 
 
 def _sum_E(s: int, points=None) -> PicClass:
@@ -109,24 +112,28 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
         # Events where the chamber description stops being valid.
         t_next = None
         add_now, drop_now = [], []
-        for k, C in enumerate(supp):
+        for k in range(len(supp)):
             if a1[k] < 0:
                 cross = -a0[k] / a1[k]
                 if cross <= t:
-                    drop_now.append(C)
+                    drop_now.append(k)
                 elif t_next is None or cross < t_next:
                     t_next = cross
-        outside = [C for C in model.neg_curves if all(C != S for S in supp)]
-        for C in outside:
-            slope = intersect(P1, C)
+        # P0 and P1 meet every support curve in 0, so the scan skips them.
+        # P_j.C = dot(c, p_j) / (q_j q_C), so the crossing -P0.C / P1.C is
+        # -dot(c, p0) q1 / (dot(c, p1) q0).
+        p0, q0 = surface._row(P0)
+        p1, q1 = surface._row(P1)
+        for C, c in zip(model.neg_curves, model._rows):
+            slope = surface._dot(c, p1)
             if slope < 0:
-                cross = -intersect(P0, C) / slope
+                cross = Fraction(-surface._dot(c, p0) * q1, slope * q0)
                 if cross <= t:
                     add_now.append(C)
                 elif t_next is None or cross < t_next:
                     t_next = cross
         if add_now or drop_now:
-            supp = [C for C in supp if all(C != D_ for D_ in drop_now)]
+            supp = [C for k, C in enumerate(supp) if k not in drop_now]
             supp += add_now
             continue
         # Volume quadratic q(t) = A + B t + C2 t^2 on [t, t_next].
@@ -252,6 +259,9 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass,
     r = model.s if r is None else r
     if r != model.s:
         raise ValueError("sandwich uses equal weights at all s points")
+    if any(x != 0 for x in L.m):
+        raise ValueError("the sandwich needs a class pulled back from P^2 "
+                         "(d*H with every m_i = 0)")
     eps = seshadri_eps(model, L, [1] * r)
     mu = nakayama_mu(model, L)
     L2 = intersect(L, L)

@@ -9,8 +9,10 @@ using a wrong cone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, lp, polytope
 from .numbers import format_rat, parse_rat
@@ -18,6 +20,17 @@ from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
 _NEG_CURVE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+# The exceptional classes besides the E_i, one type per degree d: d and the
+# nonzero multiplicities (Manin, Cubic Forms, Ch. IV).
+_CURVE_TYPES = (
+    (1, (1, 1)), (2, (1,) * 5), (3, (2,) + (1,) * 6),
+    (4, (2,) * 3 + (1,) * 5), (5, (2,) * 6 + (1, 1)), (6, (3,) + (2,) * 7),
+)
+
+
+def _fraction(x) -> Fraction:
+    # A Fraction is immutable, so one passed in is shared, not copied.
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -28,8 +41,8 @@ class PicClass:
     m: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", Fraction(self.d))
-        object.__setattr__(self, "m", tuple(Fraction(x) for x in self.m))
+        object.__setattr__(self, "d", _fraction(self.d))
+        object.__setattr__(self, "m", tuple(map(_fraction, self.m)))
 
     @property
     def s(self) -> int:
@@ -78,11 +91,36 @@ def intersect(a: PicClass, b: PicClass) -> Fraction:
     )
 
 
+def _row(X: PicClass) -> tuple[tuple[int, ...], int]:
+    """(row, q): q > 0 is the lcm of the denominators of X and row is the
+    integer tuple q * (d, m_1, ..., m_s)."""
+    q = math.lcm(X.d.denominator, *(x.denominator for x in X.m))
+    return tuple(x.numerator * (q // x.denominator) for x in (X.d, *X.m)), q
+
+
+def _dot(a, b) -> int:
+    """d d' - sum m_i m'_i of two integer rows: the intersection number of
+    their classes times both scales."""
+    return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
+
+
+def _distinct_permutations(values):
+    """Distinct orderings of a multiset, in lexicographic order."""
+    if not values:
+        yield ()
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        yield from ((v,) + tail for tail in _distinct_permutations(rest))
+
+
 def neg_curve_classes(s: int) -> list[PicClass]:
     """Exceptional classes on Bl_s(P^2) at general points, s <= 8.
 
-    Integral solutions of C^2 = -1, C.K = -1 (K = -3H + sum E_i) with
-    d >= 0; counts are asserted against the classical table.
+    The E_i, then the classical types by degree, each with its
+    multiplicities in lexicographic order: exactly the integral solutions
+    of C^2 = -1, C.K = -1 (K = -3H + sum E_i) with d >= 0.  Counts are
+    asserted against the classical table.
     """
     if not 1 <= s <= 8:
         raise ValueError(
@@ -90,10 +128,11 @@ def neg_curve_classes(s: int) -> list[PicClass]:
             "1 <= s <= 8 only; supply a user curve list beyond that"
         )
     out = [E(s, i) for i in range(s)]
-    for d in range(1, 7):
-        for m in itertools.product(range(0, 4), repeat=s):
-            if sum(m) == 3 * d - 1 and sum(x * x for x in m) == d * d + 1:
-                out.append(PicClass(d, tuple(Fraction(x) for x in m)))
+    frac = [Fraction(k) for k in range(4)]  # shared by all the curves
+    for d, mult in _CURVE_TYPES:
+        if len(mult) <= s:
+            for m in _distinct_permutations(mult + (0,) * (s - len(mult))):
+                out.append(PicClass(d, tuple(frac[x] for x in m)))
     assert len(out) == _NEG_CURVE_COUNTS[s], (s, len(out))
     return out
 
@@ -103,6 +142,10 @@ class SurfaceModel:
     s: int
     mode: str = "delpezzo-general"
     neg_curves: tuple[PicClass, ...] = field(default=())
+    # _row of each of psef_generators(), so the negative curves come first.
+    # A row is its class scaled by a positive factor, which cancels from
+    # every sign and every ratio read off the rows.
+    _rows: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode == "delpezzo-general":
@@ -114,6 +157,8 @@ class SurfaceModel:
         else:
             raise ValueError(f"unknown surface mode {self.mode!r}")
         object.__setattr__(self, "neg_curves", curves)
+        object.__setattr__(self, "_rows", tuple(
+            _row(g)[0] for g in self.psef_generators()))
 
     def psef_generators(self) -> list[PicClass]:
         gens = list(self.neg_curves) + [H(self.s)]
@@ -165,7 +210,8 @@ def is_psef(model: SurfaceModel, D: PicClass) -> bool:
 
 
 def is_nef(model: SurfaceModel, D: PicClass) -> bool:
-    return all(intersect(D, C) >= 0 for C in model.psef_generators())
+    d, _ = _row(D)
+    return all(_dot(g, d) >= 0 for g in model._rows)
 
 
 def _project(support, *classes):
@@ -204,8 +250,10 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
         return None
     support, P, coeffs = [], D, ()
     while True:
-        new = [C for C in model.neg_curves
-               if intersect(P, C) < 0 and all(C != S for S in support)]
+        # A support curve has P.C = 0 exactly, so it never shows up again.
+        p, _ = _row(P)
+        new = [C for C, c in zip(model.neg_curves, model._rows)
+               if _dot(c, p) < 0]
         if not new:
             if is_nef(model, P):
                 return ZariskiDecomp(P, tuple(
@@ -277,8 +325,9 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     if Z is None or intersect(Z.positive, Z.positive) <= 0:
         raise ValueError("base loci computed for big classes only")
     bminus = [c for c, _ in Z.negative_support]
-    extra = [C for C in model.neg_curves
-             if intersect(Z.positive, C) == 0 and all(C != b for b in bminus)]
+    p, _ = _row(Z.positive)
+    extra = [C for C, c in zip(model.neg_curves, model._rows)
+             if _dot(c, p) == 0 and C not in bminus]
     return {"bminus": bminus, "bplus": bminus + extra}
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from okounkov import invariants, polytope, registry, toric
+from okounkov import invariants, polytope, registry, surface, toric
 from okounkov.invariants import (
     bounds_sandwich,
     check_eps_eq_xi,
@@ -118,6 +118,46 @@ def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
     # One loop for D and one per grid point: 3 x 3 grid points.
     surface.surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), 1)
     assert len(calls) == 10
+
+
+def test_curve_scans_make_no_fraction_intersections(monkeypatch):
+    # The scans over the 240 curves of Bl_8 run on integer rows; Fraction
+    # intersections remain only for the support Gram systems and the
+    # volume quadratic of each chamber.
+    calls, projected = [], []
+    real_intersect, real_project = surface.intersect, surface._project
+
+    def counted(a, b):
+        calls.append(1)
+        return real_intersect(a, b)
+
+    def project(support, *classes):
+        projected.append((len(support), len(classes)))
+        return real_project(support, *classes)
+
+    monkeypatch.setattr(surface, "intersect", counted)
+    monkeypatch.setattr(invariants, "intersect", counted)
+    monkeypatch.setattr(surface, "_project", project)
+    model = SurfaceModel(8)
+    assert surface._decompose(model, PicClass(3, (1,) * 8)) is not None
+    assert calls == [] and projected == []
+
+    mu = nakayama_mu(model, H(8).scale(3))
+    # Gram matrix and right-hand sides per projection; P^2 once and the
+    # three coefficients of the volume quadratic per chamber.
+    bound = sum(k * k + k * n for k, n in projected) + 1 + 3 * len(projected)
+    assert 0 < len(calls) <= bound < len(model.neg_curves)
+    assert max(k for k, _ in projected) <= 8
+    assert mu == RadVal.rational(F(17, 16))
+
+
+def test_sandwich_rejects_classes_not_pulled_back():
+    # bounds_sandwich assumes L = d*H; anything else is an input error,
+    # not a failed check (Bl_2) or an unrepresentable radical (Bl_8).
+    with pytest.raises(ValueError, match="pulled back from P\\^2"):
+        bounds_sandwich(SurfaceModel(2), PicClass(3, (1, 0)))
+    with pytest.raises(ValueError, match="pulled back from P\\^2"):
+        bounds_sandwich(SurfaceModel(8), PicClass(6, (2,) * 7 + (1,)))
 
 
 # -- xi ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from okounkov import linalg, lp, polytope, surface
+from okounkov import invariants, linalg, lp, polytope, surface
 from okounkov.numbers import RadVal, parse_rat, format_rat, squarefree_split
 from okounkov.polytope import (
     affine_image,
@@ -315,3 +315,95 @@ def test_is_psef_matches_cone_membership_s8():
     expected = [True, True, False, False, False]
     for D, want in zip([face, face + tiny, face - tiny] + wild, expected):
         assert surface.is_psef(model, D) == _lp_psef(model, D) == want, D
+
+
+# -- integer curve kernel against Fraction intersections --------------
+
+def _ref_is_nef(model, D):
+    return all(surface.intersect(D, C) >= 0 for C in model.psef_generators())
+
+
+def _ref_decompose(model, D):
+    """Support growth with Fraction intersections: (P, support) or None."""
+    if model.mode == "user" and not surface.is_psef(model, D):
+        return None
+    support, P, coeffs = [], D, ()
+    while True:
+        new = [C for C in model.neg_curves if surface.intersect(P, C) < 0
+               and all(C != S for S in support)]
+        if not new:
+            if not _ref_is_nef(model, P):
+                return None
+            return P, tuple((c, a) for c, a in zip(support, coeffs) if a != 0)
+        support.extend(new)
+        if len(support) > model.s:
+            return None
+        proj = surface._project(support, D)
+        if proj is None:
+            return None
+        [(P, coeffs)] = proj
+        if any(a < 0 for a in coeffs):
+            return None
+
+
+def _ref_seshadri(model, L, w):
+    best = None
+    for C in model.psef_generators():
+        den = sum((wi * mi for wi, mi in zip(w, C.m)), F(0))
+        if den > 0:
+            cand = surface.intersect(L, C) / den
+            best = cand if best is None else min(best, cand)
+    return RadVal.rational(max(best, F(0)))
+
+
+# A complete list of Bl_2 rescaled: E_1 doubled and the line 1/2 (H-E_1-E_2).
+_USER_BL2 = SurfaceModel(2, mode="user", neg_curves=(
+    E(2, 0).scale(2), E(2, 1), PicClass(F(1, 2), (F(1, 2), F(1, 2)))))
+
+thirds = st.fractions(-4, 6, max_denominator=3)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model (built-in s = 1..8, or the rescaled user list), a class with
+    denominators up to 3 (wild, or a generator combination pushed slightly
+    along -H or -E_i) and positive weights with denominators up to 3."""
+    s = draw(st.integers(0, 8))
+    model = _USER_BL2 if s == 0 else _model(s)
+    s = model.s
+    if draw(st.booleans()):
+        D = PicClass(draw(thirds), tuple(draw(thirds) for _ in range(s)))
+    else:
+        D = PicClass(0, (0,) * s)
+        for g in draw(st.lists(st.sampled_from(model.psef_generators()),
+                               min_size=1, max_size=4)):
+            D = D + g.scale(draw(st.fractions(0, 3, max_denominator=3)))
+        push = draw(st.sampled_from([H(s)] + [E(s, i) for i in range(s)]))
+        D = D - push.scale(draw(st.sampled_from([0, 0, F(1, 3), F(1, 2)])))
+    w = [draw(st.fractions(F(1, 3), 3, max_denominator=3)) for _ in range(s)]
+    return model, D, w
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_cases())
+def test_integer_kernel_matches_fraction_reference(case):
+    model, D, w = case
+    assert surface.is_nef(model, D) == _ref_is_nef(model, D)
+    want = _ref_decompose(model, D)
+    Z = surface._decompose(model, D)
+    if want is None:
+        assert Z is None
+        return
+    P, support = want
+    assert (Z.positive, Z.negative_support) == (P, support)
+    assert invariants.seshadri_eps(model, P, w) == _ref_seshadri(model, P, w)
+    if surface.intersect(P, P) > 0:
+        bminus = [c for c, _ in support]
+        bplus = bminus + [C for C in model.neg_curves
+                          if surface.intersect(P, C) == 0
+                          and all(C != b for b in bminus)]
+        assert surface.base_loci(model, D) == {"bminus": bminus,
+                                               "bplus": bplus}
+    else:
+        with pytest.raises(ValueError, match="big classes only"):
+            surface.base_loci(model, D)

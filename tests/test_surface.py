@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -55,6 +56,19 @@ def test_neg_curve_counts(s):
     for c in curves:
         assert intersect(c, c) == -1
         assert intersect(c, K) == -1
+
+
+@pytest.mark.parametrize("s", list(range(1, 9)))
+def test_neg_curve_classes_match_brute_force(s):
+    # The integral solutions of C^2 = -1, C.K = -1 with d >= 0, found by
+    # trying every d <= 6 and every m in {0..3}^s: the E_i first, then by
+    # d, then m in lexicographic order.
+    oracle = [E(s, i) for i in range(s)]
+    for d in range(1, 7):
+        for m in itertools.product(range(4), repeat=s):
+            if sum(m) == 3 * d - 1 and sum(x * x for x in m) == d * d + 1:
+                oracle.append(cls(d, *m))
+    assert neg_curve_classes(s) == oracle
 
 
 def test_unsupported_generality():

@@ -9,6 +9,7 @@ classes.  All conditional outputs carry an explicit assumption tag.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,23 +70,13 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     lrow, qL = surface._row(L)
     wrow, qW = surface._row(PicClass(0, tuple(-x for x in w)))
     num = den = None
-    for c in model._rows:
-        dc = surface._dot(c, wrow)
-        if dc <= 0:
-            continue
-        nc = surface._dot(c, lrow)
-        if den is None or nc * den < num * dc:
+    for nc, dc in zip(surface._dots(model._rows, lrow),
+                      surface._dots(model._rows, wrow)):
+        if dc > 0 and (den is None or nc * den < num * dc):
             num, den = nc, dc
     if den is None:
         raise ValueError("no curve constrains the threshold")
     return RadVal.rational(max(Fraction(num * qW, den * qL), Fraction(0)))
-
-
-def _sum_E(s: int, points=None) -> PicClass:
-    total = PicClass(0, (0,) * s)
-    for i in range(s) if points is None else points:
-        total = total + E(s, i)
-    return total
 
 
 def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
@@ -95,59 +86,64 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
     affine in t, and the volume is a quadratic; the walk advances through
     support-change walls until the volume root falls inside the current
     chamber, and returns that root exactly (rational or quadratic surd).
+    The walk runs on integer rows: a wall is a pair (num, den), den > 0,
+    compared with t = tn / td by cross-multiplication.
     """
     Z = surface._decompose(model, L)
-    if Z is None or intersect(Z.positive, Z.positive) <= 0:
+    p = None if Z is None else surface._row(Z.positive)[0]
+    if p is None or surface._dot(p, p) <= 0:
         raise ValueError("Nakayama constant defined for big classes")
-    T = _sum_E(model.s, points)
-    t = Fraction(0)
-    supp = [c for c, _ in Z.negative_support]
+    lrow, qL = surface._row(L)
+    # -T = -sum E_i over the points: d = 0 and m_i = 1 per point, integral.
+    trow = [0] * (model.s + 1)
+    for i in range(model.s) if points is None else points:
+        trow[i + 1] += 1
+    tn, td = 0, 1
+    supp = [surface._row(c)[0] for c, _ in Z.negative_support]
     for _ in range(10000):
-        # On the chamber with support supp, P(t) = P0 + t*P1 and the
-        # multiplicities are a0 + t*a1.
-        proj = surface._project(supp, L, T.scale(-1))
-        if proj is None:
+        # On the chamber with support supp, P(t) = P0 + t*P1 with
+        # P0 = p0 / (det qL), P1 = p1 / det, and the multiplicity of the
+        # k-th support curve (scale q_k) is q_k (n0_k / qL + t n1_k) / det.
+        sol = surface._solve(supp, lrow, trow)
+        if sol is None:
             raise RuntimeError("singular support system in chamber walk")
-        (P0, a0), (P1, a1) = proj
-        # Events where the chamber description stops being valid.
-        t_next = None
-        add_now, drop_now = [], []
-        for k in range(len(supp)):
-            if a1[k] < 0:
-                cross = -a0[k] / a1[k]
-                if cross <= t:
-                    drop_now.append(k)
-                elif t_next is None or cross < t_next:
-                    t_next = cross
-        # P0 and P1 meet every support curve in 0, so the scan skips them.
-        # P_j.C = dot(c, p_j) / (q_j q_C), so the crossing -P0.C / P1.C is
-        # -dot(c, p0) q1 / (dot(c, p1) q0).
-        p0, q0 = surface._row(P0)
-        p1, q1 = surface._row(P1)
-        for C, c in zip(model.neg_curves, model._rows):
-            slope = surface._dot(c, p1)
-            if slope < 0:
-                cross = Fraction(-surface._dot(c, p0) * q1, slope * q0)
-                if cross <= t:
-                    add_now.append(C)
-                elif t_next is None or cross < t_next:
-                    t_next = cross
-        if add_now or drop_now:
-            supp = [C for k, C in enumerate(supp) if k not in drop_now]
-            supp += add_now
-            continue
-        # Volume quadratic q(t) = A + B t + C2 t^2 on [t, t_next].
-        A = intersect(P0, P0)
-        B = 2 * intersect(P0, P1)
-        C2 = intersect(P1, P1)
-        root = _first_root_after(A, B, C2, t)
-        if root is not None and (t_next is None or root <= t_next):
-            return root
-        if t_next is None:
-            raise ValueError(
-                "chamber walk found no volume root; class may stay big"
-            )
-        t = t_next
+        _, ((p0, n0), (p1, n1)) = sol
+        # Walls (num, den, k, c): support curve k leaves where its
+        # multiplicity vanishes, t = -n0_k / (n1_k qL); an outside curve
+        # with row c enters where P.C vanishes, t = -P0.C / P1.C
+        # = -dot(c, p0) / (dot(c, p1) qL).  det and the scale of the curve
+        # cancel.  P0 and P1 meet every support curve in 0, so the scan
+        # never selects one.
+        walls = [(a, -b * qL, k, None)
+                 for k, (a, b) in enumerate(zip(n0, n1)) if b < 0]
+        walls += [(x0, -x1 * qL, None, c) for c, x0, x1 in zip(
+            model._rows, surface._dots(model._rows, p0),
+            surface._dots(model._rows, p1)) if x1 < 0]
+        now = [w for w in walls if w[0] * td <= tn * w[1]]
+        if not now:
+            # Volume quadratic A + B t + C2 t^2 on [t, t_next], times
+            # (det qL)^2 / g.
+            A, B, C2 = (surface._dot(p0, p0), 2 * surface._dot(p0, p1) * qL,
+                        surface._dot(p1, p1) * qL * qL)
+            g = math.gcd(A, B, C2) or 1
+            nxt = None
+            for w in walls:
+                if nxt is None or w[0] * nxt[1] < nxt[0] * w[1]:
+                    nxt = w[:2]
+            root = _first_root_after(A // g, B // g, C2 // g,
+                                     Fraction(tn, td))
+            if root is not None and (nxt is None or root <= Fraction(*nxt)):
+                return root
+            if nxt is None:
+                raise ValueError(
+                    "chamber walk found no volume root; class may stay big"
+                )
+            # Step to the nearest wall; the walls it reaches change supp.
+            tn, td = nxt
+            now = [w for w in walls if w[0] * td <= tn * w[1]]
+        gone = {w[2] for w in now}
+        supp = ([b for k, b in enumerate(supp) if k not in gone]
+                + [w[3] for w in now if w[3] is not None])
     raise RuntimeError("chamber walk did not terminate")
 
 

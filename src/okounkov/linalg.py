@@ -82,6 +82,38 @@ def solve(rows: Mat, rhs) -> Vec | None:
     return tuple(x)
 
 
+def bareiss(m: list[list[int]], k: int, jordan: bool = False) -> int:
+    """Fraction-free (Bareiss) elimination of the first k columns of the
+    integer matrix m, in place; returns the determinant of its leading
+    k x k block, 0 when that is singular.
+
+    A row swap negates one of the rows, so the determinant and the solution
+    of the system are both kept.  Without jordan only the rows below each
+    pivot are eliminated.  With jordan the rows above are too, and for a
+    nonsingular block every column j >= k ends as det * x, where x solves
+    m[:k][:k] x = the original column j.  Entries left of each pivot column
+    are not updated.
+    """
+    prev = 1
+    cols = range(len(m[0]) if m else 0)
+    for c in range(k):
+        pr = m[c]
+        if pr[c] == 0:
+            i = next((i for i in range(c + 1, len(m)) if m[i][c]), None)
+            if i is None:
+                return 0
+            m[c], m[i] = m[i], [-x for x in pr]
+            pr = m[c]
+        p = pr[c]
+        js = cols[c + 1:]
+        for row in m[:c] + m[c + 1:] if jordan else m[c + 1:]:
+            f = row[c]
+            for j in js:
+                row[j] = (row[j] * p - f * pr[j]) // prev
+        prev = p
+    return prev
+
+
 def det(rows: Mat) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -97,18 +129,7 @@ def det(rows: Mat) -> Fraction:
         den = lcm(*(x.denominator for x in r))
         m.append([x.numerator * (den // x.denominator) for x in r])
         scale *= den
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if i is None:
-                return Fraction(0)
-            m[k], m[i], sign = m[i], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return Fraction(sign * m[-1][-1] if n else 1, scale)
+    return Fraction(bareiss(m, n), scale)
 
 
 def primitive(v: Vec) -> Vec:

@@ -20,6 +20,9 @@ from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
 _NEG_CURVE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+# Largest grid surface_body_outer walks, (t_max / grid_step + 1)^r points;
+# each costs a support-growth loop and 2^r hull points.
+MAX_GRID_POINTS = 10_000
 # The exceptional classes besides the E_i, one type per degree d: d and the
 # nonzero multiplicities (Manin, Cubic Forms, Ch. IV).
 _CURVE_TYPES = (
@@ -102,6 +105,12 @@ def _dot(a, b) -> int:
     """d d' - sum m_i m'_i of two integer rows: the intersection number of
     their classes times both scales."""
     return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
+
+
+def _dots(rows, x) -> list[int]:
+    """[_dot(r, x) for r in rows], with the sign of d folded into x once."""
+    xt = (-x[0], *x[1:])
+    return [-sum(map(mul, r, xt)) for r in rows]
 
 
 def _distinct_permutations(values):
@@ -210,28 +219,52 @@ def is_psef(model: SurfaceModel, D: PicClass) -> bool:
 
 
 def is_nef(model: SurfaceModel, D: PicClass) -> bool:
-    d, _ = _row(D)
-    return all(_dot(g, d) >= 0 for g in model._rows)
+    return min(_dots(model._rows, _row(D)[0])) >= 0
+
+
+def _solve(support, *xs):
+    """The integer kernel of _project, on rows: support and xs are integer
+    rows, each a class times a positive scale.  None when the Gram matrix
+    G of the support is singular; else (det, [(p, n) for each x]) with
+    det = |det G| > 0, n = det * y for G y = (x.b)_b, and the row
+    p = det * x - sum n_b b."""
+    k = len(support)
+    m = [[_dot(a, b) for b in support] + [_dot(x, a) for x in xs]
+         for a in support]
+    det = linalg.bareiss(m, k, jordan=True)
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    det *= sign
+    out = []
+    for j, x in enumerate(xs):
+        n = [sign * row[k + j] for row in m]
+        p = [det * v for v in x]
+        for nb, b in zip(n, support):
+            p = [v - nb * w for v, w in zip(p, b)]
+        out.append((p, n))
+    return det, out
 
 
 def _project(support, *classes):
     """For each class X, (X - sum a_c c, a) with Gram(support) a = (X.c)_c,
-    from one elimination of [Gram | X.c for each X]; None when the Gram
-    matrix is singular.  On a Zariski chamber with this support these are
-    the positive part and the multiplicities (Bauer 2009)."""
-    k = len(support)
-    red, pivots = linalg.rref([[intersect(a, b) for b in support]
-                               + [intersect(X, a) for X in classes]
-                               for a in support])
-    if pivots != list(range(k)):
+    from one integer elimination of [Gram | X.c for each X] on rows; None
+    when the Gram matrix is singular.  On a Zariski chamber with this
+    support these are the positive part and the multiplicities (Bauer
+    2009).  With rows r_c = q_c c and r_X = q_X X, n = det * y solves the
+    scaled system, a_c = q_c n_c / (det q_X) and P = p / (det q_X)."""
+    rows = [_row(c) for c in support]
+    xs = [_row(X) for X in classes]
+    sol = _solve([r for r, _ in rows], *(r for r, _ in xs))
+    if sol is None:
         return None
+    det, parts = sol
     out = []
-    for j, X in enumerate(classes):
-        a = tuple(row[k + j] for row in red)
-        ac = list(zip(a, support))
-        out.append((PicClass(X.d - sum(x * c.d for x, c in ac),
-                             [X.m[i] - sum(x * c.m[i] for x, c in ac)
-                              for i in range(X.s)]), a))
+    for (p, n), (_, qX) in zip(parts, xs):
+        den = det * qX
+        out.append((PicClass(Fraction(p[0], den),
+                             tuple(Fraction(x, den) for x in p[1:])),
+                    tuple(Fraction(q * x, den) for (_, q), x in zip(rows, n))))
     return out
 
 
@@ -251,11 +284,10 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
     support, P, coeffs = [], D, ()
     while True:
         # A support curve has P.C = 0 exactly, so it never shows up again.
-        p, _ = _row(P)
-        new = [C for C, c in zip(model.neg_curves, model._rows)
-               if _dot(c, p) < 0]
+        dots = _dots(model._rows, _row(P)[0])
+        new = [C for C, x in zip(model.neg_curves, dots) if x < 0]
         if not new:
-            if is_nef(model, P):
+            if min(dots) >= 0:  # P is nef
                 return ZariskiDecomp(P, tuple(
                     (c, a) for c, a in zip(support, coeffs) if a != 0))
             break
@@ -287,18 +319,21 @@ def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[st
     bad = []
     if not is_nef(model, Z.positive):
         bad.append("positive part not nef")
-    for c, a in Z.negative_support:
+    p, _ = _row(Z.positive)
+    rows = [_row(c)[0] for c, _ in Z.negative_support]
+    for (_, a), c in zip(Z.negative_support, rows):
         if a <= 0:
             bad.append("nonpositive multiplicity in negative part")
-        if intersect(Z.positive, c) != 0:
+        if _dot(p, c) != 0:
             bad.append("positive part meets a support curve")
     recon = Z.positive + Z.negative_part()
     if not (recon - D).is_zero():
         bad.append("P + N does not reconstruct the input")
-    curves = [c for c, _ in Z.negative_support]
-    if curves:
-        gram = [[intersect(a, b) for b in curves] for a in curves]
-        for k in range(1, len(curves) + 1):
+    if rows:
+        # The Gram matrix of the rows: its k-th leading minor is that of the
+        # curves times the square of the product of their scales.
+        gram = [[_dot(a, b) for b in rows] for a in rows]
+        for k in range(1, len(rows) + 1):
             minor = linalg.det([row[:k] for row in gram[:k]])
             if (minor > 0) != (k % 2 == 0) or minor == 0:
                 bad.append("support intersection matrix not negative definite")
@@ -325,9 +360,9 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     if Z is None or intersect(Z.positive, Z.positive) <= 0:
         raise ValueError("base loci computed for big classes only")
     bminus = [c for c, _ in Z.negative_support]
-    p, _ = _row(Z.positive)
-    extra = [C for C, c in zip(model.neg_curves, model._rows)
-             if _dot(c, p) == 0 and C not in bminus]
+    extra = [C for C, x in zip(model.neg_curves,
+                               _dots(model._rows, _row(Z.positive)[0]))
+             if x == 0 and C not in bminus]
     return {"bminus": bminus, "bplus": bminus + extra}
 
 
@@ -342,19 +377,24 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     being pseudoeffective are skipped; when the grid hits every chamber
     vertex the hull is exact, otherwise it is an outer bound at the
     recorded resolution.  One support-growth loop runs for D and one per
-    grid point.
+    grid point; a grid above MAX_GRID_POINTS is refused before any work.
     """
-    Z0 = _decompose(model, D)
-    if Z0 is None or intersect(Z0.positive, Z0.positive) <= 0:
-        raise ValueError("surface body computed for big classes only")
     grid_step = Fraction(grid_step)
     t_max = Fraction(t_max)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     r = len(points)
+    steps = int(t_max / grid_step)
+    if (steps + 1) ** r > MAX_GRID_POINTS:
+        raise ValueError(
+            f"surface body grid of {steps + 1}^{r} points exceeds "
+            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; raise grid_step or lower "
+            "t_max")
+    Z0 = _decompose(model, D)
+    if Z0 is None or intersect(Z0.positive, Z0.positive) <= 0:
+        raise ValueError("surface body computed for big classes only")
     shift = [next((a for c, a in Z0.negative_support if c == E(model.s, i)),
                   Fraction(0)) for i in points]
-    steps = int(t_max / grid_step)
     pts = []
     for tvec in itertools.product(range(steps + 1), repeat=r):
         t = [grid_step * k for k in tvec]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,9 @@ from . import linalg, polytope
 from .linalg import Vec, dot
 from .numbers import format_rat, parse_rat
 from .polytope import Polytope
+
+# Largest bounding box lattice_points scans, in lattice points.
+MAX_LATTICE_BOX = 10**6
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,10 @@ def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
         hi = max(coords)
         los.append(lo.numerator // lo.denominator)
         his.append(-((-hi.numerator) // hi.denominator))
+    size = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
+    if size > MAX_LATTICE_BOX:
+        raise ValueError(f"lattice-point scan of a {size}-point bounding box "
+                         f"exceeds MAX_LATTICE_BOX = {MAX_LATTICE_BOX}")
     halfs, eqs = P.halfspaces()
     out = []
     for pt in itertools.product(*[range(lo, hi + 1)

@@ -227,6 +227,16 @@ def test_malformed_rational_exit_1(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_oversized_grid_exit_1(tmp_path, capsys):
+    code, _ = run_job(tmp_path, {
+        "schema": 1, "kind": "surface-body",
+        "input": {"s": 2, "class": {"d": "1", "m": ["0", "0"]},
+                  "t_max": str(10**9)},
+    })
+    assert code == 1
+    assert "MAX_GRID_POINTS" in capsys.readouterr().err
+
+
 def test_missing_job_file_exit_1(tmp_path):
     out = tmp_path / "results"
     assert main(["run", "--job", str(tmp_path / "absent.json"),
@@ -330,7 +340,7 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 def test_singular_chamber_support_exit_3(tmp_path, monkeypatch, capsys):
     # A complete curve list never gives a singular support, so a solver
     # that reports one is an internal fault, not an input error.
-    monkeypatch.setattr(surface, "_project", lambda support, *classes: None)
+    monkeypatch.setattr(surface, "_solve", lambda support, *rows: None)
     code, _ = run_job(tmp_path, {
         "schema": 1, "kind": "nakayama",
         "input": {"s": 4, "class": {"d": "1", "m": ["0"] * 4}},

@@ -121,33 +121,32 @@ def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
 
 
 def test_curve_scans_make_no_fraction_intersections(monkeypatch):
-    # The scans over the 240 curves of Bl_8 run on integer rows; Fraction
-    # intersections remain only for the support Gram systems and the
-    # volume quadratic of each chamber.
-    calls, projected = [], []
-    real_intersect, real_project = surface.intersect, surface._project
+    # The support solver, the support loop and the chamber walk over the
+    # 240 curves of Bl_8 all run on integer rows: no Fraction intersection.
+    calls, solved = [], []
+    real_intersect, real_solve = surface.intersect, surface._solve
 
     def counted(a, b):
         calls.append(1)
         return real_intersect(a, b)
 
-    def project(support, *classes):
-        projected.append((len(support), len(classes)))
-        return real_project(support, *classes)
+    def solve(support, *rows):
+        solved.append(len(support))
+        return real_solve(support, *rows)
 
     monkeypatch.setattr(surface, "intersect", counted)
     monkeypatch.setattr(invariants, "intersect", counted)
-    monkeypatch.setattr(surface, "_project", project)
+    monkeypatch.setattr(surface, "_solve", solve)
     model = SurfaceModel(8)
     assert surface._decompose(model, PicClass(3, (1,) * 8)) is not None
-    assert calls == [] and projected == []
+    assert solved == []
+    # 3H - 2E_1 - 2E_2 has the line through the two points as support.
+    Z = surface._decompose(model, PicClass(3, (2, 2) + (0,) * 6))
+    assert [a for _, a in Z.negative_support] == [1] and solved == [1]
 
     mu = nakayama_mu(model, H(8).scale(3))
-    # Gram matrix and right-hand sides per projection; P^2 once and the
-    # three coefficients of the volume quadratic per chamber.
-    bound = sum(k * k + k * n for k, n in projected) + 1 + 3 * len(projected)
-    assert 0 < len(calls) <= bound < len(model.neg_curves)
-    assert max(k for k, _ in projected) <= 8
+    assert calls == []
+    assert len(solved) > 2 and max(solved) <= 8
     assert mu == RadVal.rational(F(17, 16))
 
 

@@ -407,3 +407,144 @@ def test_integer_kernel_matches_fraction_reference(case):
     else:
         with pytest.raises(ValueError, match="big classes only"):
             surface.base_loci(model, D)
+
+
+# -- fraction-free support solver and chamber walk --------------------
+
+def _ref_project(support, *classes):
+    """_project with Fraction intersections and linalg.rref."""
+    k = len(support)
+    red, pivots = linalg.rref([[surface.intersect(a, b) for b in support]
+                               + [surface.intersect(X, a) for X in classes]
+                               for a in support])
+    if pivots != list(range(k)):
+        return None
+    out = []
+    for j, X in enumerate(classes):
+        a = tuple(row[k + j] for row in red)
+        P = X
+        for x, c in zip(a, support):
+            P = P - c.scale(x)
+        out.append((P, a))
+    return out
+
+
+@st.composite
+def projection_cases(draw):
+    """Supports of 1..s+2 curves from a built-in list (s = 1..8) or the
+    rescaled user list, repeats allowed and each curve possibly rescaled
+    by 2, 1/2 or 2/3 (so singular Gram matrices occur), and one or two
+    classes with denominators up to 3."""
+    s = draw(st.integers(0, 8))
+    model = _USER_BL2 if s == 0 else _model(s)
+    s = model.s
+    support = [C.scale(draw(st.sampled_from([1, 1, 2, F(1, 2), F(2, 3)])))
+               for C in draw(st.lists(st.sampled_from(model.neg_curves),
+                                      min_size=1, max_size=s + 2))]
+    classes = [PicClass(draw(thirds), tuple(draw(thirds) for _ in range(s)))
+               for _ in range(draw(st.integers(1, 2)))]
+    return support, classes
+
+
+@settings(deadline=None, max_examples=80)
+@given(projection_cases())
+def test_project_matches_fraction_reference(case):
+    support, classes = case
+    assert surface._project(support, *classes) == _ref_project(support,
+                                                                *classes)
+
+
+def test_project_singular_gram_gives_none():
+    s = 8
+    L12 = H(s) - E(s, 0) - E(s, 1)
+    # A repeated curve, and s + 2 curves in the rank s + 1 lattice.
+    for support in ([E(s, 0), E(s, 0).scale(2)],
+                    _model(s).neg_curves[:s + 2]):
+        assert _ref_project(support, L12) is None
+        assert surface._project(support, L12) is None
+    assert surface._project([E(s, 0), L12.scale(F(1, 3))], H(s)) == \
+        _ref_project([E(s, 0), L12.scale(F(1, 3))], H(s))
+
+
+def _ref_nakayama(model, L, points):
+    """The chamber walk on Fraction crossings and intersections; at the
+    nearest wall it rescans the same chamber to find the walls reached."""
+    Z = surface._decompose(model, L)
+    if Z is None or surface.intersect(Z.positive, Z.positive) <= 0:
+        return "not big"
+    T = PicClass(0, (0,) * model.s)
+    for i in range(model.s) if points is None else points:
+        T = T + E(model.s, i)
+    t, supp = F(0), [c for c, _ in Z.negative_support]
+    while True:
+        proj = _ref_project(supp, L, T.scale(-1))
+        if proj is None:
+            return "singular"
+        (P0, a0), (P1, a1) = proj
+        t_next, add_now, drop_now = None, [], []
+        crossings = [(-a0[k] / a1[k], k, None)
+                     for k in range(len(supp)) if a1[k] < 0]
+        crossings += [(-surface.intersect(P0, C) / surface.intersect(P1, C),
+                       None, C) for C in model.neg_curves
+                      if surface.intersect(P1, C) < 0]
+        for cross, k, C in crossings:
+            if cross <= t:
+                (drop_now.append(k) if C is None else add_now.append(C))
+            elif t_next is None or cross < t_next:
+                t_next = cross
+        if add_now or drop_now:
+            supp = [C for k, C in enumerate(supp) if k not in drop_now]
+            supp += add_now
+            continue
+        root = invariants._first_root_after(
+            surface.intersect(P0, P0), 2 * surface.intersect(P0, P1),
+            surface.intersect(P1, P1), t)
+        if root is not None and (t_next is None or root <= t_next):
+            return root
+        if t_next is None:
+            return "no root"
+        t = t_next
+
+
+# An incomplete Bl_3 list, rescaled: without the lines through p_3 the
+# walk of H along E_1 + E_2 + E_3 ends at the surd root 2 - sqrt(2).
+_USER_BL3 = SurfaceModel(3, mode="user", neg_curves=(
+    E(3, 0).scale(2), E(3, 1), E(3, 2),
+    (H(3) - E(3, 0) - E(3, 1)).scale(F(1, 2))))
+
+
+@st.composite
+def walk_cases(draw):
+    """d H - sum m_i E_i with d in [1, 6] and m_i in [-1, 2], denominators
+    up to 3, on Bl_s, s = 5..8, or on the rescaled user list, walked along
+    every E_i or along a subset."""
+    s = draw(st.sampled_from([0, 5, 6, 7, 8]))
+    model = draw(st.sampled_from([_USER_BL2, _USER_BL3])) if s == 0 \
+        else _model(s)
+    s = model.s
+    D = PicClass(draw(st.fractions(1, 6, max_denominator=3)),
+                 tuple(draw(st.fractions(-1, 2, max_denominator=3))
+                       for _ in range(s)))
+    points = draw(st.one_of(st.none(), st.lists(st.integers(0, s - 1),
+                                                min_size=1, max_size=s,
+                                                unique=True)))
+    return model, D, points
+
+
+@settings(deadline=None, max_examples=60)
+@given(walk_cases())
+def test_nakayama_matches_fraction_walk(case):
+    model, D, points = case
+    want = _ref_nakayama(model, D, points)
+    if want == "not big":
+        with pytest.raises(ValueError, match="big classes"):
+            invariants.nakayama_mu(model, D, points)
+    elif want == "no root":
+        with pytest.raises(ValueError, match="no volume root"):
+            invariants.nakayama_mu(model, D, points)
+    elif want == "singular":
+        with pytest.raises(RuntimeError, match="singular support"):
+            invariants.nakayama_mu(model, D, points)
+    else:
+        mu = invariants.nakayama_mu(model, D, points)
+        assert mu == want and mu.to_json() == want.to_json()

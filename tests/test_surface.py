@@ -11,6 +11,7 @@ from okounkov.surface import (
     H,
     PicClass,
     SurfaceModel,
+    ZariskiDecomp,
     base_loci,
     check_zariski,
     intersect,
@@ -136,6 +137,49 @@ def test_zariski_h_plus_2e():
     assert Z.positive == H(1)
     assert Z.negative_support == ((E(1, 0), F(2)),)
     assert check_zariski(m1, cls(1, -2), Z) == []
+
+
+def test_check_zariski_on_rescaled_user_list():
+    # The audit reads P.C and the Gram minors off integer rows, where each
+    # curve carries its own scale: 2 E_1 and half the line through p_1, p_2.
+    line = cls(1, 1, 1).scale(F(1, 2))
+    model = SurfaceModel(2, mode="user",
+                         neg_curves=(E(2, 0).scale(2), E(2, 1), line))
+    D = cls(3, 2, 2)
+    Z = zariski(model, D)
+    assert Z == ZariskiDecomp(cls(2, 1, 1), ((line, F(2)),))
+    assert check_zariski(model, D, Z) == []
+    # E_1 moved from P into N: P + N still gives D.
+    moved = ZariskiDecomp(Z.positive - E(2, 0), Z.negative_support
+                          + ((E(2, 0).scale(2), F(1, 2)),))
+    assert check_zariski(model, D, moved) == [
+        "positive part not nef",
+        "positive part meets a support curve",
+        "positive part meets a support curve",
+        "support intersection matrix not negative definite",
+    ]
+    zero = ZariskiDecomp(Z.positive, Z.negative_support + ((E(2, 1), F(0)),))
+    assert check_zariski(model, D, zero) == [
+        "nonpositive multiplicity in negative part",
+        "positive part meets a support curve",
+        "support intersection matrix not negative definite",
+    ]
+    assert check_zariski(model, D, ZariskiDecomp(Z.positive, (
+        (line, F(3)),))) == ["P + N does not reconstruct the input"]
+
+
+def test_surface_body_grid_bound_refused_before_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the grid guard ran after the support loop")
+
+    monkeypatch.setattr(surface, "_decompose", no_work)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS = 10000"):
+        surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), 10**9)
+    steps = surface.MAX_GRID_POINTS - 1  # (steps + 1)^1 is just allowed
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        surface_body_outer(SurfaceModel(1), H(1), [0], F(1), steps + 1)
+    with pytest.raises(AssertionError, match="after the support loop"):
+        surface_body_outer(SurfaceModel(1), H(1), [0], F(1), steps)
 
 
 def test_zariski_one_wall():

@@ -229,6 +229,22 @@ def test_block_depends_only_on_own_flag():
         assert both.entries[2:] == two.entries
 
 
+def test_lattice_points_box_bound_refused_before_scan(monkeypatch):
+    big = polytope.hull([(0, 0), (10**9, 0), (0, 10**9)], 2)
+
+    def no_scan(self):
+        raise AssertionError("the box guard ran after the H-representation")
+
+    monkeypatch.setattr(polytope.Polytope, "halfspaces", no_scan)
+    with pytest.raises(ValueError, match="MAX_LATTICE_BOX = 1000000"):
+        lattice_points(big)
+    n = toric.MAX_LATTICE_BOX - 1  # an n + 1 point box is just allowed
+    with pytest.raises(ValueError, match="MAX_LATTICE_BOX"):
+        lattice_points(polytope.hull([(0,), (n + 1,)], 1))
+    with pytest.raises(AssertionError, match="after the H-representation"):
+        lattice_points(polytope.hull([(0,), (n,)], 1))
+
+
 def test_sampler_p2_saturates_at_level_one():
     f = fx("p2")
     body = extended_body_toric(f["fan"], f["divisors"]["O1"], f["flags"]["pt"])

@@ -9,7 +9,6 @@ classes.  All conditional outputs carry an explicit assumption tag.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,7 +53,8 @@ class InvariantReport:
 
 def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     """Weighted Seshadri constant of a nef class: the nef threshold of
-    L - a * sum(w_i E_i) over the model curve list.
+    L - a * sum(w_i E_i) over the model curve list, where the first
+    Zariski chamber of that ray ends.
 
     Model-exact, not variety-general: the value is the threshold over the
     built-in curve list of the blown-up model.
@@ -62,89 +62,43 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     w = [Fraction(x) for x in w]
     if len(w) != model.s or any(x <= 0 for x in w):
         raise ValueError("weights must be s positive rationals")
-    if not surface.is_nef(model, L):
+    return _nef_threshold(next(surface.chambers(model, L, w), None))
+
+
+def _nef_threshold(first) -> RadVal:
+    # The first chamber has empty support exactly when L is nef.
+    if first is None or first[2] != 0:
         raise ValueError("Seshadri constant defined here for nef classes")
-    # The threshold is min L.C / W.C over the generators C with W.C > 0,
-    # W = sum w_i E_i (W.C = sum w_i m_i(C)).  In rows, L.C / W.C is
-    # num q_W / (den q_L): the scale of C cancels.
-    lrow, qL = surface._row(L)
-    wrow, qW = surface._row(PicClass(0, tuple(-x for x in w)))
-    num = den = None
-    for nc, dc in zip(surface._dots(model._rows, lrow),
-                      surface._dots(model._rows, wrow)):
-        if dc > 0 and (den is None or nc * den < num * dc):
-            num, den = nc, dc
-    if den is None:
+    if first[1] is None:
         raise ValueError("no curve constrains the threshold")
-    return RadVal.rational(max(Fraction(num * qW, den * qL), Fraction(0)))
+    return RadVal.rational(first[1])
 
 
 def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
-    """Bigness threshold of L - t * sum(E_i) by an exact chamber walk.
-
-    Within a chamber the Zariski support is constant, the positive part is
-    affine in t, and the volume is a quadratic; the walk advances through
-    support-change walls until the volume root falls inside the current
-    chamber, and returns that root exactly (rational or quadratic surd).
-    The walk runs on integer rows: a wall is a pair (num, den), den > 0,
-    compared with t = tn / td by cross-multiplication.
-    """
-    Z = surface._decompose(model, L)
-    p = None if Z is None else surface._row(Z.positive)[0]
-    if p is None or surface._dot(p, p) <= 0:
-        raise ValueError("Nakayama constant defined for big classes")
-    lrow, qL = surface._row(L)
-    # -T = -sum E_i over the points: d = 0 and m_i = 1 per point, integral.
-    trow = [0] * (model.s + 1)
+    """Bigness threshold of L - t * sum(E_i), exactly (rational or
+    quadratic surd): the first volume root of surface.chambers."""
+    w = [0] * model.s
     for i in range(model.s) if points is None else points:
-        trow[i + 1] += 1
-    tn, td = 0, 1
-    supp = [surface._row(c)[0] for c, _ in Z.negative_support]
-    for _ in range(10000):
-        # On the chamber with support supp, P(t) = P0 + t*P1 with
-        # P0 = p0 / (det qL), P1 = p1 / det, and the multiplicity of the
-        # k-th support curve (scale q_k) is q_k (n0_k / qL + t n1_k) / det.
-        sol = surface._solve(supp, lrow, trow)
-        if sol is None:
-            raise RuntimeError("singular support system in chamber walk")
-        _, ((p0, n0), (p1, n1)) = sol
-        # Walls (num, den, k, c): support curve k leaves where its
-        # multiplicity vanishes, t = -n0_k / (n1_k qL); an outside curve
-        # with row c enters where P.C vanishes, t = -P0.C / P1.C
-        # = -dot(c, p0) / (dot(c, p1) qL).  det and the scale of the curve
-        # cancel.  P0 and P1 meet every support curve in 0, so the scan
-        # never selects one.
-        walls = [(a, -b * qL, k, None)
-                 for k, (a, b) in enumerate(zip(n0, n1)) if b < 0]
-        walls += [(x0, -x1 * qL, None, c) for c, x0, x1 in zip(
-            model._rows, surface._dots(model._rows, p0),
-            surface._dots(model._rows, p1)) if x1 < 0]
-        now = [w for w in walls if w[0] * td <= tn * w[1]]
-        if not now:
-            # Volume quadratic A + B t + C2 t^2 on [t, t_next], times
-            # (det qL)^2 / g.
-            A, B, C2 = (surface._dot(p0, p0), 2 * surface._dot(p0, p1) * qL,
-                        surface._dot(p1, p1) * qL * qL)
-            g = math.gcd(A, B, C2) or 1
-            nxt = None
-            for w in walls:
-                if nxt is None or w[0] * nxt[1] < nxt[0] * w[1]:
-                    nxt = w[:2]
-            root = _first_root_after(A // g, B // g, C2 // g,
-                                     Fraction(tn, td))
-            if root is not None and (nxt is None or root <= Fraction(*nxt)):
-                return root
-            if nxt is None:
-                raise ValueError(
-                    "chamber walk found no volume root; class may stay big"
-                )
-            # Step to the nearest wall; the walls it reaches change supp.
-            tn, td = nxt
-            now = [w for w in walls if w[0] * td <= tn * w[1]]
-        gone = {w[2] for w in now}
-        supp = ([b for k, b in enumerate(supp) if k not in gone]
-                + [w[3] for w in now if w[3] is not None])
-    raise RuntimeError("chamber walk did not terminate")
+        w[i] += 1
+    walk = surface.chambers(model, L, w)
+    first = next(walk, None)
+    if first is not None and first[2] == 0 and model.mode == "user" \
+            and not surface.is_psef(model, L):
+        first = None  # as zariski: a user list decides psef by its cone
+    return _volume_root(first, walk)
+
+
+def _volume_root(first, walk) -> RadVal:
+    # The walk ends in the chamber where the volume reaches 0, so that
+    # chamber, the last, holds the root: one exact root per walk.
+    if first is None or first[3][0] <= 0:
+        raise ValueError("Nakayama constant defined for big classes")
+    t0, _, _, (A, B, C2) = [first, *walk][-1]
+    root = _first_root_after(A, B, C2, t0)
+    if root is None:
+        raise ValueError(
+            "chamber walk found no volume root; class may stay big")
+    return root
 
 
 def _first_root_after(A, B, C2, t) -> RadVal | None:
@@ -162,10 +116,7 @@ def _first_root_after(A, B, C2, t) -> RadVal | None:
         (RadVal.rational(-B) - sq) / (2 * C2),
         (RadVal.rational(-B) + sq) / (2 * C2),
     ]
-    good = [c for c in cands if c > t]
-    if not good:
-        return None
-    return min(good)
+    return min((c for c in cands if c > t), default=None)
 
 
 def xi_constant(body: Polytope, w, n: int, r: int) -> Fraction:
@@ -258,8 +209,9 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass,
     if any(x != 0 for x in L.m):
         raise ValueError("the sandwich needs a class pulled back from P^2 "
                          "(d*H with every m_i = 0)")
-    eps = seshadri_eps(model, L, [1] * r)
-    mu = nakayama_mu(model, L)
+    walk = surface.chambers(model, L, [1] * r)  # eps and mu off one walk
+    first = next(walk, None)
+    eps, mu = _nef_threshold(first), _volume_root(first, walk)
     L2 = intersect(L, L)
     upper = RadVal.rational(L2) / (mu * r)
     mu_sq = mu * mu

@@ -223,11 +223,12 @@ def is_nef(model: SurfaceModel, D: PicClass) -> bool:
 
 
 def _solve(support, *xs):
-    """The integer kernel of _project, on rows: support and xs are integer
-    rows, each a class times a positive scale.  None when the Gram matrix
-    G of the support is singular; else (det, [(p, n) for each x]) with
-    det = |det G| > 0, n = det * y for G y = (x.b)_b, and the row
-    p = det * x - sum n_b b."""
+    """The support solver: support and xs are integer rows, b = q_b c and
+    x = q X with scales q > 0.  None when the Gram matrix G of the support
+    is singular; else (det, [(p, n) for each x]) with det = |det G| > 0,
+    n = det * y for G y = (x.b)_b and p = det * x - sum n_b b: on a chamber
+    with this support, P(X) = p / (det q) and c has multiplicity
+    q_b n_b / (det q) (Bauer 2009)."""
     k = len(support)
     m = [[_dot(a, b) for b in support] + [_dot(x, a) for x in xs]
          for a in support]
@@ -246,28 +247,6 @@ def _solve(support, *xs):
     return det, out
 
 
-def _project(support, *classes):
-    """For each class X, (X - sum a_c c, a) with Gram(support) a = (X.c)_c,
-    from one integer elimination of [Gram | X.c for each X] on rows; None
-    when the Gram matrix is singular.  On a Zariski chamber with this
-    support these are the positive part and the multiplicities (Bauer
-    2009).  With rows r_c = q_c c and r_X = q_X X, n = det * y solves the
-    scaled system, a_c = q_c n_c / (det q_X) and P = p / (det q_X)."""
-    rows = [_row(c) for c in support]
-    xs = [_row(X) for X in classes]
-    sol = _solve([r for r, _ in rows], *(r for r, _ in xs))
-    if sol is None:
-        return None
-    det, parts = sol
-    out = []
-    for (p, n), (_, qX) in zip(parts, xs):
-        den = det * qX
-        out.append((PicClass(Fraction(p[0], den),
-                             tuple(Fraction(x, den) for x in p[1:])),
-                    tuple(Fraction(q * x, den) for (_, q), x in zip(rows, n))))
-    return out
-
-
 def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
     """Zariski decomposition D = P + N by support growth, or None exactly
     when D is not pseudoeffective.
@@ -281,29 +260,94 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
     """
     if model.mode == "user" and not is_psef(model, D):
         return None
-    support, P, coeffs = [], D, ()
+    x, q = _row(D)
+    support, p, det, n = [], x, 1, ()  # P = p / (det q)
     while True:
         # A support curve has P.C = 0 exactly, so it never shows up again.
-        dots = _dots(model._rows, _row(P)[0])
-        new = [C for C, x in zip(model.neg_curves, dots) if x < 0]
+        dots = _dots(model._rows, p)
+        new = [k for k, v in zip(range(len(model.neg_curves)), dots) if v < 0]
         if not new:
             if min(dots) >= 0:  # P is nef
+                den = det * q
+                P = PicClass(Fraction(p[0], den),
+                             tuple(Fraction(v, den) for v in p[1:]))
+                curves = [model.neg_curves[k] for k in support]
                 return ZariskiDecomp(P, tuple(
-                    (c, a) for c, a in zip(support, coeffs) if a != 0))
+                    (c, Fraction(_row(c)[1] * nb, den))
+                    for c, nb in zip(curves, n) if nb != 0))
             break
         support.extend(new)
         if len(support) > model.s:
             break
-        proj = _project(support, D)
-        if proj is None:
+        sol = _solve([model._rows[k] for k in support], x)
+        if sol is None:
             break
-        [(P, coeffs)] = proj
-        if any(a < 0 for a in coeffs):
+        det, [(p, n)] = sol
+        if any(nb < 0 for nb in n):
             break
     if model.mode == "user":
         raise ValueError("the user curve list is inconsistent: the class is in "
                          "its cone but has no Zariski decomposition over it")
     return None
+
+
+def chambers(model: SurfaceModel, L: PicClass, w):
+    """The Zariski chambers of L - t W, W = sum w_i E_i, w_i >= 0, t >= 0,
+    in order (Bauer, Kuronya & Szemberg, Crelle 2004); none if L is not
+    psef, where a class nef against a user list counts as psef even
+    outside the list's cone.  Yields (t0, t1, k, (A, B, C)) per chamber
+    [t0, t1]: t1 is None past the last wall and t1 == t0 where one t
+    changes the support twice, k is the support size, and A + B t + C t^2
+    is a positive multiple of the volume on the chamber.  The volume does
+    not increase along the walk, which ends with the chamber where it
+    reaches 0 (the first, when L is not big) or with t1 None.
+    """
+    lrow, qL = _row(L)
+    wrow, qW = _row(PicClass(0, tuple(w)))  # the row of -W
+    supp = []
+    if model.mode != "user" or min(_dots(model._rows, lrow)) < 0:
+        Z = _decompose(model, L)
+        if Z is None:
+            return
+        supp = [_row(c)[0] for c, _ in Z.negative_support]
+    tn, td = 0, 1
+    for _ in range(10000):
+        # P(t) = p0 / (det qL) + t p1 / (det qW), and the k-th support curve
+        # (scale q_k) has multiplicity q_k (n0_k / qL + t n1_k / qW) / det.
+        sol = _solve(supp, lrow, wrow)
+        if sol is None:
+            raise RuntimeError("singular support system in chamber walk")
+        _, ((p0, n0), (p1, n1)) = sol
+        # Walls t = num / den, den > 0, tagged (k, c): support curve k leaves
+        # where its multiplicity vanishes, outside curve c enters where P.c
+        # does.  P0 and P1 meet every support curve in 0.
+        walls = [(a * qW, -b * qL, k, None)
+                 for k, (a, b) in enumerate(zip(n0, n1)) if b < 0]
+        walls += [(x0 * qW, -x1 * qL, None, c) for c, x0, x1 in zip(
+            model._rows, _dots(model._rows, p0), _dots(model._rows, p1))
+            if x1 < 0]
+        quad = (_dot(p0, p0) * qW * qW, 2 * _dot(p0, p1) * qL * qW,
+                _dot(p1, p1) * qL * qL)  # (det qL qW)^2 P(t)^2
+        g = math.gcd(*quad) or 1
+        t1 = (tn, td)
+        if all(v[0] * td > tn * v[1] for v in walls):
+            t1 = None  # the nearest wall, compared by cross-multiplication
+            for v in walls:
+                if t1 is None or v[0] * t1[1] < t1[0] * v[1]:
+                    t1 = v[:2]
+        A, B, C = (x // g for x in quad)
+        yield (Fraction(tn, td), None if t1 is None else Fraction(*t1),
+               len(supp), (A, B, C))
+        if t1 is None:
+            return
+        tn, td = t1  # the walls at t1 change the support, unless vol is 0
+        if A * td * td + B * tn * td + C * tn * tn <= 0:
+            return  # there the ray leaves the big cone, which chambers tile
+        now = [v for v in walls if v[0] * td <= tn * v[1]]
+        gone = {v[2] for v in now}
+        supp = ([b for k, b in enumerate(supp) if k not in gone]
+                + [v[3] for v in now if v[3] is not None])
+    raise RuntimeError("chamber walk did not terminate")
 
 
 def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
@@ -368,16 +412,19 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
 
 def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
                        grid_step: Fraction, t_max: Fraction) -> Polytope:
-    """Outer grid hull of the extended body for infinitesimal flags C_i = E_i.
+    """Grid hull of the extended body for infinitesimal flags C_i = E_i.
 
     Flag points on each E_i are general, so the first fiber coordinate of
     block i runs over [0, P.E_i] (no negative-part correction at the flag
     point).  The body is shifted by the multiplicity of E_i in the
     negative part of D itself.  Grid points where the shifted class stops
-    being pseudoeffective are skipped; when the grid hits every chamber
-    vertex the hull is exact, otherwise it is an outer bound at the
-    recorded resolution.  One support-growth loop runs for D and one per
-    grid point; a grid above MAX_GRID_POINTS is refused before any work.
+    being pseudoeffective are skipped.  Every grid point's fiber lies in
+    the body, so the hull is an inner approximation: exact when the grid
+    hits every chamber vertex below t_max, otherwise inside the body at
+    the recorded resolution (the "outer_approx" meta key is a misnomer
+    kept for byte-identical artifacts).  One support-growth loop runs for
+    D and one per grid point; a grid above MAX_GRID_POINTS is refused
+    before any work.
     """
     grid_step = Fraction(grid_step)
     t_max = Fraction(t_max)

@@ -233,27 +233,28 @@ def extended_body_toric(fan: Fan, D: ToricDivisor,
     return polytope.affine_image(divisor_polytope(fan, D), M)
 
 
+def _lattice_box(P: Polytope, m: int = 1):
+    """Integer ranges of the bounding box of m * P (P nonempty) and its
+    size in lattice points."""
+    ranges = []
+    for t in range(P.ambient_dim):
+        coords = [m * v[t] for v in P.vertices]
+        ranges.append(range(math.floor(min(coords)),
+                            math.ceil(max(coords)) + 1))
+    return ranges, math.prod(map(len, ranges))
+
+
 def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
     """All lattice points of a bounded polytope (bounding-box scan)."""
     if P.is_empty:
         return []
-    n = P.ambient_dim
-    los = []
-    his = []
-    for t in range(n):
-        coords = [v[t] for v in P.vertices]
-        lo = min(coords)
-        hi = max(coords)
-        los.append(lo.numerator // lo.denominator)
-        his.append(-((-hi.numerator) // hi.denominator))
-    size = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
+    ranges, size = _lattice_box(P)
     if size > MAX_LATTICE_BOX:
         raise ValueError(f"lattice-point scan of a {size}-point bounding box "
                          f"exceeds MAX_LATTICE_BOX = {MAX_LATTICE_BOX}")
     halfs, eqs = P.halfspaces()
     out = []
-    for pt in itertools.product(*[range(lo, hi + 1)
-                                  for lo, hi in zip(los, his)]):
+    for pt in itertools.product(*ranges):
         v = tuple(Fraction(x) for x in pt)
         if all(dot(nrm, v) == c for nrm, c in eqs) and \
            all(dot(nrm, v) <= c for nrm, c in halfs):
@@ -282,17 +283,29 @@ def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
 
 def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
                           m_max: int) -> Polytope:
-    """Inner approximation from graded-semigroup sampling up to level m_max."""
+    """Inner approximation from graded-semigroup sampling up to level m_max.
+
+    Level m scans the bounding box of m P, so m_max times the box of
+    m_max P estimates the work (with fractional vertices a lower level's
+    box can be larger; lattice_points still caps each level); above
+    MAX_LATTICE_BOX the call is refused first."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     flags.validate(fan)
+    P = divisor_polytope(fan, D)
+    size = 0 if P.is_empty else m_max * _lattice_box(P, m_max)[1]
+    if size > MAX_LATTICE_BOX:
+        raise ValueError(f"semigroup sampling up to level {m_max} scans up to "
+                         f"{size} lattice points, above MAX_LATTICE_BOX = "
+                         f"{MAX_LATTICE_BOX}; lower m_max")
     # monomial_valuation of every lattice point, validating the flags once.
     rays = [i for f in flags.flags for i in f]
     vecs = [tuple(Fraction(x) for x in fan.rays[i]) for i in rays]
     graded = []
     for m in range(1, m_max + 1):
         a = [m * D.coeffs[i] for i in rays]
-        for u in lattice_points(divisor_polytope(fan, D.scale(m))):
+        Pm = P if m == 1 else divisor_polytope(fan, D.scale(m))
+        for u in lattice_points(Pm):
             graded.append((tuple(ai + dot(u, v) for ai, v in zip(a, vecs)),
                            m))
     if not graded:

@@ -255,6 +255,74 @@ def test_sandwich_anticanonical_degree_three_points():
     assert rep.all_pass(), rep.checks
 
 
+@pytest.mark.parametrize("s", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sandwich_reads_seshadri_and_nakayama_off_one_walk(s, d):
+    model, L = SurfaceModel(s), H(s).scale(d)
+    rep = bounds_sandwich(model, L)
+    eps, mu = seshadri_eps(model, L, [1] * s), nakayama_mu(model, L)
+    assert (rep.epsilon, rep.mu) == (eps, mu)
+    assert (rep.epsilon.to_json(), rep.mu.to_json()) == \
+        (eps.to_json(), mu.to_json())
+
+
+@pytest.mark.parametrize("s", [1, 3, 8])
+def test_sandwich_rejects_zero_and_negative_degree(s):
+    # 0*H is nef with eps = 0 but not big; -H is not even psef.
+    with pytest.raises(ValueError,
+                       match="^Nakayama constant defined for big classes$"):
+        bounds_sandwich(SurfaceModel(s), H(s).scale(0))
+    with pytest.raises(ValueError, match="^Seshadri constant defined here "
+                                         "for nef classes$"):
+        bounds_sandwich(SurfaceModel(s), H(s).scale(-1))
+
+
+def test_chambers_of_the_cubic_on_three_points():
+    # 3H - t(E_1 + E_2 + E_3): vol = 9 - 3t^2 until the three lines through
+    # two of the points enter at t = 3/2, then 9 (2 - t)^2; the walk ends at
+    # t = 2, where the ray leaves the big cone.
+    model, w = SurfaceModel(3), [1, 1, 1]
+    assert list(surface.chambers(model, H(3).scale(3), w)) == [
+        (0, F(3, 2), 0, (3, 0, -1)), (F(3, 2), 2, 3, (4, -4, 1))]
+    assert list(surface.chambers(model, H(3).scale(-1), w)) == []
+    # H - E_1 meets the line through p_1, p_2 in 0: the only chamber of
+    # Bl_2 along E_1 + E_2 is the point t = 0, with P(t)^2 = -2t - 2t^2.
+    assert list(surface.chambers(SurfaceModel(2), H(2) - E(2, 0), [1, 1])) \
+        == [(0, 0, 0, (0, -1, -1))]
+
+
+def test_user_list_nef_class_outside_its_cone():
+    # -K on Bl_9 and 4H - sum E_i on Bl_10 are nef against the list {E_i}
+    # but outside its cone: the Seshadri constant is still the nef
+    # threshold, min L.C / W.C over the rows H - E_i, while the Nakayama
+    # constant, like zariski, takes the cone's psef verdict.
+    for s, d, eps in [(9, 3, 2), (10, 4, 3)]:
+        model = SurfaceModel(s, mode="user",
+                             neg_curves=tuple(E(s, i) for i in range(s)))
+        L = PicClass(d, (1,) * s)
+        assert surface.is_nef(model, L) and not surface.is_psef(model, L)
+        assert seshadri_eps(model, L, [1] * s) == RadVal.rational(eps)
+        with pytest.raises(ValueError, match="^Nakayama constant defined "
+                                             "for big classes$"):
+            nakayama_mu(model, L)
+
+
+def test_one_exact_root_per_walk(monkeypatch):
+    # The walk ends with the chamber where the volume is <= 0 at its end, a
+    # rational test; only that chamber builds a RadVal root.
+    calls = []
+    real = invariants._first_root_after
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "_first_root_after", counted)
+    assert nakayama_mu(SurfaceModel(8), H(8).scale(3)) == \
+        RadVal.rational(F(17, 16))
+    assert len(calls) == 1
+
+
 # -- containment upper bound -----------------------------------------
 
 def test_containment_bound(setups):

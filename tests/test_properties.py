@@ -338,7 +338,7 @@ def _ref_decompose(model, D):
         support.extend(new)
         if len(support) > model.s:
             return None
-        proj = surface._project(support, D)
+        proj = _ref_project(support, D)
         if proj is None:
             return None
         [(P, coeffs)] = proj
@@ -412,7 +412,8 @@ def test_integer_kernel_matches_fraction_reference(case):
 # -- fraction-free support solver and chamber walk --------------------
 
 def _ref_project(support, *classes):
-    """_project with Fraction intersections and linalg.rref."""
+    """(X - sum a_c c, a) per class X with Gram(support) a = (X.c)_c, by
+    Fraction intersections and linalg.rref; None when Gram is singular."""
     k = len(support)
     red, pivots = linalg.rref([[surface.intersect(a, b) for b in support]
                                + [surface.intersect(X, a) for X in classes]
@@ -446,12 +447,30 @@ def projection_cases(draw):
     return support, classes
 
 
+def _read_back(support, *classes):
+    """surface._solve on the rows of the support and the classes, read
+    back with Fractions as (X - sum a_c c, a) per class X: with rows
+    r_c = q_c c and r_X = q_X X, a_c = q_c n_c / (det q_X) and the positive
+    part is p / (det q_X)."""
+    rows = [surface._row(c) for c in support]
+    xs = [surface._row(X) for X in classes]
+    sol = surface._solve([r for r, _ in rows], *(r for r, _ in xs))
+    if sol is None:
+        return None
+    det, parts = sol
+    out = []
+    for (p, n), (_, qX) in zip(parts, xs):
+        den = det * qX
+        out.append((PicClass(F(p[0], den), tuple(F(x, den) for x in p[1:])),
+                    tuple(F(q * x, den) for (_, q), x in zip(rows, n))))
+    return out
+
+
 @settings(deadline=None, max_examples=80)
 @given(projection_cases())
 def test_project_matches_fraction_reference(case):
     support, classes = case
-    assert surface._project(support, *classes) == _ref_project(support,
-                                                                *classes)
+    assert _read_back(support, *classes) == _ref_project(support, *classes)
 
 
 def test_project_singular_gram_gives_none():
@@ -461,8 +480,8 @@ def test_project_singular_gram_gives_none():
     for support in ([E(s, 0), E(s, 0).scale(2)],
                     _model(s).neg_curves[:s + 2]):
         assert _ref_project(support, L12) is None
-        assert surface._project(support, L12) is None
-    assert surface._project([E(s, 0), L12.scale(F(1, 3))], H(s)) == \
+        assert _read_back(support, L12) is None
+    assert _read_back([E(s, 0), L12.scale(F(1, 3))], H(s)) == \
         _ref_project([E(s, 0), L12.scale(F(1, 3))], H(s))
 
 

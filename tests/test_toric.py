@@ -245,6 +245,23 @@ def test_lattice_points_box_bound_refused_before_scan(monkeypatch):
         lattice_points(polytope.hull([(0,), (n,)], 1))
 
 
+def test_semigroup_work_bound_refused_before_scan(monkeypatch):
+    # Level m of bl1p2 O1 scans the box [0, m]^2, so m_max (m_max + 1)^2
+    # bounds the work: 99 * 100^2 is allowed, 100 * 101^2 is not.
+    f = fx("bl1p2")
+    D, flags = f["divisors"]["O1"], f["flags"]["inf"]
+
+    def no_scan(P):
+        raise AssertionError("the work guard let the scan start")
+
+    monkeypatch.setattr(toric, "lattice_points", no_scan)
+    for m_max in (10**9, 100):
+        with pytest.raises(ValueError, match="MAX_LATTICE_BOX = 1000000"):
+            semigroup_body_approx(f["fan"], D, flags, m_max)
+    with pytest.raises(AssertionError, match="let the scan start"):
+        semigroup_body_approx(f["fan"], D, flags, 99)
+
+
 def test_sampler_p2_saturates_at_level_one():
     f = fx("p2")
     body = extended_body_toric(f["fan"], f["divisors"]["O1"], f["flags"]["pt"])

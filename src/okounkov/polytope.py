@@ -13,7 +13,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import linalg
-from .linalg import Vec, dot, vadd, vsub
+from .linalg import Vec, dot, vadd
 from .numbers import RadVal, format_rat, parse_rat
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
@@ -203,17 +203,19 @@ def volume(P: Polytope) -> RadVal:
     vertex over its facets that miss that vertex, down to single vertices.
     A chain of apexes v_d, ..., v_1 ending at the vertex v_0 spans a simplex
     of volume |det(v_i - v_0)| / d! in the coordinates of the affine span.
+    The determinants are taken on the integer frame coordinates q y, so
+    their sum is divided once by q^d d!.
     """
     if P.is_empty:
         return RadVal.rational(0)
-    basis, coords = _affine_frame(P.vertices)
-    d = len(basis)
+    q, ints, coords, _, gram, _ = _frame(P.vertices)
+    d = len(coords[0])
     if d == 0:
         return RadVal.rational(0)
     # Facet masks: the vertices v on each facet n.x <= c, found as the
-    # integer rows (n, -c) orthogonal to (v, 1).  The facets of a face F
+    # integer rows (n, -c) orthogonal to (q v, q).  The facets of a face F
     # are the inclusion-maximal proper nonempty sets F & m.
-    homog = [_int_row(v + (1,)) for v in P.vertices]
+    homog = [p + [q] for p in ints]
     masks = [sum(1 << j for j, v in enumerate(homog)
                  if not sum(map(mul, row, v)))
              for row in (_int_row(n + (-c,)) for n, c in P.halfspaces()[0])]
@@ -222,18 +224,17 @@ def volume(P: Polytope) -> RadVal:
         low = face & -face
         v0 = coords[low.bit_length() - 1]
         if len(apexes) == d:
-            return abs(linalg.det([vsub(a, v0) for a in apexes]))
+            return abs(linalg.bareiss([[x - y for x, y in zip(a, v0)]
+                                       for a in apexes], d))
         subs = {face & m for m in masks} - {0, face}
         # Both tests only prune: a facet through v0 gives flat simplices,
         # and a chain that skips a dimension ends before depth d.
-        return sum((pull(f, apexes + [v0]) for f in subs
-                    if not f & low
-                    and not any(f != g and f & g == f for g in subs)),
-                   Fraction(0))
+        return sum(pull(f, apexes + [v0]) for f in subs
+                   if not f & low
+                   and not any(f != g and f & g == f for g in subs))
 
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    return (RadVal.sqrt(linalg.det(gram))
-            * (pull((1 << len(coords)) - 1, []) / factorial(d)))
+    total = pull((1 << len(coords)) - 1, [])
+    return RadVal.sqrt(gram) * Fraction(total, q ** d * factorial(d))
 
 
 def inverted_slice_simplex(xi, n: int) -> Polytope:
@@ -260,18 +261,78 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 
 # -- internal helpers ------------------------------------------------
 
-def _affine_frame(points) -> tuple[list[list[Fraction]], list[Vec]]:
-    """Basis of the affine span of points about points[0], and coordinates.
+def _frame(points):
+    """The integer frame of the affine span of points about points[0]:
+    (q, ints, coords, normals, gram, pullback).
 
-    The basis is the RREF of the differences p - points[0], so a difference
-    is the sum of the basis rows weighted by its pivot entries: those
-    entries are its coordinates.  Full-dimensional points get the identity
-    basis and coordinates p - points[0].
+    q > 0 is the lcm of the denominators and ints holds q p for each point
+    p, so the differences q (p - points[0]) are integers.  Let B be the RREF
+    basis of their span and P its pivot columns.  A difference is the sum of
+    the rows of B weighted by its entries at P, so those entries, coords,
+    are q times its coordinates y.  _independent finds P and a basis of the
+    span among the differences; one fraction-free Gauss-Jordan pass
+    (Bareiss) over that basis, columns P first, gives D B at the free
+    columns, D > 0.  For each free column f the nullspace vector of B that
+    is D at f and 0 at the other free columns, made primitive, is one of
+    the normals N; they cut out the affine hull.  Scaled to 1 at their own
+    columns they have Gram determinant gram = det(B B^T) (Sylvester's
+    determinant identity).  The rows at P of the projection
+    I - N^T (N N^T)^{-1} N onto the span are L = (B B^T)^{-1} B, the map
+    from x - points[0] to y; a second pass over [N N^T | N] gives
+    pullback = g L, g = det(N N^T).  A full-dimensional body has no
+    normals, g = 1 and L = I.
     """
-    v0 = points[0]
-    diffs = [vsub(p, v0) for p in points]
-    basis, pivots = linalg.rref(diffs[1:])
-    return basis, [tuple(x[c] for c in pivots) for x in diffs]
+    q = lcm(*(x.denominator for p in points for x in p))
+    ints = [[x.numerator * (q // x.denominator) for x in p] for p in points]
+    diffs = [[x - y for x, y in zip(p, ints[0])] for p in ints]
+    picked, pivots = _independent(diffs)
+    n, d = len(ints[0]), len(pivots)
+    free = [c for c in range(n) if c not in pivots]
+    m = [[diffs[i][c] for c in pivots + free] for i in picked]
+    det = linalg.bareiss(m, d, jordan=True)
+    sign = 1 if det > 0 else -1
+    normals, scale = [], 1
+    for t, f in enumerate(free):
+        nrm = [0] * n
+        nrm[f] = sign * det
+        for row, c in zip(m, pivots):
+            nrm[c] = -sign * row[d + t]
+        g = gcd(*nrm)
+        normals.append([x // g for x in nrm])
+        scale *= (nrm[f] // g) ** 2
+    e = len(normals)
+    # N N^T is positive definite: its pivots are positive and never swapped.
+    nn = [[sum(map(mul, a, b)) for b in normals] + a for a in normals]
+    g = linalg.bareiss(nn, e, jordan=True)
+    pullback = [[g * (c == t) - sum(a[c] * row[e + t]
+                                    for a, row in zip(normals, nn))
+                 for t in range(n)] for c in pivots]
+    return (q, ints, [tuple(p[c] for c in pivots) for p in diffs], normals,
+            Fraction(g, scale), pullback)
+
+
+def _independent(rows) -> tuple[list[int], list[int]]:
+    """The rows independent of the rows before them, at most as many as
+    there are columns, by integer elimination: (their indices, the pivot
+    columns of the RREF of their span)."""
+    picked, echelon = [], []
+    for i, a in enumerate(rows):
+        # Each echelon row is zero at the leading columns of the rows before
+        # it, so a ends zero at every leading column.
+        for c, b in echelon:
+            f = a[c]
+            if f:
+                a = [b[c] * x - f * y for x, y in zip(a, b)]
+        lead = next((c for c, x in enumerate(a) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*a)
+        echelon.append((lead, [x // g for x in a]))
+        picked.append(i)
+        if len(picked) == len(a):
+            break
+    # Distinct leading columns, sorted, make an echelon form of the span.
+    return picked, sorted(c for c, _ in echelon)
 
 
 def _int_row(v) -> tuple[int, ...]:
@@ -293,15 +354,20 @@ def _dd(rows):
     when the rows have rank below n (the cone is not pointed).
     """
     n = len(rows[0])
-    _, basis = linalg.rref([list(col) for col in zip(*rows)])
+    basis, _ = _independent(rows)
     if len(basis) < n:
         return None
-    inv, _ = linalg.rref([list(rows[i]) + [int(i == j) for j in basis]
-                          for i in basis])
-    # Column j of the inverse is tight at every basis row but the j-th.
+    m = [list(rows[i]) + [int(i == j) for j in basis] for i in basis]
+    det = linalg.bareiss(m, n, jordan=True)
+    # Column j of the inverse, det times it in m, is tight at every basis
+    # row but the j-th; a negative det would flip it.
+    sign = 1 if det > 0 else -1
     full = sum(1 << i for i in basis)
-    rays = [(tuple(map(int, linalg.primitive([row[n + j] for row in inv]))),
-             full ^ (1 << i)) for j, i in enumerate(basis)]
+    rays = []
+    for j, i in enumerate(basis):
+        r = [sign * row[n + j] for row in m]
+        g = gcd(*r)
+        rays.append((tuple(x // g for x in r), full ^ (1 << i)))
     for i, a in enumerate(rows):
         if full >> i & 1:
             continue
@@ -336,40 +402,31 @@ def _hrep_from_vertices(points, ambient_dim):
         # Canonical infeasible system.
         zero = (Fraction(0),) * ambient_dim
         return [(zero, Fraction(-1))], [], []
-    v0 = points[0]
-    basis, coords = _affine_frame(points)
-    d = len(basis)
-    # Equalities: normals orthogonal to the span.
-    normals = linalg.nullspace(basis, ambient_dim)
-    eqs = [(linalg.primitive(nrm), dot(linalg.primitive(nrm), v0))
-           for nrm in normals]
-    if d == 0:
+    q, ints, coords, normals, _, pullback = _frame(points)
+    eqs = [(tuple(map(Fraction, nrm)),
+            Fraction(sum(map(mul, nrm, ints[0])), q)) for nrm in normals]
+    if not coords[0]:
         return [], eqs, [True]
     # Facets h.y <= c in the frame as ((c, *h), mask), the mask listing the
-    # points on the facet: the rays of {(c, h) : c - h.y >= 0 at every y}.
-    facets_local = _dd([_int_row((Fraction(1),) + tuple(-x for x in y))
-                        for y in coords])
+    # points on the facet: the rays of {(c, h) : q c - h.(q y) >= 0 at
+    # every y}.
+    facets_local = _dd([(q,) + tuple(-x for x in y) for y in coords])
     # A point is a vertex iff no other point lies on a strict superset of
     # its facets.
     on = [sum(1 << f for f, (_, m) in enumerate(facets_local) if m >> k & 1)
           for k in range(len(points))]
     is_vertex = [not any(o != mine and o & mine == mine for o in on)
                  for mine in on]
-    # Pull each local halfspace h.y <= c back through y = L(x - v0), where
-    # L = G^{-1} B solves the normal equations Gram(basis) L = basis-matrix;
-    # one elimination of [G | B] gives L for every facet.
-    red, _ = linalg.rref([[dot(a, b) for b in basis] + list(a)
-                          for a in basis])
-    L = [row[d:] for row in red]
+    # Pull each local halfspace h.y <= c back through y = L(x - v0): its
+    # normal is a positive multiple of w = h.(g L), and its offset is
+    # normal.p = (normal.(q p)) / q at any point p on it.
     halfs = []
-    for (c, *h), _ in facets_local:
-        # Row functional: y_h(x) = h . y = h . L (x - v0) = w.(x - v0)
-        w = tuple(sum((hk * row[t] for hk, row in zip(h, L)), Fraction(0))
-                  for t in range(ambient_dim))
-        # w != 0, and primitive() scales it by a positive factor.
-        n_prim = linalg.primitive(w)
-        k = next(t for t, x in enumerate(w) if x)
-        halfs.append((n_prim, (c + dot(w, v0)) * n_prim[k] / w[k]))
+    for (_, *h), mask in facets_local:
+        w = [sum(map(mul, h, col)) for col in zip(*pullback)]
+        k = gcd(*w)
+        on_it = ints[(mask & -mask).bit_length() - 1]
+        halfs.append((tuple(Fraction(x // k) for x in w),
+                      Fraction(sum(map(mul, w, on_it)), q * k)))
     halfs = sorted(set(halfs))
     return halfs, eqs, is_vertex
 
@@ -386,13 +443,20 @@ def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:
     if x0 is None:
         return []
     dirs = linalg.nullspace(eq_rows, dim)
-    rows = [(Fraction(1),) + (Fraction(0),) * len(dirs)]
-    rows += [(c - dot(n, x0),) + tuple(-dot(n, u) for u in dirs)
-             for n, c in halfs]
-    rays = _dd([_int_row(r) for r in rows])
+    # With x0 = a0 / q and u_k = a_k / q in integers, and (c, n) scaled to
+    # integers, the row is (c q - n.a0, -n.a_k): a positive multiple of the
+    # row (c - n.x0, -n.u_k) above, so it has the same rays.
+    q = lcm(*(x.denominator for v in (x0, *dirs) for x in v))
+    a0, *a = ([x.numerator * (q // x.denominator) for x in v]
+              for v in (x0, *dirs))
+    rows = [(1,) + (0,) * len(a)]
+    for n, c in halfs:
+        c, *n = _int_row((c, *n))
+        rows.append((c * q - sum(map(mul, n, a0)),)
+                    + tuple(-sum(map(mul, n, u)) for u in a))
+    rays = _dd(rows)
     if rays is None:
         return []
-    return [tuple(x0[j] + sum((Fraction(yk, t) * u[j]
-                               for yk, u in zip(y, dirs)), Fraction(0))
-                  for j in range(dim))
+    return [tuple(Fraction(t * a0[j] + sum(yk * u[j] for yk, u in zip(y, a)),
+                           t * q) for j in range(dim))
             for (t, *y), _ in rays if t > 0]

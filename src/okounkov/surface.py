@@ -304,8 +304,10 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     """
     lrow, qL = _row(L)
     wrow, qW = _row(PicClass(0, tuple(w)))  # the row of -W
-    supp = []
-    if model.mode != "user" or min(_dots(model._rows, lrow)) < 0:
+    # A nef L starts with empty support: on built-in rows _decompose would
+    # return (L, ()), and on a user list nef counts as psef.
+    supp, dots = [], _dots(model._rows, lrow)
+    if min(dots) < 0:
         Z = _decompose(model, L)
         if Z is None:
             return
@@ -324,8 +326,8 @@ def chambers(model: SurfaceModel, L: PicClass, w):
         walls = [(a * qW, -b * qL, k, None)
                  for k, (a, b) in enumerate(zip(n0, n1)) if b < 0]
         walls += [(x0 * qW, -x1 * qL, None, c) for c, x0, x1 in zip(
-            model._rows, _dots(model._rows, p0), _dots(model._rows, p1))
-            if x1 < 0]
+            model._rows, dots if not supp else _dots(model._rows, p0),
+            _dots(model._rows, p1)) if x1 < 0]  # with no support p0 = lrow
         quad = (_dot(p0, p0) * qW * qW, 2 * _dot(p0, p1) * qL * qW,
                 _dot(p1, p1) * qL * qL)  # (det qL qW)^2 P(t)^2
         g = math.gcd(*quad) or 1

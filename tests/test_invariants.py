@@ -108,7 +108,10 @@ def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
         return real(model, D)
 
     monkeypatch.setattr(surface, "_decompose", counted)
+    # The walk decides a nef class off its first scan, with no loop.
     nakayama_mu(SurfaceModel(3), PicClass(3, (0, 0, 0)))
+    assert len(calls) == 0
+    nakayama_mu(SurfaceModel(3), PicClass(3, (2, 2, 0)))
     assert len(calls) == 1
     calls.clear()
     s = setups["bl2p2"]
@@ -321,6 +324,19 @@ def test_one_exact_root_per_walk(monkeypatch):
     assert nakayama_mu(SurfaceModel(8), H(8).scale(3)) == \
         RadVal.rational(F(17, 16))
     assert len(calls) == 1
+
+
+def test_seshadri_scans_nef_class_once(monkeypatch):
+    # A nef class decides nef-ness and its first chamber off one scan of L,
+    # plus the scan of W; the support loop does not scan L again.
+    calls = []
+    real = surface._dots
+    monkeypatch.setattr(surface, "_dots",
+                        lambda rows, x: calls.append(x) or real(rows, x))
+    L = PicClass(3, (1,) * 8)  # -K, nef on Bl_8
+    assert seshadri_eps(SurfaceModel(8), L, [1] * 8) == \
+        RadVal.rational(F(1, 17))
+    assert len(calls) == 2
 
 
 # -- containment upper bound -----------------------------------------

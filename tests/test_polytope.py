@@ -232,3 +232,19 @@ def test_volume_runs_no_double_description(monkeypatch):
     assert [volume(P) for P in bodies] == [RadVal.rational(1),
                                            RadVal.rational(164820000)]
     assert calls == []
+
+
+def test_hull_and_volume_run_no_rref(monkeypatch):
+    # The frame, the double-description start and the volume leaves are
+    # integer eliminations: no Fraction row reduction.
+    calls = []
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append(rows) or real_rref(rows))
+    moment = [tuple(5 * t ** e for e in range(1, 5))
+              for t in (-5, -3, -2, -1, 0, 1, 2, 4, 5)]
+    P = hull(moment, 4)
+    halfs, eqs = P.halfspaces()
+    assert len(halfs) == 27 and not eqs
+    assert volume(P) == volume(Polytope(4, P.vertices))
+    assert calls == []

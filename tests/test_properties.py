@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -262,6 +263,152 @@ def test_det_empty_and_fan_smoothness():
     assert linalg.det([]) == 1
     with pytest.raises(ValueError, match="ray determinant 2 "):
         Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+
+
+# -- integer polyhedral core against a Fraction reference --------------
+#
+# The reference is the Fraction core the integer one replaced: the frame
+# from the RREF of the differences, the double description started from
+# the RREF of the transposed rows and of [A | I], the pull-back through
+# the RREF of [G | B], and triangulation leaves as Fraction determinants.
+
+def _ref_int_row(v):
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v)
+
+
+def _ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _ref_frame(points):
+    v0 = points[0]
+    diffs = [_ref_sub(p, v0) for p in points]
+    basis, pivots = linalg.rref(diffs[1:])
+    return basis, [tuple(x[c] for c in pivots) for x in diffs]
+
+
+def _ref_dd(rows):
+    n = len(rows[0])
+    _, basis = linalg.rref([list(col) for col in zip(*rows)])
+    if len(basis) < n:
+        return None
+    inv, _ = linalg.rref([list(rows[i]) + [int(i == j) for j in basis]
+                          for i in basis])
+    full = sum(1 << i for i in basis)
+    rays = [(tuple(map(int, linalg.primitive([row[n + j] for row in inv]))),
+             full ^ (1 << i)) for j, i in enumerate(basis)]
+    for i, a in enumerate(rows):
+        if full >> i & 1:
+            continue
+        vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
+        masks = [m for _, m in rays]
+        out = [(r, m | 1 << i if v == 0 else m)
+               for (r, m), v in zip(rays, vals) if v >= 0]
+        for p, vp in enumerate(vals):
+            for q, vq in enumerate(vals):
+                if vp <= 0 or vq >= 0:
+                    continue
+                z = masks[p] & masks[q]
+                if (z.bit_count() < n - 2
+                        or sum(m & z == z for m in masks) > 2):
+                    continue
+                r = [vp * y - vq * x for x, y in zip(rays[p][0], rays[q][0])]
+                g = math.gcd(*r)
+                out.append((tuple(x // g for x in r), z | 1 << i))
+        rays = out
+    return rays
+
+
+def _ref_hrep(points, n):
+    """(halfspaces, equalities, vertex flags, local facet rows) of the hull
+    of sorted distinct points."""
+    v0 = points[0]
+    basis, coords = _ref_frame(points)
+    normals = [linalg.primitive(x) for x in linalg.nullspace(basis, n)]
+    eqs = [(x, linalg.dot(x, v0)) for x in normals]
+    if not basis:
+        return [], eqs, [True], None
+    rows = [_ref_int_row((F(1),) + tuple(-x for x in y)) for y in coords]
+    facets = _ref_dd(rows)
+    on = [sum(1 << f for f, (_, m) in enumerate(facets) if m >> k & 1)
+          for k in range(len(points))]
+    flags = [not any(o != mine and o & mine == mine for o in on)
+             for mine in on]
+    d = len(basis)
+    red, _ = linalg.rref([[linalg.dot(a, b) for b in basis] + list(a)
+                          for a in basis])
+    L = [row[d:] for row in red]
+    halfs = set()
+    for (c, *h), _ in facets:
+        w = tuple(sum((hk * row[t] for hk, row in zip(h, L)), F(0))
+                  for t in range(n))
+        normal = linalg.primitive(w)
+        k = next(t for t, x in enumerate(w) if x)
+        halfs.add((normal, (c + linalg.dot(w, v0)) * normal[k] / w[k]))
+    return sorted(halfs), eqs, flags, rows
+
+
+def _ref_volume(vertices, halfs):
+    basis, coords = _ref_frame(vertices)
+    d = len(basis)
+    if d == 0:
+        return RadVal.rational(0)
+    homog = [_ref_int_row(v + (F(1),)) for v in vertices]
+    masks = [sum(1 << j for j, v in enumerate(homog)
+                 if not sum(x * y for x, y in zip(row, v)))
+             for row in (_ref_int_row(n + (-c,)) for n, c in halfs)]
+
+    def pull(face, apexes):
+        low = face & -face
+        v0 = coords[low.bit_length() - 1]
+        if len(apexes) == d:
+            return abs(F(_cofactor_det([_ref_sub(a, v0) for a in apexes])))
+        subs = {face & m for m in masks} - {0, face}
+        return sum((pull(f, apexes + [v0]) for f in subs
+                    if not f & low
+                    and not any(f != g and f & g == f for g in subs)), F(0))
+
+    gram = [[linalg.dot(a, b) for b in basis] for a in basis]
+    return (RadVal.sqrt(_cofactor_det(gram))
+            * (pull((1 << len(coords)) - 1, []) / math.factorial(d)))
+
+
+@st.composite
+def core_clouds(draw):
+    """Clouds in R^n, n = 1..4, with denominators up to 6: full-dimensional
+    draws, or points on a random rational affine k-plane, k < n."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    vec = st.tuples(*[coord] * n)
+    if k == n:
+        return n, draw(st.lists(vec, min_size=1, max_size=7))
+    x0 = draw(vec)
+    dirs = draw(st.lists(vec, min_size=k, max_size=k))
+    cs = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=7))
+    return n, [tuple(x0[i] + sum(c * u[i] for c, u in zip(cc, dirs))
+                     for i in range(n)) for cc in cs]
+
+
+@settings(max_examples=120, deadline=None)
+@given(core_clouds())
+def test_integer_core_matches_fraction_reference(case):
+    n, pts = case
+    P = hull(pts, n)
+    distinct = sorted({tuple(F(x) for x in p) for p in pts})
+    halfs, eqs, flags, rows = _ref_hrep(distinct, n)
+    assert list(P.vertices) == [p for p, keep in zip(distinct, flags) if keep]
+    assert P.halfspaces() == (halfs, eqs)
+    if rows is not None:
+        # Same rays, masks and order from the integer start.
+        assert polytope._dd(rows) == _ref_dd(rows)
+    vol = _ref_volume(P.vertices, halfs)
+    assert volume(P) == vol
+    fresh = polytope.Polytope(n, P.vertices)
+    assert fresh.halfspaces() == (halfs, eqs) and volume(fresh) == vol
+    back = polytope._vertices_from_constraints(halfs, eqs, n)
+    assert sorted(back) == list(P.vertices)
 
 
 # -- psef verdict against the cone-membership oracle ------------------

@@ -22,14 +22,6 @@ from .numbers import format_rat, parse_rat
 from .polytope import Polytope
 from .surface import PicClass, SurfaceModel
 
-JOB_KINDS = (
-    "toric-body", "semigroup-sample", "surface-zariski", "surface-body",
-    "seshadri", "nakayama", "xi", "eps-xi-check", "slice-volume",
-    "nagata", "standard-form", "irrationality", "homogeneous",
-    "nef-boundary",
-)
-
-
 class InputError(Exception):
     pass
 
@@ -73,9 +65,9 @@ def _run(args) -> int:
     if job.get("schema") != 1:
         raise InputError(f'job "schema" must be 1, got {job.get("schema")!r}')
     kind = job.get("kind")
-    if kind not in JOB_KINDS:
+    if kind not in _HANDLERS:
         raise InputError(f"unknown job kind {kind!r}; expected one of "
-                         f"{', '.join(JOB_KINDS)}")
+                         f"{', '.join(_HANDLERS)}")
     payload = job.get("input", {})
     if args.grid_step is not None:
         payload = {**payload, "grid_step": args.grid_step}
@@ -156,7 +148,7 @@ def _job_surface_zariski(p):
 def _job_surface_body(p):
     model = _model(p)
     D = _pic(p)
-    points = [int(i) for i in p.get("points", range(model.s))]
+    points = p.get("points", range(model.s))
     step = parse_rat(p.get("grid_step", "1/2"))
     t_max = parse_rat(p.get("t_max", "1"))
     body = surface.surface_body_outer(model, D, points, step, t_max)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from . import polytope, surface
 from .numbers import RadVal, format_rat
@@ -33,6 +34,11 @@ class InvariantReport:
     upper_bound: RadVal | None = None
     assumption: str = TAG_UNCONDITIONAL
     checks: list = field(default_factory=list)
+
+    def check(self, name: str, ok, detail: str, **extra) -> None:
+        """Record one check: its name, verdict, detail and any extra keys."""
+        self.checks.append({"name": name, "pass": bool(ok), "detail": detail,
+                            **extra})
 
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.checks)
@@ -78,8 +84,9 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
     """Bigness threshold of L - t * sum(E_i), exactly (rational or
     quadratic surd): the first volume root of surface.chambers."""
     w = [0] * model.s
-    for i in range(model.s) if points is None else points:
-        w[i] += 1
+    for i in (range(model.s) if points is None
+              else surface.flag_points(model, points)):
+        w[i] = 1
     walk = surface.chambers(model, L, w)
     first = next(walk, None)
     if first is not None and first[2] == 0 and model.mode == "user" \
@@ -158,11 +165,7 @@ def check_eps_eq_xi(model: SurfaceModel, L: PicClass, w, body: Polytope,
     xi = xi_constant(body, w, n, len(w))
     ok = eps == RadVal.rational(xi)
     rep = InvariantReport(epsilon=eps, xi=xi)
-    rep.checks.append({
-        "name": "eps-equals-xi",
-        "pass": bool(ok),
-        "detail": f"eps={eps!r}, xi={format_rat(xi)}",
-    })
+    rep.check("eps-equals-xi", ok, f"eps={eps!r}, xi={format_rat(xi)}")
     return rep
 
 
@@ -175,27 +178,18 @@ def slice_volume_check(body: Polytope, w, n: int, r: int,
     spec = SliceSpec(n, r, tuple(w))
     sl, scale = polytope.intersect_subspace(body, spec)
     v = polytope.volume(sl) * scale
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
     rep = InvariantReport()
     if all(x == w[0] for x in w) and w[0] == 1:
-        target = RadVal.sqrt(Fraction(r) ** (n - 2)) * (Fraction(vol_x) / fact)
-        ok = v == target
-        rep.checks.append({
-            "name": "slice-volume-identity",
-            "pass": bool(ok),
-            "detail": f"slice volume {v!r}, target {target!r}",
-        })
+        target = (RadVal.sqrt(Fraction(r) ** (n - 2))
+                  * Fraction(vol_x, factorial(n)))
+        rep.check("slice-volume-identity", v == target,
+                  f"slice volume {v!r}, target {target!r}",
+                  slice_volume=v.to_json())
     else:
         bound = RadVal.rational(Fraction(vol_x) / 2)
-        ok = v <= bound
-        rep.checks.append({
-            "name": "slice-volume-upper-bound",
-            "pass": bool(ok),
-            "detail": f"slice volume {v!r} vs bound {bound!r}",
-        })
-    rep.checks[0]["slice_volume"] = v.to_json()
+        rep.check("slice-volume-upper-bound", v <= bound,
+                  f"slice volume {v!r} vs bound {bound!r}",
+                  slice_volume=v.to_json())
     return rep
 
 
@@ -223,22 +217,11 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass,
     lower = mu - RadVal.sqrt(arg.as_rational())
     rep = InvariantReport(epsilon=eps, mu=mu,
                           lower_bound=lower, upper_bound=upper)
-    rep.checks.append({
-        "name": "sandwich-lower",
-        "pass": bool(lower <= eps),
-        "detail": f"{lower!r} <= {eps!r}",
-    })
-    rep.checks.append({
-        "name": "sandwich-upper",
-        "pass": bool(eps <= upper),
-        "detail": f"{eps!r} <= {upper!r}",
-    })
+    rep.check("sandwich-lower", lower <= eps, f"{lower!r} <= {eps!r}")
+    rep.check("sandwich-upper", eps <= upper, f"{eps!r} <= {upper!r}")
     target = RadVal.sqrt(Fraction(L2, r))
-    rep.checks.append({
-        "name": "equality-clause",
-        "pass": bool((eps == target) == (mu == target)),
-        "detail": f"eps tight: {eps == target}, mu tight: {mu == target}",
-    })
+    rep.check("equality-clause", (eps == target) == (mu == target),
+              f"eps tight: {eps == target}, mu tight: {mu == target}")
     return rep
 
 
@@ -260,8 +243,8 @@ def origin_criterion(model: SurfaceModel, D: PicClass, points) -> bool:
     """Predict origin membership in the extended body from the base loci:
     the origin lies in the body iff no flagged exceptional curve sits in
     the restricted base locus (the negative-part support)."""
+    flagged = [E(model.s, i) for i in surface.flag_points(model, points)]
     bl = surface.base_loci(model, D)
-    flagged = [E(model.s, i) for i in points]
     return not any(any(C == Ei for Ei in flagged) for C in bl["bminus"])
 
 
@@ -271,8 +254,8 @@ def positive_xi_criterion(model: SurfaceModel, D: PicClass, points) -> bool:
     support and no augmented-base-locus curve passes through a flag point
     (the flag points are general on their exceptional curves, so only a
     curve actually meeting E_i positively can cover them)."""
+    flagged = [E(model.s, i) for i in surface.flag_points(model, points)]
     bl = surface.base_loci(model, D)
-    flagged = [E(model.s, i) for i in points]
     # origin_criterion, on the same base loci
     if any(any(C == Ei for Ei in flagged) for C in bl["bminus"]):
         return False

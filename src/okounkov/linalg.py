@@ -1,4 +1,4 @@
-"""Small exact linear algebra over Fraction: solve, nullspace, det, rank."""
+"""Exact linear algebra: Bareiss elimination, det, scaled integer rows."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -85,10 +85,11 @@ def bareiss(m: list[list[int]], k: int, jordan: bool = False) -> int:
 
     A row swap negates one of the rows, so the determinant and the solution
     of the system are both kept.  Without jordan only the rows below each
-    pivot are eliminated.  With jordan the rows above are too, and for a
-    nonsingular block every column j >= k ends as det * x, where x solves
-    m[:k][:k] x = the original column j.  Entries left of each pivot column
-    are not updated.
+    pivot are eliminated.  With jordan the rows above are too, the result
+    is |det|, and for a nonsingular block every column j >= k ends as
+    |det| * x, where x solves m[:k][:k] x = the original column j: a
+    negative determinant negates those columns.  Entries left of each pivot
+    column are not updated.
     """
     prev = 1
     cols = range(len(m[0]) if m else 0)
@@ -107,7 +108,18 @@ def bareiss(m: list[list[int]], k: int, jordan: bool = False) -> int:
             for j in js:
                 row[j] = (row[j] * p - f * pr[j]) // prev
         prev = p
+    if jordan and prev < 0:
+        for row in m:
+            row[k:] = [-x for x in row[k:]]
+        prev = -prev
     return prev
+
+
+def scaled(v) -> tuple[tuple[int, ...], int]:
+    """(q v as an int tuple, q): q > 0 is the lcm of the denominators of the
+    rational (int or Fraction) entries of v."""
+    q = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (q // x.denominator) for x in v), q
 
 
 def det(rows: Mat) -> Fraction:
@@ -122,9 +134,9 @@ def det(rows: Mat) -> Fraction:
         raise ValueError("det of non-square matrix")
     m, scale = [], 1
     for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        m.append([x.numerator * (den // x.denominator) for x in r])
-        scale *= den
+        row, q = scaled(r)
+        m.append(list(row))
+        scale *= q
     return Fraction(bareiss(m, n), scale)
 
 

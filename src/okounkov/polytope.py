@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -218,7 +218,8 @@ def volume(P: Polytope) -> RadVal:
     homog = [p + [q] for p in ints]
     masks = [sum(1 << j for j, v in enumerate(homog)
                  if not sum(map(mul, row, v)))
-             for row in (_int_row(n + (-c,)) for n, c in P.halfspaces()[0])]
+             for row in (linalg.scaled(n + (-c,))[0]
+                         for n, c in P.halfspaces()[0])]
 
     def pull(face, apexes):
         low = face & -face
@@ -269,12 +270,8 @@ def _frame(points):
     p, so the differences q (p - points[0]) are integers.  Let B be the RREF
     basis of their span and P its pivot columns.  A difference is the sum of
     the rows of B weighted by its entries at P, so those entries, coords,
-    are q times its coordinates y.  _independent finds P and a basis of the
-    span among the differences; one fraction-free Gauss-Jordan pass
-    (Bareiss) over that basis, columns P first, gives D B at the free
-    columns, D > 0.  For each free column f the nullspace vector of B that
-    is D at f and 0 at the other free columns, made primitive, is one of
-    the normals N; they cut out the affine hull.  Scaled to 1 at their own
+    are q times its coordinates y.  The normals N, _kernel's basis of the
+    nullspace of B, cut out the affine hull.  Scaled to 1 at their own
     columns they have Gram determinant gram = det(B B^T) (Sylvester's
     determinant identity).  The rows at P of the projection
     I - N^T (N N^T)^{-1} N onto the span are L = (B B^T)^{-1} B, the map
@@ -285,21 +282,10 @@ def _frame(points):
     q = lcm(*(x.denominator for p in points for x in p))
     ints = [[x.numerator * (q // x.denominator) for x in p] for p in points]
     diffs = [[x - y for x, y in zip(p, ints[0])] for p in ints]
-    picked, pivots = _independent(diffs)
-    n, d = len(ints[0]), len(pivots)
+    n = len(ints[0])
+    pivots, normals = _kernel(diffs, n)
     free = [c for c in range(n) if c not in pivots]
-    m = [[diffs[i][c] for c in pivots + free] for i in picked]
-    det = linalg.bareiss(m, d, jordan=True)
-    sign = 1 if det > 0 else -1
-    normals, scale = [], 1
-    for t, f in enumerate(free):
-        nrm = [0] * n
-        nrm[f] = sign * det
-        for row, c in zip(m, pivots):
-            nrm[c] = -sign * row[d + t]
-        g = gcd(*nrm)
-        normals.append([x // g for x in nrm])
-        scale *= (nrm[f] // g) ** 2
+    scale = prod(nrm[f] for nrm, f in zip(normals, free)) ** 2
     e = len(normals)
     # N N^T is positive definite: its pivots are positive and never swapped.
     nn = [[sum(map(mul, a, b)) for b in normals] + a for a in normals]
@@ -335,10 +321,30 @@ def _independent(rows) -> tuple[list[int], list[int]]:
     return picked, sorted(c for c, _ in echelon)
 
 
-def _int_row(v) -> tuple[int, ...]:
-    """Positive integer multiple of a rational vector."""
-    den = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v)
+def _kernel(rows, n) -> tuple[list[int], list[list[int]]]:
+    """(pivots, basis) of {x in Z^n : row . x = 0 for every row}, integer
+    rows: the pivot columns of their RREF B, and one primitive vector per
+    free column f, in order, positive at f and 0 at the other free columns.
+
+    _independent finds the pivots and a basis of the span among the rows;
+    one fraction-free Gauss-Jordan pass (Bareiss) over it, pivot columns
+    first, gives D B at the free columns, D > 0, and the vector for f is D
+    at f and -D B[:, f] at the pivots.  No nonzero row: the unit basis.
+    """
+    picked, pivots = _independent(rows)
+    d = len(pivots)
+    free = [c for c in range(n) if c not in pivots]
+    m = [[rows[i][c] for c in pivots + free] for i in picked]
+    det = linalg.bareiss(m, d, jordan=True)
+    basis = []
+    for t, f in enumerate(free):
+        v = [0] * n
+        v[f] = det
+        for row, c in zip(m, pivots):
+            v[c] = -row[d + t]
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    return pivots, basis
 
 
 def _dd(rows):
@@ -358,14 +364,13 @@ def _dd(rows):
     if len(basis) < n:
         return None
     m = [list(rows[i]) + [int(i == j) for j in basis] for i in basis]
-    det = linalg.bareiss(m, n, jordan=True)
-    # Column j of the inverse, det times it in m, is tight at every basis
-    # row but the j-th; a negative det would flip it.
-    sign = 1 if det > 0 else -1
+    linalg.bareiss(m, n, jordan=True)
+    # Column j of the inverse, |det| times it in m, is tight at every basis
+    # row but the j-th and positive on that one.
     full = sum(1 << i for i in basis)
     rays = []
     for j, i in enumerate(basis):
-        r = [sign * row[n + j] for row in m]
+        r = [row[n + j] for row in m]
         g = gcd(*r)
         rays.append((tuple(x // g for x in r), full ^ (1 << i)))
     for i, a in enumerate(rows):
@@ -434,29 +439,20 @@ def _hrep_from_vertices(points, ambient_dim):
 def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:
     """Enumerate vertices of {x : eqs hold, halfs satisfied} (bounded case).
 
-    With the equalities solved as x = x0 + sum y_k u_k, the vertices are the
-    rays (t, y), t > 0, of {t >= 0, t (c - n.x0) - sum y_k n.u_k >= 0}.
+    Homogenised, x = z / t: the points (t, z) with c t = n.z for every
+    equality are the combinations sum y_k u_k of the _kernel basis u_k of
+    the rows (-c, n), and the vertices are z / t at the rays with t > 0 of
+    {y : t >= 0, c t - n.z >= 0 for every halfspace}.  Inconsistent
+    equalities leave only t = 0; with none the u_k are the unit basis.
     """
-    eq_rows = [list(n) for n, _ in eqs]
-    x0 = (linalg.solve(eq_rows, [c for _, c in eqs]) if eqs
-          else (Fraction(0),) * dim)
-    if x0 is None:
-        return []
-    dirs = linalg.nullspace(eq_rows, dim)
-    # With x0 = a0 / q and u_k = a_k / q in integers, and (c, n) scaled to
-    # integers, the row is (c q - n.a0, -n.a_k): a positive multiple of the
-    # row (c - n.x0, -n.u_k) above, so it has the same rays.
-    q = lcm(*(x.denominator for v in (x0, *dirs) for x in v))
-    a0, *a = ([x.numerator * (q // x.denominator) for x in v]
-              for v in (x0, *dirs))
-    rows = [(1,) + (0,) * len(a)]
+    _, basis = _kernel([linalg.scaled((-c, *n))[0] for n, c in eqs], dim + 1)
+    rows = [tuple(u[0] for u in basis)]
     for n, c in halfs:
-        c, *n = _int_row((c, *n))
-        rows.append((c * q - sum(map(mul, n, a0)),)
-                    + tuple(-sum(map(mul, n, u)) for u in a))
+        # Scaled to integers by a positive factor, which keeps the rays.
+        c, *n = linalg.scaled((c, *n))[0]
+        rows.append(tuple(c * u[0] - sum(map(mul, n, u[1:])) for u in basis))
     rays = _dd(rows)
     if rays is None:
         return []
-    return [tuple(Fraction(t * a0[j] + sum(yk * u[j] for yk, u in zip(y, a)),
-                           t * q) for j in range(dim))
-            for (t, *y), _ in rays if t > 0]
+    homog = [[sum(map(mul, y, col)) for col in zip(*basis)] for y, _ in rays]
+    return [tuple(Fraction(x, t) for x in z) for t, *z in homog if t > 0]

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from . import linalg, lp, polytope
 from .numbers import format_rat, parse_rat
@@ -97,8 +97,7 @@ def intersect(a: PicClass, b: PicClass) -> Fraction:
 def _row(X: PicClass) -> tuple[tuple[int, ...], int]:
     """(row, q): q > 0 is the lcm of the denominators of X and row is the
     integer tuple q * (d, m_1, ..., m_s)."""
-    q = math.lcm(X.d.denominator, *(x.denominator for x in X.m))
-    return tuple(x.numerator * (q // x.denominator) for x in (X.d, *X.m)), q
+    return linalg.scaled((X.d, *X.m))
 
 
 def _dot(a, b) -> int:
@@ -235,11 +234,9 @@ def _solve(support, *xs):
     det = linalg.bareiss(m, k, jordan=True)
     if det == 0:
         return None
-    sign = 1 if det > 0 else -1
-    det *= sign
     out = []
     for j, x in enumerate(xs):
-        n = [sign * row[k + j] for row in m]
+        n = [row[k + j] for row in m]
         p = [det * v for v in x]
         for nb, b in zip(n, support):
             p = [v - nb * w for v, w in zip(p, b)]
@@ -412,6 +409,21 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     return {"bminus": bminus, "bplus": bminus + extra}
 
 
+def flag_points(model: SurfaceModel, points) -> list[int]:
+    """The flag points, checked before any work: one or more distinct
+    indices i of the exceptional curves E_i, 0 <= i < s, else a ValueError
+    (input error)."""
+    try:
+        pts = [index(i) for i in points]
+    except TypeError:
+        pts = None  # not a list of integers
+    if not pts or len(set(pts)) != len(pts) or not all(
+            0 <= i < model.s for i in pts):
+        raise ValueError(f"flag points must be a nonempty list of distinct "
+                         f"indices in 0..{model.s - 1}, got {points!r}")
+    return pts
+
+
 def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
                        grid_step: Fraction, t_max: Fraction) -> Polytope:
     """Grid hull of the extended body for infinitesimal flags C_i = E_i.
@@ -428,10 +440,13 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     D and one per grid point; a grid above MAX_GRID_POINTS is refused
     before any work.
     """
+    points = flag_points(model, points)
     grid_step = Fraction(grid_step)
     t_max = Fraction(t_max)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
     r = len(points)
     steps = int(t_max / grid_step)
     if (steps + 1) ** r > MAX_GRID_POINTS:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from okounkov import cli, surface
 from okounkov.cli import main
 from okounkov.polytope import Polytope
@@ -139,7 +141,10 @@ def test_slice_volume_job_pass_and_fail(tmp_path):
     })
     assert code == 2
     doc = read_result(out, "bad.json")
-    assert doc["result"]["checks"][0]["pass"] is False
+    assert doc["result"]["checks"] == [{
+        "name": "slice-volume-identity", "pass": False,
+        "detail": "slice volume RadVal(1), target RadVal(5/2)",
+        "slice_volume": {"coeff": "1", "radicand": "1"}}]
 
 
 def test_zariski_violation_exit_code(tmp_path):
@@ -210,7 +215,30 @@ def test_conditional_results_carry_assumption_tag(tmp_path):
 def test_unknown_kind_exit_1(tmp_path, capsys):
     code, _ = run_job(tmp_path, {"schema": 1, "kind": "nope", "input": {}})
     assert code == 1
-    assert "unknown job kind" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "input error: unknown job kind 'nope'; expected one of toric-body, "
+        "semigroup-sample, surface-zariski, surface-body, seshadri, "
+        "nakayama, xi, eps-xi-check, slice-volume, nagata, standard-form, "
+        "irrationality, homogeneous, nef-boundary\n")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"points": [2]}, "flag points must be"),
+    ({"points": [-1]}, "flag points must be"),
+    ({"points": [0, 0]}, "flag points must be"),
+    ({"points": []}, "flag points must be"),
+    ({"points": 3}, "flag points must be"),
+    ({"t_max": "-1"}, "t_max must be nonnegative"),
+])
+def test_bad_flag_points_exit_1(tmp_path, capsys, extra, message):
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "surface-body",
+        "input": {"s": 2, "class": {"d": "1", "m": ["0", "0"]}, **extra},
+    })
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    assert not out.exists()
 
 
 def test_bad_schema_exit_1(tmp_path):

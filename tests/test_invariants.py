@@ -467,3 +467,30 @@ def test_report_json():
     assert doc["assumption"] == "unconditional"
     assert doc["epsilon"] == {"coeff": "1/2", "radicand": "1"}
     assert len(doc["bounds"]) == 2
+
+
+@pytest.mark.parametrize("points", [[3], [-1], [0, 0], [], 3, ["0"], [0.5]])
+def test_bad_flag_points_refused_before_work(monkeypatch, points):
+    # Input errors, raised before any support loop: an index past s, a
+    # negative index (list indexing would wrap it to the last point), a
+    # repeated point (E_i shifted twice), no point, and a non-list.
+    def no_work(*args):
+        raise AssertionError("the flag check ran after the support loop")
+
+    monkeypatch.setattr(surface, "_decompose", no_work)
+    model = SurfaceModel(3)
+    D = PicClass(3, (-1, 0, 0))  # 3H + E_1 is not nef: every call needs a loop
+    calls = [
+        lambda pts: surface.surface_body_outer(model, D, pts, F(1, 2), F(1)),
+        lambda pts: nakayama_mu(model, D, pts),
+        lambda pts: origin_criterion(model, D, pts),
+        lambda pts: positive_xi_criterion(model, D, pts),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="flag points must be"):
+            call(points)
+        with pytest.raises(AssertionError, match="after the support loop"):
+            call([0, 2])
+    with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        surface.surface_body_outer(model, D, [0], F(1, 2), F(-1))
+

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from okounkov import linalg, polytope
+from okounkov import linalg, polytope, surface, toric
 from okounkov.numbers import RadVal
 from okounkov.polytope import (
     Polytope,
@@ -234,17 +234,31 @@ def test_volume_runs_no_double_description(monkeypatch):
     assert calls == []
 
 
-def test_hull_and_volume_run_no_rref(monkeypatch):
-    # The frame, the double-description start and the volume leaves are
-    # integer eliminations: no Fraction row reduction.
-    calls = []
-    real_rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref",
-                        lambda rows: calls.append(rows) or real_rref(rows))
+def test_program_runs_no_fraction_elimination(monkeypatch):
+    # One integer elimination kernel: the frame, the double-description
+    # start, H->V with or without equalities, the volume leaves and the
+    # Zariski support solves never reach the Fraction RREF routines.
+    def fail(*args):
+        raise AssertionError("Fraction elimination reached")
+
+    for name in ("rref", "solve", "nullspace"):
+        monkeypatch.setattr(linalg, name, fail)
     moment = [tuple(5 * t ** e for e in range(1, 5))
               for t in (-5, -3, -2, -1, 0, 1, 2, 4, 5)]
     P = hull(moment, 4)
     halfs, eqs = P.halfspaces()
     assert len(halfs) == 27 and not eqs
     assert volume(P) == volume(Polytope(4, P.vertices))
-    assert calls == []
+    fx = toric.load_fixture("bl1p2")
+    square = toric.divisor_polytope(fx["fan"], fx["divisors"]["O1"])
+    assert len(square.vertices) == 3
+    # A 3-cube in the hyperplane x4 = 0 of R^4: its slice is x4 = y2 = 0,
+    # 0 <= y1 <= 1.
+    flat = hull([p + (0,) for p in itertools.product((0, 1), repeat=3)], 4)
+    assert flat.dim() == 3
+    sl, _ = intersect_subspace(flat, SliceSpec(2, 2, (1, 1)))
+    assert sl.vertices == ((0, 0), (1, 0))
+    model = surface.SurfaceModel(3)
+    Z = surface.zariski(model, surface.PicClass(1, (-2, 0, 0)))
+    assert Z.negative_support[0][1] == 2
+    assert len(list(surface.chambers(model, surface.H(3), [1, 1, 1]))) == 2

@@ -259,6 +259,20 @@ def test_det_matches_cofactor_expansion(case):
         assert d == 0
 
 
+def test_bareiss_jordan_returns_positive_determinant():
+    # [[1, 2], [3, 4]] x = (5, 6) has det -2 and x = (-4, 9/2); the second
+    # matrix needs a row swap, det -1 and x = (7, 3).  jordan gives |det|
+    # and |det| x; without it the determinant keeps its sign.
+    for block, rhs, x in (([[1, 2], [3, 4]], [5, 6], [-4, F(9, 2)]),
+                          ([[0, 1], [1, 0]], [3, 7], [7, 3])):
+        m = [row + [b] for row, b in zip(block, rhs)]
+        assert linalg.bareiss(m, 2, jordan=True) == abs(linalg.det(block))
+        assert [row[2] for row in m] == [abs(linalg.det(block)) * v
+                                         for v in x]
+        assert linalg.bareiss([row[:] for row in block], 2) \
+            == linalg.det(block) < 0
+
+
 def test_det_empty_and_fan_smoothness():
     assert linalg.det([]) == 1
     with pytest.raises(ValueError, match="ray determinant 2 "):
@@ -409,6 +423,91 @@ def test_integer_core_matches_fraction_reference(case):
     assert fresh.halfspaces() == (halfs, eqs) and volume(fresh) == vol
     back = polytope._vertices_from_constraints(halfs, eqs, n)
     assert sorted(back) == list(P.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=4))))
+def test_kernel_matches_nullspace(case):
+    n, rows = case
+    pivots, basis = polytope._kernel(rows, n)
+    _, ref_pivots = linalg.rref(rows)
+    ref = linalg.nullspace(rows, n)
+    assert pivots == ref_pivots and len(basis) == len(ref)
+    free = [c for c in range(n) if c not in pivots]
+    for v, u, f in zip(basis, ref, free):
+        # The reference vector is 1 at f and 0 at the other free columns,
+        # so equal spans make v that vector times v[f] > 0.
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+        assert v[f] > 0 and tuple(F(x, v[f]) for x in v) == u
+
+
+def _ref_vertices_from_constraints(halfs, eqs, dim):
+    """H->V by the Fraction path the kernel replaced: solve the equalities
+    as x = x0 + sum y_k u_k, then take the rays (t, y), t > 0, of
+    {t >= 0, t (c - n.x0) - sum y_k n.u_k >= 0}."""
+    eq_rows = [list(n) for n, _ in eqs]
+    x0 = (linalg.solve(eq_rows, [c for _, c in eqs]) if eqs
+          else (F(0),) * dim)
+    if x0 is None:
+        return []
+    dirs = linalg.nullspace(eq_rows, dim)
+    rows = [(1,) + (0,) * len(dirs)]
+    for n, c in halfs:
+        rows.append(_ref_int_row((c - linalg.dot(n, x0),)
+                                 + tuple(-linalg.dot(n, u) for u in dirs)))
+    rays = _ref_dd(rows)
+    if rays is None:
+        return []
+    return [tuple(x0[j] + sum(F(yk, t) * u[j] for yk, u in zip(y, dirs))
+                  for j in range(dim))
+            for (t, *y), _ in rays if t > 0]
+
+
+@st.composite
+def constrained_boxes(draw):
+    """The box |x_i| <= 3 in R^dim with random halfspaces and equalities
+    through a point p of it, plus one of: nothing, an inconsistent
+    equality, equalities pinning p, zero rows, or rescaled copies."""
+    dim = draw(st.integers(1, 3))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    row = st.tuples(*[coef] * dim)
+    p = draw(row)
+    unit = [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
+    halfs = [(u, F(3)) for u in unit] + [(tuple(-x for x in u), F(3))
+                                          for u in unit]
+    halfs += [(n, linalg.dot(n, p) + slack) for n, slack in draw(
+        st.lists(st.tuples(row, st.fractions(0, 2)), max_size=3))]
+    eqs = [(n, linalg.dot(n, p)) for n in draw(st.lists(row, max_size=dim))]
+    kind = draw(st.sampled_from(
+        ["plain", "inconsistent", "point", "zero", "redundant"]))
+    zero = (F(0),) * dim
+    if kind == "inconsistent":
+        n, c = draw(st.tuples(row, coef))
+        eqs += [(n, c), (tuple(2 * x for x in n), 2 * c + 1)]
+    elif kind == "point":
+        eqs += [(u, p[i]) for i, u in enumerate(unit)]
+    elif kind == "zero":
+        eqs.append((zero, F(0)))
+        halfs.append((zero, draw(st.fractions(0, 2))))
+    elif kind == "redundant":
+        k = draw(st.fractions(min_value=F(1, 3), max_value=3))
+        eqs += [(tuple(-k * x for x in n), -k * c) for n, c in eqs[:1]]
+        halfs.append((tuple(k * x for x in halfs[-1][0]), k * halfs[-1][1]))
+    return dim, draw(st.permutations(halfs)), draw(st.permutations(eqs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constrained_boxes())
+def test_vertices_from_constraints_matches_fraction_path(case):
+    dim, halfs, eqs = case
+    got = polytope._vertices_from_constraints(halfs, eqs, dim)
+    assert sorted(got) == sorted(_ref_vertices_from_constraints(
+        halfs, eqs, dim))
+    assert len(set(got)) == len(got)
+    for v in got:
+        assert all(linalg.dot(n, v) == c for n, c in eqs)
+        assert all(linalg.dot(n, v) <= c for n, c in halfs)
 
 
 # -- psef verdict against the cone-membership oracle ------------------

@@ -168,7 +168,7 @@ def _job_seshadri(p):
 def _job_nakayama(p):
     model = _model(p)
     L = _pic(p)
-    mu = invariants.nakayama_mu(model, L)
+    mu = invariants.nakayama_mu(model, L, p.get("points"))
     return {"mu": mu.to_json()}, None, None
 
 

@@ -58,9 +58,9 @@ class Polytope:
     ambient_dim: int
     vertices: tuple[Vec, ...]
     meta: dict = field(default_factory=dict)
-    _hrep: tuple[list[Halfspace], list[Equality]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # _hrep_from_vertices' record of the body: hull passes it in, a body
+    # built directly computes it on first use.
+    _core: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -72,13 +72,17 @@ class Polytope:
         return (self.ambient_dim == other.ambient_dim
                 and self.vertices == other.vertices)
 
+    def _record(self):
+        if self._core is None:
+            self._core = _hrep_from_vertices(
+                *_integer_points(self.vertices, self.ambient_dim),
+                self.ambient_dim)[0]
+        return self._core
+
     # -- H-representation --------------------------------------------
     def halfspaces(self) -> tuple[list[Halfspace], list[Equality]]:
         """(facet halfspaces, affine-hull equalities); cached."""
-        if self._hrep is None:
-            self._hrep = _hrep_from_vertices(self.vertices,
-                                             self.ambient_dim)[:2]
-        return self._hrep
+        return self._record()[0]
 
     def dim(self) -> int:
         """Dimension of the affine span (-1 for empty)."""
@@ -102,20 +106,14 @@ class Polytope:
 def hull(points, ambient_dim: int) -> Polytope:
     """Convex hull with irredundant, lexicographically sorted vertex list.
 
-    The facets are computed on the way and cached as the H-representation.
+    The facets are computed on the way and cached as the H-representation,
+    with the frame and the facet masks that volume reads.
     """
-    pts = []
-    for p in points:
-        v = tuple(Fraction(x) for x in p)
-        if len(v) != ambient_dim:
-            raise ValueError(
-                f"point of length {len(v)} in ambient dimension {ambient_dim}"
-            )
-        pts.append(v)
-    pts = sorted(set(pts))
-    halfs, eqs, is_vertex = _hrep_from_vertices(pts, ambient_dim)
-    verts = tuple(p for p, keep in zip(pts, is_vertex) if keep)
-    return Polytope(ambient_dim, verts, _hrep=(halfs, eqs))
+    q, ints = _integer_points(points, ambient_dim)
+    core, is_vertex = _hrep_from_vertices(q, ints, ambient_dim)
+    verts = tuple(tuple(Fraction(x, q) for x in p)
+                  for p, keep in zip(ints, is_vertex) if keep)
+    return Polytope(ambient_dim, verts, _core=core)
 
 
 def cone_base(graded_points) -> Polytope:
@@ -199,37 +197,34 @@ def volume(P: Polytope) -> RadVal:
     """Volume of P inside its affine span, induced Euclidean metric.
 
     A pulling triangulation (De Loera, Rambau & Santos, "Triangulations",
-    2010) read off the cached facets: each face is coned from its first
-    vertex over its facets that miss that vertex, down to single vertices.
-    A chain of apexes v_d, ..., v_1 ending at the vertex v_0 spans a simplex
-    of volume |det(v_i - v_0)| / d! in the coordinates of the affine span.
-    The determinants are taken on the integer frame coordinates q y, so
-    their sum is divided once by q^d d!.
+    2010) read off the cached facet masks: each face is coned from its first
+    vertex over its facets that miss that vertex, down to faces that are
+    simplices.  A simplex face with vertices v_0, ..., v_k below a chain of
+    apexes v_d, ..., v_{k+1} spans a simplex of volume |det(v_i - v_0)| / d!
+    in the coordinates of the affine span.  The determinants are taken on
+    the integer frame coordinates q y, so their sum is divided once by
+    q^d d!.
     """
     if P.is_empty:
         return RadVal.rational(0)
-    q, ints, coords, _, gram, _ = _frame(P.vertices)
+    _, q, coords, gram, masks = P._record()
     d = len(coords[0])
     if d == 0:
         return RadVal.rational(0)
-    # Facet masks: the vertices v on each facet n.x <= c, found as the
-    # integer rows (n, -c) orthogonal to (q v, q).  The facets of a face F
-    # are the inclusion-maximal proper nonempty sets F & m.
-    homog = [p + [q] for p in ints]
-    masks = [sum(1 << j for j, v in enumerate(homog)
-                 if not sum(map(mul, row, v)))
-             for row in (linalg.scaled(n + (-c,))[0]
-                         for n, c in P.halfspaces()[0])]
 
     def pull(face, apexes):
+        # The facets of a face F are the inclusion-maximal proper nonempty
+        # sets F & m over the facet masks m, so a face below k apexes has
+        # dimension d - k, and with d - k + 1 vertices it is a simplex: its
+        # own pulling triangulation.
         low = face & -face
         v0 = coords[low.bit_length() - 1]
-        if len(apexes) == d:
+        if face.bit_count() + len(apexes) == d + 1:
+            rest = [y for j, y in enumerate(coords) if (face ^ low) >> j & 1]
             return abs(linalg.bareiss([[x - y for x, y in zip(a, v0)]
-                                       for a in apexes], d))
+                                       for a in apexes + rest], d))
         subs = {face & m for m in masks} - {0, face}
-        # Both tests only prune: a facet through v0 gives flat simplices,
-        # and a chain that skips a dimension ends before depth d.
+        # Skipping the facets through v0 only prunes flat simplices.
         return sum(pull(f, apexes + [v0]) for f in subs
                    if not f & low
                    and not any(f != g and f & g == f for g in subs))
@@ -262,25 +257,37 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 
 # -- internal helpers ------------------------------------------------
 
-def _frame(points):
-    """The integer frame of the affine span of points about points[0]:
-    (q, ints, coords, normals, gram, pullback).
+def _integer_points(points, ambient_dim):
+    """(q, the distinct q p, sorted): q > 0 is the lcm of the denominators
+    of the points p.  q p sorts in the lexicographic order of p."""
+    pts = []
+    for p in points:
+        v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in p]
+        if len(v) != ambient_dim:
+            raise ValueError(
+                f"point of length {len(v)} in ambient dimension {ambient_dim}"
+            )
+        pts.append(v)
+    q = lcm(*(x.denominator for p in pts for x in p))
+    return q, sorted({tuple(x.numerator * (q // x.denominator) for x in p)
+                      for p in pts})
 
-    q > 0 is the lcm of the denominators and ints holds q p for each point
-    p, so the differences q (p - points[0]) are integers.  Let B be the RREF
-    basis of their span and P its pivot columns.  A difference is the sum of
-    the rows of B weighted by its entries at P, so those entries, coords,
-    are q times its coordinates y.  The normals N, _kernel's basis of the
-    nullspace of B, cut out the affine hull.  Scaled to 1 at their own
-    columns they have Gram determinant gram = det(B B^T) (Sylvester's
-    determinant identity).  The rows at P of the projection
-    I - N^T (N N^T)^{-1} N onto the span are L = (B B^T)^{-1} B, the map
-    from x - points[0] to y; a second pass over [N N^T | N] gives
-    pullback = g L, g = det(N N^T).  A full-dimensional body has no
-    normals, g = 1 and L = I.
+
+def _frame(ints):
+    """The integer frame of the affine span of integer points about ints[0]:
+    (coords, normals, gram, pullback).
+
+    Let B be the RREF basis of the span of the differences p - ints[0] and
+    P its pivot columns.  A difference is the sum of the rows of B weighted
+    by its entries at P, so those entries, coords, are its coordinates y.
+    The normals N, _kernel's basis of the nullspace of B, cut out the affine
+    hull.  Scaled to 1 at their own columns they have Gram determinant
+    gram = det(B B^T) (Sylvester's determinant identity).  The rows at P of
+    the projection I - N^T (N N^T)^{-1} N onto the span are
+    L = (B B^T)^{-1} B, the map from x - ints[0] to y; a second pass over
+    [N N^T | N] gives pullback = g L, g = det(N N^T).  A full-dimensional
+    body has no normals, g = 1 and L = I.
     """
-    q = lcm(*(x.denominator for p in points for x in p))
-    ints = [[x.numerator * (q // x.denominator) for x in p] for p in points]
     diffs = [[x - y for x, y in zip(p, ints[0])] for p in ints]
     n = len(ints[0])
     pivots, normals = _kernel(diffs, n)
@@ -293,7 +300,7 @@ def _frame(points):
     pullback = [[g * (c == t) - sum(a[c] * row[e + t]
                                     for a, row in zip(normals, nn))
                  for t in range(n)] for c in pivots]
-    return (q, ints, [tuple(p[c] for c in pivots) for p in diffs], normals,
+    return ([tuple(p[c] for c in pivots) for p in diffs], normals,
             Fraction(g, scale), pullback)
 
 
@@ -400,18 +407,24 @@ def _dd(rows):
     return rays
 
 
-def _hrep_from_vertices(points, ambient_dim):
-    """(facet halfspaces, affine-hull equalities, vertex flags) of the hull
-    of distinct points; hull passes them sorted, so points[0] is a vertex."""
-    if not points:
+def _hrep_from_vertices(q, ints, ambient_dim):
+    """(record, vertex flags) of the hull of the points p given as the
+    distinct integer points ints = q p, q > 0.
+
+    The record is ((facet halfspaces, affine-hull equalities), q, coords,
+    gram, masks): the frame coordinates q y of the vertices and the Gram
+    determinant of _frame, and for each halfspace the bitmask of the
+    vertices on it.
+    """
+    if not ints:
         # Canonical infeasible system.
         zero = (Fraction(0),) * ambient_dim
-        return [(zero, Fraction(-1))], [], []
-    q, ints, coords, normals, _, pullback = _frame(points)
+        return (([(zero, Fraction(-1))], []), q, [], 1, []), []
+    coords, normals, gram, pullback = _frame(ints)
     eqs = [(tuple(map(Fraction, nrm)),
             Fraction(sum(map(mul, nrm, ints[0])), q)) for nrm in normals]
     if not coords[0]:
-        return [], eqs, [True]
+        return (([], eqs), q, coords, gram, []), [True]
     # Facets h.y <= c in the frame as ((c, *h), mask), the mask listing the
     # points on the facet: the rays of {(c, h) : q c - h.(q y) >= 0 at
     # every y}.
@@ -419,21 +432,30 @@ def _hrep_from_vertices(points, ambient_dim):
     # A point is a vertex iff no other point lies on a strict superset of
     # its facets.
     on = [sum(1 << f for f, (_, m) in enumerate(facets_local) if m >> k & 1)
-          for k in range(len(points))]
+          for k in range(len(ints))]
     is_vertex = [not any(o != mine and o & mine == mine for o in on)
                  for mine in on]
     # Pull each local halfspace h.y <= c back through y = L(x - v0): its
-    # normal is a positive multiple of w = h.(g L), and its offset is
-    # normal.p = (normal.(q p)) / q at any point p on it.
-    halfs = []
+    # primitive normal is w / k, w = h.(g L) and k = gcd(w), and its offset
+    # is normal.p = (w.(q p)) / (q k) at any point p on it.  Distinct facets
+    # have distinct normals, which key and sort them.
+    cols = list(zip(*pullback))
+    facets = {}
     for (_, *h), mask in facets_local:
-        w = [sum(map(mul, h, col)) for col in zip(*pullback)]
+        w = [sum(map(mul, h, col)) for col in cols]
         k = gcd(*w)
         on_it = ints[(mask & -mask).bit_length() - 1]
-        halfs.append((tuple(Fraction(x // k) for x in w),
-                      Fraction(sum(map(mul, w, on_it)), q * k)))
-    halfs = sorted(set(halfs))
-    return halfs, eqs, is_vertex
+        facets[tuple(x // k for x in w)] = (
+            Fraction(sum(map(mul, w, on_it)), q * k), mask)
+    ranked = sorted(facets.items())
+    halfs = [(tuple(map(Fraction, nrm)), c) for nrm, (c, _) in ranked]
+    masks = [m for _, (_, m) in ranked]
+    if not all(is_vertex):
+        kept = [k for k, keep in enumerate(is_vertex) if keep]
+        coords = [coords[k] for k in kept]
+        masks = [sum(1 << j for j, k in enumerate(kept) if m >> k & 1)
+                 for m in masks]
+    return ((halfs, eqs), q, coords, gram, masks), is_vertex
 
 
 def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:

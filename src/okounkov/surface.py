@@ -414,10 +414,11 @@ def flag_points(model: SurfaceModel, points) -> list[int]:
     indices i of the exceptional curves E_i, 0 <= i < s, else a ValueError
     (input error)."""
     try:
-        pts = [index(i) for i in points]
+        # index() reads a bool as 0 or 1, but a bool names no point.
+        pts = [None if isinstance(i, bool) else index(i) for i in points]
     except TypeError:
         pts = None  # not a list of integers
-    if not pts or len(set(pts)) != len(pts) or not all(
+    if not pts or None in pts or len(set(pts)) != len(pts) or not all(
             0 <= i < model.s for i in pts):
         raise ValueError(f"flag points must be a nonempty list of distinct "
                          f"indices in 0..{model.s - 1}, got {points!r}")

@@ -93,6 +93,24 @@ def test_seshadri_and_nakayama_jobs(tmp_path):
     }
 
 
+def test_nakayama_job_reads_points(tmp_path, capsys):
+    # 3H on Bl3: mu is 2 against all three points, 3 against one or two.
+    job = {"schema": 1, "kind": "nakayama",
+           "input": {"s": 3, "class": {"d": "3", "m": ["0", "0", "0"]}}}
+    mus = []
+    for points in (None, [0], [1, 2]):
+        if points is not None:
+            job["input"]["points"] = points
+        code, out = run_job(tmp_path, job)
+        assert code == 0
+        mus.append(read_result(out, "nakayama.json")["result"]["mu"])
+    assert [mu["coeff"] for mu in mus] == ["2", "3", "3"]
+    job["input"]["points"] = [3]
+    code, _ = run_job(tmp_path, job)
+    assert code == 1
+    assert "flag points must be" in capsys.readouterr().err
+
+
 def test_xi_job_fixture_and_inline(tmp_path):
     code, out = run_job(tmp_path, {
         "schema": 1, "kind": "xi",
@@ -229,6 +247,7 @@ def test_unknown_kind_exit_1(tmp_path, capsys):
     ({"points": []}, "flag points must be"),
     ({"points": 3}, "flag points must be"),
     ({"t_max": "-1"}, "t_max must be nonnegative"),
+    ({"points": [True]}, "flag points must be"),
 ])
 def test_bad_flag_points_exit_1(tmp_path, capsys, extra, message):
     code, out = run_job(tmp_path, {

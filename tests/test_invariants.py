@@ -90,6 +90,12 @@ def test_nakayama_wall_crossing():
         else:
             hi = mid
     assert RadVal.rational(lo) <= mu <= RadVal.rational(hi)
+    # Against fewer points: 3H - t E_1 is big until t = 3, and so is
+    # 3H - t (E_2 + E_3), which reaches 3 times the line through them.
+    assert nakayama_mu(model, PicClass(3, (0, 0, 0)), [0]) == \
+        RadVal.rational(3)
+    assert nakayama_mu(model, PicClass(3, (0, 0, 0)), [1, 2]) == \
+        RadVal.rational(3)
 
 
 def test_nakayama_rejects_non_big():
@@ -469,11 +475,13 @@ def test_report_json():
     assert len(doc["bounds"]) == 2
 
 
-@pytest.mark.parametrize("points", [[3], [-1], [0, 0], [], 3, ["0"], [0.5]])
+@pytest.mark.parametrize("points", [[3], [-1], [0, 0], [], 3, ["0"], [0.5],
+                                    [True]])
 def test_bad_flag_points_refused_before_work(monkeypatch, points):
     # Input errors, raised before any support loop: an index past s, a
     # negative index (list indexing would wrap it to the last point), a
-    # repeated point (E_i shifted twice), no point, and a non-list.
+    # repeated point (E_i shifted twice), no point, a non-list, and a bool
+    # (index() would read True as point 1).
     def no_work(*args):
         raise AssertionError("the flag check ran after the support loop")
 

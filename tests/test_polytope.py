@@ -214,6 +214,7 @@ def test_five_cube():
     P = hull(itertools.product((0, 1), repeat=5), 5)
     halfs, eqs = P.halfspaces()
     assert len(P.vertices) == 32 and len(halfs) == 10 and not eqs
+    # No face above an edge is a simplex, so the pull runs down to edges.
     assert volume(P) == RadVal.rational(1)
 
 
@@ -232,6 +233,38 @@ def test_volume_runs_no_double_description(monkeypatch):
     assert [volume(P) for P in bodies] == [RadVal.rational(1),
                                            RadVal.rational(164820000)]
     assert calls == []
+
+
+def test_volume_reuses_hull_record(monkeypatch):
+    # After hull, volume reads the frame and the facet masks hull kept.  The
+    # body is simplicial, so each facet that misses the first vertex is a
+    # simplex leaf: one determinant each.
+    moment = [tuple(5 * t ** e for e in range(1, 5))
+              for t in (-5, -3, -2, -1, 0, 1, 2, 4, 5)]
+    centroid = tuple(sum(p[j] for p in moment[:5]) // 5 for j in range(4))
+    P = hull(moment + [centroid], 4)
+    halfs, _ = P.halfspaces()
+    on = [[linalg.dot(n, v) == c for v in P.vertices] for n, c in halfs]
+    assert all(sum(row) == 4 for row in on)
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(
+            name) or real(*args, **kw))
+
+    for owner, name in ((polytope, "_frame"), (Polytope, "halfspaces"),
+                        (linalg, "bareiss")):
+        count(owner, name)
+    assert volume(P) == RadVal.rational(164820000)
+    assert calls == ["bareiss"] * sum(not row[0] for row in on)
+    # Built directly, the body makes its record once for all three calls.
+    calls.clear()
+    count(polytope, "_hrep_from_vertices")
+    fresh = Polytope(4, P.vertices)
+    assert (fresh.halfspaces(), fresh.dim(), volume(fresh)) == (
+        P.halfspaces(), 4, volume(P))
+    assert calls.count("_hrep_from_vertices") == 1
 
 
 def test_program_runs_no_fraction_elimination(monkeypatch):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from okounkov import invariants, linalg, lp, polytope, surface
 from okounkov.numbers import RadVal, parse_rat, format_rat, squarefree_split
@@ -389,11 +389,12 @@ def _ref_volume(vertices, halfs):
 
 
 @st.composite
-def core_clouds(draw):
+def core_clouds(draw, full=None):
     """Clouds in R^n, n = 1..4, with denominators up to 6: full-dimensional
-    draws, or points on a random rational affine k-plane, k < n."""
+    draws, or points on a random rational affine k-plane, k < n; full=True
+    or False draws only the first or only the second kind."""
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(0, n))
+    k = n if full else draw(st.integers(0, n - (full is False)))
     coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     vec = st.tuples(*[coord] * n)
     if k == n:
@@ -423,6 +424,24 @@ def test_integer_core_matches_fraction_reference(case):
     assert fresh.halfspaces() == (halfs, eqs) and volume(fresh) == vol
     back = polytope._vertices_from_constraints(halfs, eqs, n)
     assert sorted(back) == list(P.vertices)
+
+
+@pytest.mark.parametrize("full", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_direct_polytope_matches_hull(full, data):
+    # A body built directly from shuffled points, with repeats and with
+    # points that are not vertices, gives hull's facets and volume.
+    n, pts = data.draw(core_clouds(full))
+    mids = [tuple((x + y) / 2 for x, y in zip(p, r))
+            for p, r in zip(pts, pts[1:])]
+    pts = data.draw(st.permutations(pts + mids + pts[:2]))
+    P = hull(pts, n)
+    assume(full is (P.dim() == n))
+    direct = polytope.Polytope(n, tuple(tuple(map(F, p)) for p in pts))
+    halfs, eqs = P.halfspaces()
+    assert direct.halfspaces() == (halfs, eqs)
+    assert volume(direct) == volume(P) == _ref_volume(P.vertices, halfs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -69,6 +69,13 @@ def _run(args) -> int:
         raise InputError(f"unknown job kind {kind!r}; expected one of "
                          f"{', '.join(_HANDLERS)}")
     payload = job.get("input", {})
+    if not isinstance(payload, dict):
+        raise InputError('job "input" must be an object')
+    unknown = sorted(set(payload) - _INPUT_KEYS[kind])
+    if unknown:
+        raise InputError(
+            f"unknown input key {unknown[0]!r} for job kind {kind!r}; "
+            f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
     if args.grid_step is not None:
         payload = {**payload, "grid_step": args.grid_step}
     if args.m_max is not None:
@@ -271,6 +278,27 @@ _HANDLERS = {
     "irrationality": _job_irrationality,
     "homogeneous": _job_homogeneous,
     "nef-boundary": _job_nef_boundary,
+}
+
+# The input keys each kind reads; any other key is refused.  Kept apart
+# from _HANDLERS so that a handler can be swapped without redeclaring them.
+_MODEL = {"surface", "s", "class"}
+_TORIC = {"fixture", "fan", "divisor", "flags"}
+_INPUT_KEYS = {
+    "toric-body": _TORIC,
+    "semigroup-sample": _TORIC | {"m_max"},
+    "surface-zariski": _MODEL,
+    "surface-body": _MODEL | {"points", "grid_step", "t_max"},
+    "seshadri": _MODEL | {"weights"},
+    "nakayama": _MODEL | {"points"},
+    "xi": {"fixture", "body", "n", "r", "weights"},
+    "eps-xi-check": {"fixture", "weights"},
+    "slice-volume": {"fixture", "body", "n", "r", "vol_x", "weights"},
+    "nagata": {"r", "d", "m"},
+    "standard-form": {"d", "m"},
+    "irrationality": {"s", "d", "m"},
+    "homogeneous": {"s", "d", "c"},
+    "nef-boundary": {"d", "m"},
 }
 
 if __name__ == "__main__":

@@ -130,15 +130,13 @@ def xi_constant(body: Polytope, w, n: int, r: int) -> Fraction:
     """Largest a with the inverted slice simplex of size (w_1 a, ..., w_r a)
     inside the body; 0 when the body misses the origin."""
     w = [Fraction(x) for x in w]
-    if len(w) != r:
-        raise ValueError("weight count must equal r")
+    if len(w) != r or any(x <= 0 for x in w):
+        raise ValueError("weights must be r positive rationals")
     if body.ambient_dim != n * r:
         raise ValueError("body must live in R^(n*r)")
-    origin = (Fraction(0),) * (n * r)
-    if body.is_empty or not polytope.contains(body, origin):
+    if not polytope.contains(body, (Fraction(0),) * (n * r)):
         return Fraction(0)
-    gens = polytope.inverted_slice_simplex(w, n).vertices
-    gens = [g for g in gens if any(x != 0 for x in g)]
+    gens = polytope._block_steps(w, n)
     halfs, eqs = body.halfspaces()
     for hn, _ in eqs:
         for g in gens:
@@ -228,14 +226,11 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass,
 def containment_bound(mu_values, n: int, r: int) -> Polytope:
     """Upper-bound body r * conv(union of per-block inverted simplices of
     size max_i mu_i); every extended body is contained in it."""
-    mu_max = max(Fraction(x) for x in mu_values)
+    size = r * max(Fraction(x) for x in mu_values)
     pts = [(Fraction(0),) * (n * r)]
     for i in range(r):
-        for k in range(1, n + 1):
-            p = [Fraction(0)] * (n * r)
-            for j in range(k):
-                p[i * n + j] = mu_max * r
-            pts.append(tuple(p))
+        pts += polytope._block_steps(
+            [size if j == i else Fraction(0) for j in range(r)], n)
     return polytope.hull(pts, n * r)
 
 

@@ -1,7 +1,8 @@
 """Exact rational convex polytopes.
 
-V-representation is primary; the H-representation (facet halfspaces plus
-affine-hull equalities) is derived lazily and cached.  Volumes are measured
+A body is the convex hull of the points it is built from: the constructor
+keeps the sorted vertices and the H-representation (facet halfspaces plus
+affine-hull equalities) it computes on the way.  Volumes are measured
 in the Euclidean metric induced from the ambient space, so lower-dimensional
 bodies get the honest surface measure (a diagonal segment has length sqrt(2)).
 """
@@ -55,34 +56,32 @@ class SliceSpec:
 
 @dataclass
 class Polytope:
+    """The convex hull of the given points.
+
+    The constructor keeps only the vertices, lexicographically sorted, and
+    _hrep_from_vertices' record of the body: the H-representation with the
+    frame and the facet masks that volume reads.
+    """
+
     ambient_dim: int
     vertices: tuple[Vec, ...]
-    meta: dict = field(default_factory=dict)
-    # _hrep_from_vertices' record of the body: hull passes it in, a body
-    # built directly computes it on first use.
-    _core: tuple | None = field(default=None, repr=False, compare=False)
+    meta: dict = field(default_factory=dict, compare=False)
+    _core: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q, ints = _integer_points(self.vertices, self.ambient_dim)
+        self._core, is_vertex = _hrep_from_vertices(q, ints, self.ambient_dim)
+        self.vertices = tuple(tuple(Fraction(x, q) for x in p)
+                              for p, keep in zip(ints, is_vertex) if keep)
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def __eq__(self, other):
-        if not isinstance(other, Polytope):
-            return NotImplemented
-        return (self.ambient_dim == other.ambient_dim
-                and self.vertices == other.vertices)
-
-    def _record(self):
-        if self._core is None:
-            self._core = _hrep_from_vertices(
-                *_integer_points(self.vertices, self.ambient_dim),
-                self.ambient_dim)[0]
-        return self._core
-
     # -- H-representation --------------------------------------------
     def halfspaces(self) -> tuple[list[Halfspace], list[Equality]]:
-        """(facet halfspaces, affine-hull equalities); cached."""
-        return self._record()[0]
+        """(facet halfspaces, affine-hull equalities)."""
+        return self._core[0]
 
     def dim(self) -> int:
         """Dimension of the affine span (-1 for empty)."""
@@ -104,16 +103,8 @@ class Polytope:
 
 
 def hull(points, ambient_dim: int) -> Polytope:
-    """Convex hull with irredundant, lexicographically sorted vertex list.
-
-    The facets are computed on the way and cached as the H-representation,
-    with the frame and the facet masks that volume reads.
-    """
-    q, ints = _integer_points(points, ambient_dim)
-    core, is_vertex = _hrep_from_vertices(q, ints, ambient_dim)
-    verts = tuple(tuple(Fraction(x, q) for x in p)
-                  for p, keep in zip(ints, is_vertex) if keep)
-    return Polytope(ambient_dim, verts, _core=core)
+    """Convex hull: the body the points build."""
+    return Polytope(ambient_dim, points)
 
 
 def cone_base(graded_points) -> Polytope:
@@ -139,8 +130,6 @@ def affine_image(P: Polytope, M, t=None) -> Polytope:
     if t is None:
         t = (Fraction(0),) * out_dim
     t = tuple(Fraction(x) for x in t)
-    if P.is_empty:
-        return Polytope(out_dim, ())
     if any(len(row) != P.ambient_dim for row in rows) or len(t) != out_dim:
         raise ValueError("matrix/translation shape mismatch")
     images = [vadd(tuple(dot(row, v) for row in rows), t) for v in P.vertices]
@@ -150,8 +139,6 @@ def affine_image(P: Polytope, M, t=None) -> Polytope:
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("Minkowski sum of bodies in different dimensions")
-    if P.is_empty or Q.is_empty:
-        return Polytope(P.ambient_dim, ())
     return hull([vadd(p, q) for p in P.vertices for q in Q.vertices],
                 P.ambient_dim)
 
@@ -165,8 +152,6 @@ def contains(outer: Polytope, inner) -> bool:
     pt = tuple(Fraction(x) for x in inner)
     if len(pt) != outer.ambient_dim:
         raise ValueError("containment across different ambient dimensions")
-    if outer.is_empty:
-        return False
     halfs, eqs = outer.halfspaces()
     return (all(dot(n, pt) == c for n, c in eqs)
             and all(dot(n, pt) <= c for n, c in halfs))
@@ -182,8 +167,6 @@ def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
     if P.ambient_dim != S.n * S.r:
         raise ValueError("slice spec does not match ambient dimension")
     scale = S.gram_scale()
-    if P.is_empty:
-        return Polytope(S.n, ()), scale
     basis = S.basis()
     halfs, eqs = P.halfspaces()
     # Substitute x = sum_j y_j b_j into every constraint.
@@ -207,7 +190,7 @@ def volume(P: Polytope) -> RadVal:
     """
     if P.is_empty:
         return RadVal.rational(0)
-    _, q, coords, gram, masks = P._record()
+    _, q, coords, gram, masks = P._core
     d = len(coords[0])
     if d == 0:
         return RadVal.rational(0)
@@ -244,18 +227,18 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
         raise ValueError("negative slice-simplex size")
     if n < 1 or not xs:
         raise ValueError("need n >= 1 and r >= 1")
-    r = len(xs)
-    pts = [(Fraction(0),) * (n * r)]
-    for k in range(1, n + 1):
-        p = [Fraction(0)] * (n * r)
-        for i in range(r):
-            for j in range(k):
-                p[i * n + j] = xs[i]
-        pts.append(tuple(p))
-    return hull(pts, n * r)
+    dim = n * len(xs)
+    return hull([(Fraction(0),) * dim, *_block_steps(xs, n)], dim)
 
 
 # -- internal helpers ------------------------------------------------
+
+def _block_steps(xs, n) -> list[Vec]:
+    """The n partial sums of the weighted block directions: the k-th puts
+    xs[i] on the first k coordinates of every block i."""
+    return [tuple(x if j < k else Fraction(0) for x in xs for j in range(n))
+            for k in range(1, n + 1)]
+
 
 def _integer_points(points, ambient_dim):
     """(q, the distinct q p, sorted): q > 0 is the lcm of the denominators

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from okounkov import cli, surface
+from okounkov import cli, surface, toric
 from okounkov.cli import main
 from okounkov.polytope import Polytope
 
@@ -129,6 +129,15 @@ def test_xi_job_fixture_and_inline(tmp_path):
     })
     assert code == 0
     assert read_result(out, "xi-inline.json")["result"]["xi"] == "1"
+
+
+def test_xi_job_refuses_non_positive_weights(tmp_path, capsys):
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "xi",
+        "input": {"fixture": "bl2p2", "weights": ["1", "0"]},
+    })
+    assert code == 1 and not out.exists()
+    assert "weights must be r positive rationals" in capsys.readouterr().err
 
 
 def test_eps_xi_check_job(tmp_path):
@@ -258,6 +267,51 @@ def test_bad_flag_points_exit_1(tmp_path, capsys, extra, message):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, payload, key", [
+    ("surface-body", {"s": 2, "class": {"d": "1", "m": ["0", "0"]},
+                      "grid-step": "1/8"}, "grid-step"),
+    ("nagata", {"r": 9, "d": "3", "m": ["1"] * 9, "weight": "1"}, "weight"),
+])
+def test_unknown_input_key_exit_1(tmp_path, capsys, kind, payload, key):
+    code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
+                                   "input": payload})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: unknown input key {key!r} "
+                          f"for job kind {kind!r}; accepted: ")
+    assert all(k in err for k in cli._INPUT_KEYS[kind])
+
+
+def test_input_must_be_an_object(tmp_path, capsys):
+    code, out = run_job(tmp_path, {"schema": 1, "kind": "nagata",
+                                   "input": ["r", "d", "m"]})
+    assert code == 1 and not out.exists()
+    assert 'job "input" must be an object' in capsys.readouterr().err
+
+
+def test_override_flags_are_not_input_keys(tmp_path):
+    # --grid-step and --m-max merge after the key check, whatever the kind.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "nagata",
+        "input": {"r": 9, "d": "3", "m": ["1"] * 9},
+    }, extra=["--grid-step", "1/4", "--m-max", "2"])
+    assert code == 0
+
+
+def test_toric_body_job_inline_fan(tmp_path):
+    fx = toric.load_fixture("bl1p2")
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "toric-body",
+        "input": {"fan": fx["fan"].to_json(),
+                  "divisor": fx["divisors"]["O1"].to_json(),
+                  "flags": fx["flags"]["inf"].to_json()},
+    })
+    assert code == 0
+    body = toric.extended_body_toric(fx["fan"], fx["divisors"]["O1"],
+                                     fx["flags"]["inf"])
+    assert read_result(out, "toric-body.json")["result"] == body.to_json()
 
 
 def test_bad_schema_exit_1(tmp_path):

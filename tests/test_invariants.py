@@ -177,6 +177,55 @@ def test_xi_values(setups):
     assert xi_constant(setups["bl2p2"].body, [1, 2], 2, 2) == F(1, 3)
 
 
+def test_xi_needs_r_positive_weights(setups):
+    body = setups["bl2p2"].body
+    for bad in ([0, 0], [1, 0], [1, -1], [1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="r positive rationals"):
+            xi_constant(body, bad, 2, 2)
+
+
+def test_xi_makes_no_hull(setups, monkeypatch):
+    # The simplex generators are the block steps themselves; xi hulls
+    # nothing to get them back.
+    calls = []
+    real = polytope.hull
+    monkeypatch.setattr(polytope, "hull",
+                        lambda *args: calls.append(args) or real(*args))
+    assert xi_constant(setups["bl2p2"].body, [2, 1], 2, 2) == F(1, 3)
+    assert calls == []
+
+
+def _ref_steps(sizes, n, r):
+    # The index loops the simplex and the containment bound were first
+    # written with: the k-th step puts sizes[i] on coordinates
+    # i n + 1 .. i n + k of the blocks i it spans.
+    pts = []
+    for k in range(1, n + 1):
+        p = [F(0)] * (n * r)
+        for i, x in sizes:
+            for j in range(k):
+                p[i * n + j] = x
+        pts.append(tuple(p))
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_steps_match_index_loops(n, r):
+    origin = (F(0),) * (n * r)
+    for xs in ([F(i + 1, 2) for i in range(r)], [F(0)] * (r - 1) + [F(3)]):
+        ref = hull([origin] + _ref_steps(list(enumerate(xs)), n, r), n * r)
+        assert inverted_slice_simplex(xs, n).vertices == ref.vertices
+    mus = [F(1, 3), F(2), F(5, 4)][:r]
+    size = r * max(mus)
+    pts = [origin]
+    for i in range(r):
+        pts += _ref_steps([(i, size)], n, r)
+    ref = hull(pts, n * r)
+    assert containment_bound(mus, n, r).vertices == ref.vertices
+    assert len(ref.vertices) == n * r + 1
+
+
 def test_xi_without_origin_is_zero(setups):
     assert xi_constant(setups["bl1p2-shifted"].body, [1], 2, 1) == 0
     shifted = hull([(1, 0), (2, 0), (2, 1)], 2)

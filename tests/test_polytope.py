@@ -91,10 +91,11 @@ def test_volume_basics():
     assert volume(hull([(0, 0), (1, 1)], 2)) == RadVal.sqrt(2)
     assert volume(hull([(5, 5)], 2)) == RadVal.rational(0)
     # Built directly, with the midpoint of a base edge listed first: the
-    # triangulation is pulled from a point that is not a vertex.
+    # constructor drops the midpoint, so the body is hull's.
     pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
     direct = Polytope(3, tuple(tuple(map(F, p))
                                for p in [(1, 0, 0)] + pyramid))
+    assert direct == hull(pyramid, 3) and len(direct.vertices) == 5
     assert volume(direct) == volume(hull(pyramid, 3)) == RadVal.rational(F(4, 3))
     assert direct.dim() == 3
 
@@ -173,6 +174,27 @@ def test_intersect_subspace_empty():
     P2 = hull([(5, 0, 0, 0)], 4)
     Q2, _ = intersect_subspace(P2, S)
     assert Q2.is_empty
+
+
+def test_empty_bodies_take_the_general_path():
+    # The empty record, 0 <= -1 with no vertices, answers every operation.
+    empty = Polytope(3, ())
+    assert empty == hull([], 3) and empty.dim() == -1
+    assert empty.halfspaces() == ([((F(0),) * 3, F(-1))], [])
+    assert volume(empty) == RadVal.rational(0)
+    assert not contains(empty, (0, 0, 0))
+    assert contains(hull([(0, 0, 0)], 3), empty)
+    image = affine_image(empty, [[1, 0, 0], [0, 1, 1]], (1, 2))
+    assert image == Polytope(2, ()) and image.is_empty
+    with pytest.raises(ValueError, match="shape mismatch"):
+        affine_image(empty, [[1, 0], [0, 1]])
+    cube = hull(itertools.product((0, 1), repeat=3), 3)
+    assert minkowski_sum(empty, cube).is_empty
+    assert minkowski_sum(cube, empty) == empty
+    for r, body in ((1, Polytope(2, ())), (2, Polytope(4, ()))):
+        S = SliceSpec(2, r, (F(1),) * r)
+        cut, scale = intersect_subspace(body, S)
+        assert cut == Polytope(2, ()) and scale == S.gram_scale()
 
 
 def test_hrep_vrep_round_trip():

@@ -431,7 +431,8 @@ def test_integer_core_matches_fraction_reference(case):
 @given(data=st.data())
 def test_direct_polytope_matches_hull(full, data):
     # A body built directly from shuffled points, with repeats and with
-    # points that are not vertices, gives hull's facets and volume.
+    # points that are not vertices, is hull's body: same vertices, facets
+    # and volume.
     n, pts = data.draw(core_clouds(full))
     mids = [tuple((x + y) / 2 for x, y in zip(p, r))
             for p, r in zip(pts, pts[1:])]
@@ -439,6 +440,7 @@ def test_direct_polytope_matches_hull(full, data):
     P = hull(pts, n)
     assume(full is (P.dim() == n))
     direct = polytope.Polytope(n, tuple(tuple(map(F, p)) for p in pts))
+    assert direct == P and direct.vertices == P.vertices
     halfs, eqs = P.halfspaces()
     assert direct.halfspaces() == (halfs, eqs)
     assert volume(direct) == volume(P) == _ref_volume(P.vertices, halfs)

@@ -41,7 +41,8 @@ def main(argv=None) -> int:
     runp.add_argument("--render", action="store_true",
                       help="also emit an SVG for 2-D polytope results")
     runp.add_argument("--grid-step", default=None,
-                      help="grid step p/q (surface-body jobs)")
+                      help="grid step p/q of surface-body jobs: checked "
+                      "and echoed in meta, the body is exact whatever it is")
     runp.add_argument("--m-max", type=int, default=None,
                       help="sampling level cap (semigroup-sample jobs)")
     args = parser.parse_args(argv)
@@ -71,11 +72,7 @@ def _run(args) -> int:
     payload = job.get("input", {})
     if not isinstance(payload, dict):
         raise InputError('job "input" must be an object')
-    unknown = sorted(set(payload) - _INPUT_KEYS[kind])
-    if unknown:
-        raise InputError(
-            f"unknown input key {unknown[0]!r} for job kind {kind!r}; "
-            f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
+    _check_input(kind, payload)
     if args.grid_step is not None:
         payload = {**payload, "grid_step": args.grid_step}
     if args.m_max is not None:
@@ -280,26 +277,114 @@ _HANDLERS = {
     "nef-boundary": _job_nef_boundary,
 }
 
-# The input keys each kind reads; any other key is refused.  Kept apart
-# from _HANDLERS so that a handler can be swapped without redeclaring them.
-_MODEL = {"surface", "s", "class"}
-_TORIC = {"fixture", "fan", "divisor", "flags"}
-_INPUT_KEYS = {
-    "toric-body": _TORIC,
-    "semigroup-sample": _TORIC | {"m_max"},
-    "surface-zariski": _MODEL,
-    "surface-body": _MODEL | {"points", "grid_step", "t_max"},
-    "seshadri": _MODEL | {"weights"},
-    "nakayama": _MODEL | {"points"},
-    "xi": {"fixture", "body", "n", "r", "weights"},
-    "eps-xi-check": {"fixture", "weights"},
-    "slice-volume": {"fixture", "body", "n", "r", "vol_x", "weights"},
-    "nagata": {"r", "d", "m"},
-    "standard-form": {"d", "m"},
-    "irrationality": {"s", "d", "m"},
-    "homogeneous": {"s", "d", "c"},
-    "nef-boundary": {"d", "m"},
+# The kinds of input value, by what a message calls them.  A bool is not an
+# integer; a rational is a "p/q" string or an integer.
+def _rational(v) -> bool:
+    try:
+        return type(v) is not bool and parse_rat(v) is not None
+    except ValueError:
+        return False
+
+
+def _rationals(v) -> bool:
+    return isinstance(v, list) and all(map(_rational, v))
+
+
+def _class(v) -> bool:
+    return (isinstance(v, dict) and v.keys() == {"d", "m"}
+            and _rational(v["d"]) and _rationals(v["m"]))
+
+
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a rational": _rational,
+    "a list of rationals": _rationals,
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a class {d, m}": _class,
+    "a surface {s, mode, neg_curves}": lambda v: (
+        isinstance(v, dict) and type(v.get("s")) is int
+        and isinstance(v.get("mode", ""), str)
+        and isinstance(v.get("neg_curves", []), list)
+        and all(map(_class, v.get("neg_curves", [])))),
+    "a body {ambient_dim, vertices}": lambda v: (
+        isinstance(v, dict) and type(v.get("ambient_dim")) is int
+        and isinstance(v.get("vertices"), list)
+        and all(map(_rationals, v["vertices"]))),
+    # surface.flag_points checks them against s, before any work.
+    "flag points": lambda v: True,
 }
+
+# The input forms of each kind: key -> (kind of value, required).  A job
+# takes the first form whose first key it gives, else the last form.  Kept
+# apart from _HANDLERS so that a handler can be swapped without redeclaring
+# them; _check_input enforces them before any work.
+_SURFACE = {"surface": ("a surface {s, mode, neg_curves}", True),
+            "class": ("a class {d, m}", True)}
+_S = {"s": ("an integer", True), "class": ("a class {d, m}", True)}
+_FIXTURE = {"fixture": ("a string", True), "divisor": ("a string", True),
+            "flags": ("a string", True)}
+_FAN = {"fan": ("an object", True), "divisor": ("an object", True),
+        "flags": ("an object", True)}
+_BODY = {"body": ("a body {ambient_dim, vertices}", True),
+         "n": ("an integer", True), "r": ("an integer", True)}
+_NAME = {"fixture": ("a string", True)}
+_WEIGHTS = {"weights": ("a list of rationals", True)}
+_D_M = {"d": ("a rational", True), "m": ("a list of rationals", True)}
+_POINTS = {"points": ("flag points", False)}
+
+
+def _each(forms, extra):
+    return tuple({**f, **extra} for f in forms)
+
+
+_INPUT_FORMS = {
+    "toric-body": (_FIXTURE, _FAN),
+    "semigroup-sample": _each((_FIXTURE, _FAN),
+                              {"m_max": ("an integer", False)}),
+    "surface-zariski": (_SURFACE, _S),
+    "surface-body": _each((_SURFACE, _S), {
+        **_POINTS, "grid_step": ("a rational", False),
+        "t_max": ("a rational", False)}),
+    "seshadri": _each((_SURFACE, _S), _WEIGHTS),
+    "nakayama": _each((_SURFACE, _S), _POINTS),
+    "xi": _each((_NAME, _BODY), _WEIGHTS),
+    "eps-xi-check": ({**_NAME, **_WEIGHTS},),
+    "slice-volume": _each(
+        (_NAME, {**_BODY, "vol_x": ("a rational", True)}), _WEIGHTS),
+    "nagata": ({"r": ("an integer", True), **_D_M},),
+    "standard-form": (_D_M,),
+    "irrationality": ({"s": ("an integer", True), **_D_M},),
+    "homogeneous": ({"s": ("an integer", True), "d": ("a rational", True),
+                     "c": ("a rational", True)},),
+    "nef-boundary": (_D_M,),
+}
+# The input keys each kind reads; any other key is refused.
+_INPUT_KEYS = {kind: set().union(*forms)
+               for kind, forms in _INPUT_FORMS.items()}
+
+
+def _check_input(kind, payload) -> None:
+    """InputError naming the first key of payload that the kind refuses:
+    unknown, not of the chosen form, of the wrong kind, or missing."""
+    unknown = sorted(set(payload) - _INPUT_KEYS[kind])
+    if unknown:
+        raise InputError(
+            f"unknown input key {unknown[0]!r} for job kind {kind!r}; "
+            f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
+    forms = _INPUT_FORMS[kind]
+    form = next((f for f in forms if next(iter(f)) in payload), forms[-1])
+    for key in sorted(payload):
+        if key not in form:
+            raise InputError(f"input key {key!r} does not go with "
+                             f"{next(iter(form))!r} in job kind {kind!r}")
+        if not _KINDS[form[key][0]](payload[key]):
+            raise InputError(f"input key {key!r} of job kind {kind!r} must "
+                             f"be {form[key][0]}, got {payload[key]!r}")
+    for key, (what, required) in form.items():
+        if required and key not in payload:
+            raise InputError(f"missing input key {key!r} ({what}) for job "
+                             f"kind {kind!r}")
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -2,9 +2,9 @@
 
 Each entry pairs an exactly-known extended body with the curve-list model
 of the same blow-up, so the body-side and curve-side invariants can be
-cross-checked.  The one- and two-point bodies at the line class are exact:
-the one-point body comes from the toric backend, the two-point body from
-the parametric surface backend on a grid that hits every chamber vertex.
+cross-checked.  Every body is exact: the one-point body at the line class
+comes from the toric backend, the others from the chamber walk of the
+parametric surface backend.
 """
 from __future__ import annotations
 

@@ -20,9 +20,8 @@ from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
 _NEG_CURVE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-# Largest grid surface_body_outer walks, (t_max / grid_step + 1)^r points;
-# each costs a support-growth loop and 2^r hull points.
-MAX_GRID_POINTS = 10_000
+# Most supports that the chamber walk of surface_body_outer solves.
+MAX_CHAMBERS = 10_000
 # The exceptional classes besides the E_i, one type per degree d: d and the
 # nonzero multiplicities (Manin, Cubic Forms, Ch. IV).
 _CURVE_TYPES = (
@@ -427,61 +426,72 @@ def flag_points(model: SurfaceModel, points) -> list[int]:
 
 def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
                        grid_step: Fraction, t_max: Fraction) -> Polytope:
-    """Grid hull of the extended body for infinitesimal flags C_i = E_i.
+    """The exact extended body of a big D for infinitesimal flags C_i = E_i.
 
-    Flag points on each E_i are general, so the first fiber coordinate of
-    block i runs over [0, P.E_i] (no negative-part correction at the flag
-    point).  The body is shifted by the multiplicity of E_i in the
-    negative part of D itself.  Grid points where the shifted class stops
-    being pseudoeffective are skipped.  Every grid point's fiber lies in
-    the body, so the hull is an inner approximation: exact when the grid
-    hits every chamber vertex below t_max, otherwise inside the body at
-    the recorded resolution (the "outer_approx" meta key is a misnomer
-    kept for byte-identical artifacts).  One support-growth loop runs for
-    D and one per grid point; a grid above MAX_GRID_POINTS is refused
-    before any work.
+    Flag points on E_i are general, so block i is shift_i + t_i over [0,
+    P(t).E_i]: shift_i is the multiplicity of E_i in N(D), and P(t) is the
+    positive part of D' - sum t_i E_i, D' = D - sum shift_i E_i (Lazarsfeld
+    & Mustata 2009, Thm 6.4).  P(t) is affine on each Zariski chamber
+    (Bauer, Kuronya & Szemberg 2004): a breadth-first walk from the support
+    of D' makes one _solve per support, _dd gives the chamber's vertices and
+    the walls tight at each, and the walls tight on the same vertices are
+    crossed together (support curves leave, curves enter), in lower-
+    dimensional chambers too, unless that leaves t >= 0.  A support off the
+    tiling gives P.E_i no larger (N is minimal), so the body is the hull of
+    all fibre ends.  grid_step > 0 and t_max >= 0 are checked and echoed in
+    meta only; past MAX_CHAMBERS supports the walk is refused.
     """
     points = flag_points(model, points)
-    grid_step = Fraction(grid_step)
-    t_max = Fraction(t_max)
+    grid_step, t_max = Fraction(grid_step), Fraction(t_max)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     r = len(points)
-    steps = int(t_max / grid_step)
-    if (steps + 1) ** r > MAX_GRID_POINTS:
-        raise ValueError(
-            f"surface body grid of {steps + 1}^{r} points exceeds "
-            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; raise grid_step or lower "
-            "t_max")
     Z0 = _decompose(model, D)
     if Z0 is None or intersect(Z0.positive, Z0.positive) <= 0:
         raise ValueError("surface body computed for big classes only")
-    shift = [next((a for c, a in Z0.negative_support if c == E(model.s, i)),
-                  Fraction(0)) for i in points]
-    pts = []
-    for tvec in itertools.product(range(steps + 1), repeat=r):
-        t = [grid_step * k for k in tvec]
-        # D - sum (shift_k + t_k) E_i raises m_i by shift_k + t_k.
-        m = list(D.m)
-        for i, sh, ti in zip(points, shift, t):
-            m[i] += sh + ti
-        Z = _decompose(model, PicClass(D.d, tuple(m)))
-        if Z is None:
+    flags = [E(model.s, i) for i in points]
+    N0 = dict(Z0.negative_support)
+    shift = [N0.get(f, Fraction(0)) for f in flags]
+    x, q = _row(sum((f.scale(-a) for f, a in zip(flags, shift)), D))
+    us = [_row(f.scale(-1))[0] for f in flags]  # D_t = D' + sum t_i us_i
+    curves = set(model._rows[:len(model.neg_curves)])
+    unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
+    todo = [tuple(sorted(_row(c)[0] for c in N0 if c not in flags))]
+    seen, pts = set(todo), []
+    for k, supp in enumerate(todo):  # todo grows as the walk goes
+        if k == MAX_CHAMBERS:
+            raise ValueError(f"chamber walk exceeds MAX_CHAMBERS = {MAX_CHAMBERS}")
+        if not (sol := len(supp) <= model.s and _solve(supp, x, *us)):
             continue
-        beta = [Z.positive.m[i] for i in points]  # P.E_i = P.m[i]
-        # Fiber over t: nu_1 = shift + t, nu_2 in [0, beta] per block.
-        for ends in itertools.product(*[(Fraction(0), b) for b in beta]):
-            p = []
-            for k in range(r):
-                p.extend([shift[k] + t[k], ends[k]])
-            pts.append(tuple(p))
+        # Rows on (tau, t), the point t / tau, times det q > 0: P is p0 tau +
+        # q sum t_i p_i, and the multiplicities are n0 tau + q sum t_i n_i.
+        det, ((p0, n0), *lin) = sol
+        out = [g for g in model._rows if g not in supp]
+        walls = [(a, *(q * n[j] for _, n in lin)) for j, a in enumerate(n0)]
+        walls += zip(_dots(out, p0),
+                     *([q * y for y in _dots(out, p)] for p, _ in lin))
+        betas = [(p0[i + 1], *(q * p[i + 1] for p, _ in lin)) for i in points]
+        verts = [v for v in polytope._dd(walls + unit) if v[0][0] > 0]
+        for v, _ in verts:  # t = v[1:] / v[0], and P(t).E_i = P(t).m_i
+            ends = [[(sh + Fraction(tk, v[0]), y) for y in (0, Fraction(
+                sum(map(mul, b, v)), det * q * v[0]))]
+                for sh, tk, b in zip(shift, v[1:], betas)]
+            pts += (sum(e, ()) for e in itertools.product(*ends))
+        groups = {}
+        ons = [sum(1 << e for e, (_, m) in enumerate(verts) if m >> j & 1)
+               for j in range(len(walls) + r + 1)]
+        # Beyond a face in t_i = 0, short of the whole chamber, t_i < 0.
+        edge = set(ons[len(walls) + 1:]) - {(1 << len(verts)) - 1}
+        for j, g in enumerate(list(supp) + out):
+            if ons[j] and ons[j] not in edge and (j < len(supp) or g in curves):
+                groups.setdefault(ons[j], set()).add(g)
+        new = {tuple(sorted(set(supp) ^ gs)) for gs in groups.values()} - seen
+        seen |= new
+        todo += sorted(new)
     body = polytope.hull(pts, 2 * r)
-    body.meta.update({
-        "outer_approx": True,
-        "grid_step": format_rat(grid_step),
-        "t_max": format_rat(t_max),
-        "flag_points": "general on each exceptional curve",
-    })
+    body.meta.update(outer_approx=True, grid_step=format_rat(grid_step),
+                     t_max=format_rat(t_max),
+                     flag_points="general on each exceptional curve")
     return body

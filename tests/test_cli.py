@@ -328,14 +328,102 @@ def test_malformed_rational_exit_1(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_oversized_grid_exit_1(tmp_path, capsys):
-    code, _ = run_job(tmp_path, {
+def test_chamber_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # The cap is lowered so that no large walk starts: Bl2 H needs 4 solves.
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 3)
+    code, out = run_job(tmp_path, {
         "schema": 1, "kind": "surface-body",
-        "input": {"s": 2, "class": {"d": "1", "m": ["0", "0"]},
-                  "t_max": str(10**9)},
+        "input": {"s": 2, "class": {"d": "1", "m": ["0", "0"]}},
     })
-    assert code == 1
-    assert "MAX_GRID_POINTS" in capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert "MAX_CHAMBERS = 3" in capsys.readouterr().err
+
+
+def test_surface_body_whole_at_cli_defaults(tmp_path):
+    # Bl1 2H at the defaults (step 1/2, t_max 1): the whole body, not the
+    # part over t <= 1; a huge t_max costs nothing and is echoed.
+    for extra in ({}, {"t_max": str(10**9)}):
+        code, out = run_job(tmp_path, {
+            "schema": 1, "kind": "surface-body",
+            "input": {"s": 1, "class": {"d": "2", "m": ["0"]}, **extra},
+        })
+        assert code == 0
+        doc = read_result(out, "surface-body.json")["result"]
+        assert doc["vertices"] == [["0", "0"], ["2", "0"], ["2", "2"]]
+        assert doc["meta"]["t_max"] == extra.get("t_max", "1")
+
+
+_CLASS = {"d": "1", "m": ["0", "0"]}
+_INLINE_BODY = {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"],
+                                               ["1", "1"]]}
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    # wrong kinds of value; a bool is not an integer
+    ("seshadri", {"s": 2, "class": _CLASS, "weights": 3},
+     "input key 'weights' of job kind 'seshadri' must be a list of "
+     "rationals, got 3"),
+    ("seshadri", {"s": 2, "class": "3H", "weights": ["1", "1"]},
+     "input key 'class' of job kind 'seshadri' must be a class {d, m}"),
+    ("seshadri", {"surface": 5, "class": _CLASS, "weights": ["1", "1"]},
+     "input key 'surface' of job kind 'seshadri' must be a surface"),
+    ("seshadri", {"s": True, "class": _CLASS, "weights": ["1", "1"]},
+     "input key 's' of job kind 'seshadri' must be an integer, got True"),
+    ("surface-zariski", {"s": "2", "class": _CLASS},
+     "input key 's' of job kind 'surface-zariski' must be an integer"),
+    ("surface-zariski", {"surface": {"s": 2, "neg_curves": 3},
+                         "class": _CLASS}, "must be a surface"),
+    ("surface-body", {"s": 2, "class": _CLASS, "grid_step": 0.5},
+     "input key 'grid_step' of job kind 'surface-body' must be a rational"),
+    ("surface-body", {"s": 2, "class": {"d": "1", "m": ["0", "x"]}},
+     "must be a class {d, m}"),
+    ("nagata", {"r": 9, "d": True, "m": ["1"] * 9},
+     "input key 'd' of job kind 'nagata' must be a rational"),
+    ("nagata", {"r": 9, "d": "1/0", "m": ["1"] * 9}, "must be a rational"),
+    ("homogeneous", {"s": 12.0, "d": "4", "c": "1"}, "must be an integer"),
+    ("semigroup-sample", {"fixture": "bl1p2", "divisor": "O1",
+                          "flags": "inf", "m_max": "3"}, "must be an integer"),
+    ("toric-body", {"fixture": "bl1p2", "divisor": {"O1": 1},
+                    "flags": "inf"}, "must be a string"),
+    ("toric-body", {"fan": "bl1p2", "divisor": {}, "flags": {}},
+     "input key 'fan' of job kind 'toric-body' must be an object"),
+    ("xi", {"body": {"ambient_dim": "2", "vertices": []}, "n": 2, "r": 1,
+            "weights": ["1"]}, "must be a body {ambient_dim, vertices}"),
+    ("slice-volume", {"body": _INLINE_BODY, "n": 2, "r": 1, "vol_x": [1],
+                      "weights": ["1"]}, "must be a rational"),
+    # missing keys, in the form that the given keys choose
+    ("seshadri", {"s": 2, "weights": ["1", "1"]},
+     "missing input key 'class' (a class {d, m}) for job kind 'seshadri'"),
+    ("seshadri", {"class": _CLASS, "weights": ["1", "1"]},
+     "missing input key 's' (an integer)"),
+    ("nakayama", {"surface": {"s": 2}}, "missing input key 'class'"),
+    ("xi", {"body": _INLINE_BODY, "r": 1, "weights": ["1"]},
+     "missing input key 'n' (an integer) for job kind 'xi'"),
+    ("toric-body", {"fixture": "bl1p2", "divisor": "O1"},
+     "missing input key 'flags' (a string)"),
+    ("eps-xi-check", {"fixture": "bl2p2"}, "missing input key 'weights'"),
+    ("standard-form", {"m": ["1"]}, "missing input key 'd' (a rational)"),
+    # keys of two forms at once
+    ("xi", {"fixture": "bl2p2", "n": 2, "weights": ["1", "1"]},
+     "input key 'n' does not go with 'fixture' in job kind 'xi'"),
+    ("seshadri", {"surface": {"s": 2}, "s": 2, "class": _CLASS,
+                  "weights": ["1", "1"]},
+     "input key 's' does not go with 'surface' in job kind 'seshadri'"),
+])
+def test_input_contract_exit_1(tmp_path, capsys, kind, payload, message):
+    code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
+                                   "input": payload})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+def test_every_input_key_has_a_declared_kind():
+    for kind, forms in cli._INPUT_FORMS.items():
+        assert kind in cli._HANDLERS and forms
+        for form in forms:
+            assert all(what in cli._KINDS and required in (True, False)
+                       for what, required in form.values())
 
 
 def test_missing_job_file_exit_1(tmp_path):

@@ -124,9 +124,25 @@ def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
     positive_xi_criterion(SurfaceModel(s.s), s.L, list(range(s.r)))
     assert len(calls) == 1
     calls.clear()
-    # One loop for D and one per grid point: 3 x 3 grid points.
+    # One loop for D, then one support solve per chamber the walk reaches:
+    # the empty support, H-E1-E2 and two singular pairs.
+    solved = []
+    real_solve = surface._solve
+    monkeypatch.setattr(surface, "_solve",
+                        lambda *rows: solved.append(rows[0]) or real_solve(*rows))
     surface.surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), 1)
-    assert len(calls) == 10
+    assert len(calls) == 1 and len(solved) == 4
+
+
+def test_eps_equals_xi_on_three_point_surface_body():
+    # Bl3 2H at all three points: the exact body has 14 vertices and volume
+    # 4/5 in R^6, and its xi equals the curve-side Seshadri constant.
+    model, L = SurfaceModel(3), PicClass(2, (0, 0, 0))
+    body = surface.surface_body_outer(model, L, [0, 1, 2], F(1, 2), F(2))
+    assert len(body.vertices) == 14
+    assert polytope.volume(body) == RadVal.rational(F(4, 5))
+    for w in ([1, 1, 1], [2, 1, 1], [3, 2, 1]):
+        assert check_eps_eq_xi(model, L, w, body).all_pass(), w
 
 
 def test_curve_scans_make_no_fraction_intersections(monkeypatch):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from okounkov import surface
+from okounkov import linalg, polytope, surface
+from okounkov.numbers import format_rat
 from okounkov.polytope import contains, volume
 from okounkov.surface import (
     E,
@@ -168,18 +169,22 @@ def test_check_zariski_on_rescaled_user_list():
         (line, F(3)),))) == ["P + N does not reconstruct the input"]
 
 
-def test_surface_body_grid_bound_refused_before_work(monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the grid guard ran after the support loop")
-
-    monkeypatch.setattr(surface, "_decompose", no_work)
-    with pytest.raises(ValueError, match="MAX_GRID_POINTS = 10000"):
-        surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), 10**9)
-    steps = surface.MAX_GRID_POINTS - 1  # (steps + 1)^1 is just allowed
-    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
-        surface_body_outer(SurfaceModel(1), H(1), [0], F(1), steps + 1)
-    with pytest.raises(AssertionError, match="after the support loop"):
-        surface_body_outer(SurfaceModel(1), H(1), [0], F(1), steps)
+def test_surface_body_chamber_cap_refused(monkeypatch):
+    # Bl2 H at both points: the walk solves 4 supports (the empty one and
+    # H-E1-E2, then two singular pairs).  Past MAX_CHAMBERS it refuses,
+    # having solved exactly that many.
+    solved = []
+    real = surface._solve
+    monkeypatch.setattr(surface, "_solve",
+                        lambda *rows: solved.append(rows[0]) or real(*rows))
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 3)
+    with pytest.raises(ValueError, match="MAX_CHAMBERS = 3"):
+        surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), F(1))
+    assert len(solved) == 3
+    solved.clear()
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 4)
+    body = surface_body_outer(SurfaceModel(2), H(2), [0, 1], F(1, 2), F(1))
+    assert len(solved) == 4 and len(body.vertices) == 6
 
 
 def test_zariski_one_wall():
@@ -304,3 +309,125 @@ def test_surface_json_round_trip():
     assert SurfaceModel.from_json(m.to_json()).neg_curves == m.neg_curves
     c = cls(F(7, 2), 1, -3)
     assert PicClass.from_json(c.to_json()) == c
+
+
+# -- the chamber walk against an exact oracle ----------------------------
+
+def _oracle_body(model, D, points):
+    """The body as the hull of the pieces over every candidate support S of
+    at most s curves with a negative definite Gram matrix.  On S, P(t) =
+    D' - sum t_i E_i - sum a_C(t) C with P.C = 0 for C in S, in Fraction
+    class arithmetic; the piece lies over {t >= 0 : a(t) >= 0, P(t).g >= 0
+    for every other generator g}, with fibre ends 0 and P(t).E_i."""
+    r, flags = len(points), [E(model.s, i) for i in points]
+    Z = zariski(model, D)
+    shift = [sum((a for c, a in Z.negative_support if c == f), F(0))
+             for f in flags]
+    base = D
+    for f, a in zip(flags, shift):
+        base = base - f.scale(a)
+    pts = set()
+    for k in range(model.s + 1):
+        for S in itertools.combinations(model.neg_curves, k):
+            gram = [[intersect(a, b) for b in S] for a in S]
+            if any((-1) ** j * linalg.det([row[:j] for row in gram[:j]]) <= 0
+                   for j in range(1, k + 1)):
+                continue  # not negative definite
+            # Ps[0] is P at t = 0 and Ps[1 + i] its slope in t_i; As holds
+            # the same for the multiplicities.
+            Ps, As = [], []
+            for X in [base] + [f.scale(-1) for f in flags]:
+                a = linalg.solve(gram, [intersect(X, c) for c in S])
+                for c, x in zip(S, a):
+                    X = X - c.scale(x)
+                Ps.append(X)
+                As.append(a)
+            halfs = [(tuple(-As[1 + i][j] for i in range(r)), As[0][j])
+                     for j in range(k)]
+            halfs += [(tuple(-intersect(Ps[1 + i], g) for i in range(r)),
+                       intersect(Ps[0], g))
+                      for g in model.psef_generators() if g not in S]
+            halfs += [(tuple(F(-(i == j)) for i in range(r)), F(0))
+                      for j in range(r)]
+            for t in polytope._vertices_from_constraints(halfs, [], r):
+                P = Ps[0]
+                for ti, Pi in zip(t, Ps[1:]):
+                    P = P + Pi.scale(ti)
+                ends = [((sh + ti, F(0)), (sh + ti, P.m[i]))
+                        for sh, ti, i in zip(shift, t, points)]
+                pts.update(sum(e, ()) for e in itertools.product(*ends))
+    return polytope.hull(pts, 2 * r)
+
+
+def _random_big(rng, s):
+    model = SurfaceModel(s)
+    nefs = [H(s)] + [H(s) - E(s, j) for j in range(s)]
+    while True:
+        D = H(s).scale(rng.randrange(0, 3))
+        for g in rng.sample(nefs, min(2, len(nefs))):
+            D = D + g.scale(rng.randrange(0, 3))
+        for C in rng.sample(model.neg_curves, min(3, len(model.neg_curves))):
+            D = D + C.scale(rng.randrange(0, 3))
+        if is_big(model, D):
+            return model, D
+
+
+def test_surface_body_matches_subset_oracle():
+    rng = random.Random(2024)
+    for _ in range(24):
+        s = rng.randrange(2, 5)  # Bl1 is covered by the fixed cases
+        model, D = _random_big(rng, s)
+        points = sorted(rng.sample(range(s), rng.randrange(1, min(3, s) + 1)))
+        body = surface_body_outer(model, D, points, F(1, 2), F(1))
+        assert body == _oracle_body(model, D, points), (D, points)
+
+
+def test_surface_body_one_point_has_half_the_volume():
+    # r = 1: the body is {(nu + t, y) : 0 <= y <= P(t).E}, of area vol(D)/2.
+    rng = random.Random(8)
+    for s in range(1, 9):
+        for _ in range(2):
+            model, D = _random_big(rng, s)
+            i = rng.randrange(s)
+            body = surface_body_outer(model, D, [i], F(1, 2), F(1))
+            assert 2 * volume(body) == vol(model, D), (D, i)
+
+
+def test_surface_body_anticanonical_bl8():
+    # A grid of step 1/4 misses the chamber vertex (1/3, 4/3): it gave
+    # (1/4, 5/4) and volume 7/16.
+    m8 = SurfaceModel(8)
+    K = cls(3, *[1] * 8)
+    body = surface_body_outer(m8, K, [0], F(1, 4), F(1))
+    assert set(body.vertices) == {(0, 0), (0, 1), (F(1, 3), F(4, 3)),
+                                  (F(1, 2), 0)}
+    assert volume(body) == F(1, 2) == vol(m8, K) / 2
+
+
+def test_surface_body_degenerate_start(monkeypatch):
+    # 2H - E1 - E2 - E3 is nef, but every t != 0 brings in the three lines
+    # at once: the first chamber is the point t = 0, and the walk crosses it
+    # to the support {L12, L13, L23}.
+    solved = []
+    real = surface._solve
+    monkeypatch.setattr(surface, "_solve",
+                        lambda *rows: solved.append(rows[0]) or real(*rows))
+    m3 = SurfaceModel(3)
+    D = cls(2, 1, 1, 1)
+    body = surface_body_outer(m3, D, [0, 1], F(1, 2), F(1))
+    lines = sorted(surface._row(c)[0] for c in m3.neg_curves[3:])
+    assert solved[:2] == [(), tuple(lines)]
+    assert body == _oracle_body(m3, D, [0, 1])
+    assert len(body.vertices) == 6 and volume(body) == F(1, 12)
+
+
+def test_surface_body_grid_keys_shape_nothing():
+    # Bl1 2H: the CLI defaults (step 1/2, t_max 1) used to cut the body at
+    # t = 1, volume 1/2; the body is whole at any step and t_max.
+    m1 = SurfaceModel(1)
+    for step, t_max in [(F(1, 2), F(1)), (F(1, 7), F(0)), (F(3), F(10**9))]:
+        body = surface_body_outer(m1, cls(2, 0), [0], step, t_max)
+        assert set(body.vertices) == {(0, 0), (2, 0), (2, 2)}
+        assert body.meta["t_max"] == format_rat(t_max)
+    with pytest.raises(ValueError, match="grid_step must be positive"):
+        surface_body_outer(m1, cls(2, 0), [0], F(0), F(1))

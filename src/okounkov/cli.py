@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import invariants, registry, render, surface, toric
-from .numbers import format_rat, parse_rat
+from .numbers import RadVal, format_rat, parse_rat
 from .polytope import Polytope
 from .surface import PicClass, SurfaceModel
 
@@ -27,9 +27,7 @@ class InputError(Exception):
 
 
 class CheckFailure(Exception):
-    def __init__(self, msg, payload):
-        super().__init__(msg)
-        self.payload = payload
+    pass
 
 
 def main(argv=None) -> int:
@@ -40,9 +38,8 @@ def main(argv=None) -> int:
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--render", action="store_true",
                       help="also emit an SVG for 2-D polytope results")
-    runp.add_argument("--grid-step", default=None,
-                      help="grid step p/q of surface-body jobs: checked "
-                      "and echoed in meta, the body is exact whatever it is")
+    runp.add_argument("--grid-step", default=None, help="a rational p/q, "
+                      "echoed in surface-body meta; the body is exact")
     runp.add_argument("--m-max", type=int, default=None,
                       help="sampling level cap (semigroup-sample jobs)")
     args = parser.parse_args(argv)
@@ -72,17 +69,18 @@ def _run(args) -> int:
     payload = job.get("input", {})
     if not isinstance(payload, dict):
         raise InputError('job "input" must be an object')
-    _check_input(kind, payload)
+    p = _read_input(kind, payload)
     if args.grid_step is not None:
-        payload = {**payload, "grid_step": args.grid_step}
+        p["grid_step"] = _read_rat(args.grid_step)
+        if p["grid_step"] is _BAD:
+            raise InputError(f"--grid-step is not p/q: {args.grid_step!r}")
     if args.m_max is not None:
-        payload = {**payload, "m_max": args.m_max}
-    result, poly, failed = _HANDLERS[kind](payload)
+        p["m_max"] = args.m_max
+    result, poly, failed = _HANDLERS[kind](p)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_name = job.get("output_path", f"{kind}.json")
-    out_path = out_dir / out_name
+    out_path = out_dir / job.get("output_path", f"{kind}.json")
     doc = {"schema": 1, "kind": kind, "result": result}
     with open(out_path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -91,164 +89,129 @@ def _run(args) -> int:
             raise InputError(f"job kind {kind!r} has no renderable polytope")
         render.render_svg(poly, out_path.with_suffix(".svg"))
     if failed:
-        raise CheckFailure(failed, result)
+        raise CheckFailure(failed)
     print(str(out_path))
     return 0
 
 
-# -- payload parsing helpers -----------------------------------------
+# -- payload helpers -------------------------------------------------
 
-def _model(payload) -> SurfaceModel:
-    if "surface" in payload:
-        return SurfaceModel.from_json(payload["surface"])
-    return SurfaceModel(int(payload["s"]))
-
-
-def _pic(payload, key="class") -> PicClass:
-    return PicClass.from_json(payload[key])
+def _model(p) -> SurfaceModel:
+    return (SurfaceModel.from_json(p["surface"]) if "surface" in p
+            else SurfaceModel(p["s"]))
 
 
-def _toric_parts(payload):
-    if "fixture" in payload:
-        fx = toric.load_fixture(payload["fixture"])
-        fan = fx["fan"]
-        D = fx["divisors"][payload["divisor"]]
-        flags = fx["flags"][payload["flags"]]
-    else:
-        fan = toric.Fan.from_json(payload["fan"])
-        D = toric.ToricDivisor.from_json(payload["divisor"])
-        flags = toric.ToricFlagSpec.from_json(payload["flags"])
-    return fan, D, flags
+def _known(names, key, p, of=""):
+    if p[key] not in names:
+        raise InputError(f"input key {key!r} names no {key}{of}: {p[key]!r}; "
+                         f"accepted: {', '.join(sorted(names))}")
 
 
-# -- job handlers ----------------------------------------------------
-# Each returns (result-json, renderable-polytope-or-None, failure-msg-or-None).
+def _toric_parts(p):
+    if "fan" in p:
+        return (toric.Fan.from_json(p["fan"]),
+                toric.ToricDivisor.from_json(p["divisor"]),
+                toric.ToricFlagSpec.from_json(p["flags"]))
+    _known(toric.fixture_names(), "fixture", p)
+    fx = toric.load_fixture(p["fixture"])
+    _known(fx["divisors"], "divisor", p, f" of fixture {p['fixture']!r}")
+    _known(fx["flags"], "flags", p, f" of fixture {p['fixture']!r}")
+    return fx["fan"], fx["divisors"][p["divisor"]], fx["flags"][p["flags"]]
+
+
+def _body(p):
+    """(body, n, r, vol_x) of the named fixture, or of the inline body."""
+    if "fixture" in p:
+        fx = registry.invariant_setup(p["fixture"])
+        return fx.body, fx.n, fx.r, fx.vol_x
+    return Polytope.from_json(p["body"]), p["n"], p["r"], p.get("vol_x")
+
+
+# -- job handlers: each takes the input that _read_input read and returns
+# (result-json, renderable-polytope-or-None, failure-msg-or-None).
 
 def _job_toric_body(p):
-    fan, D, flags = _toric_parts(p)
-    body = toric.extended_body_toric(fan, D, flags)
+    body = toric.extended_body_toric(*_toric_parts(p))
     return body.to_json(), body, None
 
 
 def _job_semigroup_sample(p):
-    fan, D, flags = _toric_parts(p)
-    m_max = int(p.get("m_max", 3))
-    body = toric.semigroup_body_approx(fan, D, flags, m_max)
-    out = body.to_json()
-    out["m_max"] = m_max
-    return out, body, None
+    m_max = p.get("m_max", 3)
+    body = toric.semigroup_body_approx(*_toric_parts(p), m_max)
+    return {**body.to_json(), "m_max": m_max}, body, None
 
 
 def _job_surface_zariski(p):
-    model = _model(p)
-    D = _pic(p)
+    model, D = _model(p), p["class"]
     Z = surface.zariski(model, D)
     bad = surface.check_zariski(model, D, Z)
-    out = Z.to_json()
-    out["violations"] = bad
-    return out, None, ("; ".join(bad) if bad else None)
+    return {**Z.to_json(), "violations": bad}, None, "; ".join(bad) or None
 
 
 def _job_surface_body(p):
     model = _model(p)
-    D = _pic(p)
-    points = p.get("points", range(model.s))
-    step = parse_rat(p.get("grid_step", "1/2"))
-    t_max = parse_rat(p.get("t_max", "1"))
-    body = surface.surface_body_outer(model, D, points, step, t_max)
-    out = body.to_json()
-    out["meta"] = dict(body.meta)
+    body = surface.surface_body_outer(
+        model, p["class"], p.get("points", range(model.s)),
+        p.get("grid_step", Fraction(1, 2)), p.get("t_max", Fraction(1)))
+    out = {**body.to_json(), "meta": dict(body.meta)}
     return out, (body if body.ambient_dim <= 2 else None), None
 
 
 def _job_seshadri(p):
-    model = _model(p)
-    L = _pic(p)
-    w = [parse_rat(x) for x in p["weights"]]
-    eps = invariants.seshadri_eps(model, L, w)
+    eps = invariants.seshadri_eps(_model(p), p["class"], p["weights"])
     return {"epsilon": eps.to_json()}, None, None
 
 
 def _job_nakayama(p):
-    model = _model(p)
-    L = _pic(p)
-    mu = invariants.nakayama_mu(model, L, p.get("points"))
+    mu = invariants.nakayama_mu(_model(p), p["class"], p.get("points"))
     return {"mu": mu.to_json()}, None, None
 
 
 def _job_xi(p):
-    if "fixture" in p:
-        fx = registry.invariant_setup(p["fixture"])
-        body, n, r = fx.body, fx.n, fx.r
-    else:
-        body = Polytope.from_json(p["body"])
-        n, r = int(p["n"]), int(p["r"])
-    w = [parse_rat(x) for x in p["weights"]]
-    xi = invariants.xi_constant(body, w, n, r)
+    body, n, r, _ = _body(p)
+    xi = invariants.xi_constant(body, p["weights"], n, r)
     return {"xi": format_rat(xi)}, None, None
 
 
 def _job_eps_xi_check(p):
     fx = registry.invariant_setup(p["fixture"])
-    model = SurfaceModel(fx.s)
-    w = [parse_rat(x) for x in p["weights"]]
-    rep = invariants.check_eps_eq_xi(model, fx.L, w, fx.body, fx.n)
-    ok = rep.all_pass()
-    return rep.to_json(), None, (None if ok else "eps != xi")
+    rep = invariants.check_eps_eq_xi(SurfaceModel(fx.s), fx.L, p["weights"],
+                                     fx.body, fx.n)
+    return rep.to_json(), None, (None if rep.all_pass() else "eps != xi")
 
 
 def _job_slice_volume(p):
-    if "fixture" in p:
-        fx = registry.invariant_setup(p["fixture"])
-        body, n, r, vol_x = fx.body, fx.n, fx.r, fx.vol_x
-    else:
-        body = Polytope.from_json(p["body"])
-        n, r = int(p["n"]), int(p["r"])
-        vol_x = parse_rat(p["vol_x"])
-    w = [parse_rat(x) for x in p["weights"]]
-    rep = invariants.slice_volume_check(body, w, n, r, vol_x)
+    body, n, r, vol_x = _body(p)
+    rep = invariants.slice_volume_check(body, p["weights"], n, r, vol_x)
     ok = rep.all_pass()
     return rep.to_json(), None, (None if ok else "slice-volume check failed")
 
 
 def _job_nagata(p):
-    verdict = invariants.nagata_check(
-        int(p["r"]), parse_rat(p["d"]), [parse_rat(x) for x in p["m"]]
-    )
+    verdict = invariants.nagata_check(p["r"], p["d"], p["m"])
     return {"nagata_bound_holds": bool(verdict)}, None, None
 
 
 def _job_standard_form(p):
-    verdict = invariants.is_standard_form(
-        parse_rat(p["d"]), [parse_rat(x) for x in p["m"]]
-    )
+    verdict = invariants.is_standard_form(p["d"], p["m"])
     return {"standard_form": bool(verdict)}, None, None
 
 
 def _job_irrationality(p):
-    out = invariants.irrationality_certificate(
-        int(p["s"]), parse_rat(p["d"]), [parse_rat(x) for x in p["m"]]
-    )
+    out = invariants.irrationality_certificate(p["s"], p["d"], p["m"])
     return _jsonify(out), None, None
 
 
 def _job_homogeneous(p):
-    out = invariants.homogeneous_eps(
-        int(p["s"]), parse_rat(p["d"]), parse_rat(p["c"])
-    )
+    out = invariants.homogeneous_eps(p["s"], p["d"], p["c"])
     return _jsonify(out), None, None
 
 
 def _job_nef_boundary(p):
-    out = invariants.nef_boundary_check(
-        parse_rat(p["d"]), [parse_rat(x) for x in p["m"]]
-    )
-    return _jsonify(out), None, None
+    return _jsonify(invariants.nef_boundary_check(p["d"], p["m"])), None, None
 
 
 def _jsonify(obj):
-    from .numbers import RadVal
-
     if isinstance(obj, RadVal):
         return obj.to_json()
     if isinstance(obj, Fraction):
@@ -277,48 +240,55 @@ _HANDLERS = {
     "nef-boundary": _job_nef_boundary,
 }
 
-# The kinds of input value, by what a message calls them.  A bool is not an
-# integer; a rational is a "p/q" string or an integer.
-def _rational(v) -> bool:
+# The reader of each kind of value, by what a message calls it: the value as
+# the handlers take it, or _BAD.  A bool is not an integer, a rational is "p/q"
+# or an integer; strings, objects, surfaces and bodies pass through unchanged.
+_BAD = object()
+
+
+def _read_rat(v):
     try:
-        return type(v) is not bool and parse_rat(v) is not None
+        return _BAD if type(v) is bool else parse_rat(v)
     except ValueError:
-        return False
+        return _BAD
 
 
-def _rationals(v) -> bool:
-    return isinstance(v, list) and all(map(_rational, v))
+def _read_rats(v):
+    out = list(map(_read_rat, v)) if isinstance(v, list) else [_BAD]
+    return _BAD if _BAD in out else out
 
 
-def _class(v) -> bool:
-    return (isinstance(v, dict) and v.keys() == {"d", "m"}
-            and _rational(v["d"]) and _rationals(v["m"]))
+def _read_class(v):
+    if not (isinstance(v, dict) and v.keys() == {"d", "m"}):
+        return _BAD
+    d, m = _read_rat(v["d"]), _read_rats(v["m"])
+    return _BAD if _BAD in (d, m) else PicClass(d, tuple(m))
 
 
 _KINDS = {
-    "an integer": lambda v: type(v) is int,
-    "a rational": _rational,
-    "a list of rationals": _rationals,
-    "a string": lambda v: isinstance(v, str),
-    "an object": lambda v: isinstance(v, dict),
-    "a class {d, m}": _class,
-    "a surface {s, mode, neg_curves}": lambda v: (
+    "an integer": lambda v: v if type(v) is int else _BAD,
+    "a rational": _read_rat,
+    "a list of rationals": _read_rats,
+    "a string": lambda v: v if isinstance(v, str) else _BAD,
+    "an object": lambda v: v if isinstance(v, dict) else _BAD,
+    "a class {d, m}": _read_class,
+    "a surface {s, mode, neg_curves}": lambda v: v if (
         isinstance(v, dict) and type(v.get("s")) is int
         and isinstance(v.get("mode", ""), str)
         and isinstance(v.get("neg_curves", []), list)
-        and all(map(_class, v.get("neg_curves", [])))),
-    "a body {ambient_dim, vertices}": lambda v: (
+        and _BAD not in map(_read_class, v.get("neg_curves", []))) else _BAD,
+    "a body {ambient_dim, vertices}": lambda v: v if (
         isinstance(v, dict) and type(v.get("ambient_dim")) is int
         and isinstance(v.get("vertices"), list)
-        and all(map(_rationals, v["vertices"]))),
+        and _BAD not in map(_read_rats, v["vertices"])) else _BAD,
     # surface.flag_points checks them against s, before any work.
-    "flag points": lambda v: True,
+    "flag points": lambda v: v,
 }
 
 # The input forms of each kind: key -> (kind of value, required).  A job
 # takes the first form whose first key it gives, else the last form.  Kept
 # apart from _HANDLERS so that a handler can be swapped without redeclaring
-# them; _check_input enforces them before any work.
+# them; _read_input reads the input by them before any work.
 _SURFACE = {"surface": ("a surface {s, mode, neg_curves}", True),
             "class": ("a class {d, m}", True)}
 _S = {"s": ("an integer", True), "class": ("a class {d, m}", True)}
@@ -364,9 +334,9 @@ _INPUT_KEYS = {kind: set().union(*forms)
                for kind, forms in _INPUT_FORMS.items()}
 
 
-def _check_input(kind, payload) -> None:
-    """InputError naming the first key of payload that the kind refuses:
-    unknown, not of the chosen form, of the wrong kind, or missing."""
+def _read_input(kind, payload) -> dict:
+    """The payload read by the declared kind of each value; an InputError
+    names the first key refused: unknown, of another form or kind, missing."""
     unknown = sorted(set(payload) - _INPUT_KEYS[kind])
     if unknown:
         raise InputError(
@@ -374,17 +344,20 @@ def _check_input(kind, payload) -> None:
             f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
     forms = _INPUT_FORMS[kind]
     form = next((f for f in forms if next(iter(f)) in payload), forms[-1])
+    out = {}
     for key in sorted(payload):
         if key not in form:
             raise InputError(f"input key {key!r} does not go with "
                              f"{next(iter(form))!r} in job kind {kind!r}")
-        if not _KINDS[form[key][0]](payload[key]):
+        out[key] = _KINDS[form[key][0]](payload[key])
+        if out[key] is _BAD:
             raise InputError(f"input key {key!r} of job kind {kind!r} must "
                              f"be {form[key][0]}, got {payload[key]!r}")
     for key, (what, required) in form.items():
         if required and key not in payload:
             raise InputError(f"missing input key {key!r} ({what}) for job "
                              f"kind {kind!r}")
+    return out
 
 if __name__ == "__main__":
     sys.exit(main())

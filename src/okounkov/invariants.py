@@ -191,13 +191,11 @@ def slice_volume_check(body: Polytope, w, n: int, r: int,
     return rep
 
 
-def bounds_sandwich(model: SurfaceModel, L: PicClass,
-                    r: int | None = None) -> InvariantReport:
-    """mu - sqrt(mu^2 - L^2/r) <= eps <= L^2 / (r mu), with the equality
-    clause eps = sqrt(L^2/r) iff mu = sqrt(L^2/r)."""
-    r = model.s if r is None else r
-    if r != model.s:
-        raise ValueError("sandwich uses equal weights at all s points")
+def bounds_sandwich(model: SurfaceModel, L: PicClass) -> InvariantReport:
+    """mu - sqrt(mu^2 - L^2/r) <= eps <= L^2 / (r mu) at all r = s points
+    with equal weights, with the equality clause eps = sqrt(L^2/r) iff
+    mu = sqrt(L^2/r)."""
+    r = model.s
     if any(x != 0 for x in L.m):
         raise ValueError("the sandwich needs a class pulled back from P^2 "
                          "(d*H with every m_i = 0)")

@@ -222,16 +222,22 @@ def is_nef(model: SurfaceModel, D: PicClass) -> bool:
 
 def _solve(support, *xs):
     """The support solver: support and xs are integer rows, b = q_b c and
-    x = q X with scales q > 0.  None when the Gram matrix G of the support
-    is singular; else (det, [(p, n) for each x]) with det = |det G| > 0,
-    n = det * y for G y = (x.b)_b and p = det * x - sum n_b b: on a chamber
-    with this support, P(X) = p / (det q) and c has multiplicity
-    q_b n_b / (det q) (Bauer 2009)."""
+    x = q X with scales q > 0.  None unless the Gram matrix G of the support
+    is negative definite, as the support of a Zariski chamber is; else (det,
+    [(p, n) for each x]) with det = |det G| > 0, n = det * y for G y =
+    (x.b)_b and p = det * x - sum n_b b: on a chamber with this support,
+    P(X) = p / (det q) and c has multiplicity q_b n_b / (det q) (Bauer
+    2009)."""
     k = len(support)
     m = [[_dot(a, b) for b in support] + [_dot(x, a) for x in xs]
          for a in support]
     det = linalg.bareiss(m, k, jordan=True)
-    if det == 0:
+    # Sylvester's criterion: G is negative definite iff its leading minors
+    # alternate in sign from negative, and with no row swap they are the
+    # pivots m[c][c].  A swap follows a zero minor, and then the last pivot,
+    # det G, has the wrong sign: G has a positive eigenvalue, and by the
+    # Hodge index theorem only one.
+    if det == 0 or any((m[c][c] < 0) != (c % 2 == 0) for c in range(k)):
         return None
     out = []
     for j, x in enumerate(xs):
@@ -436,10 +442,11 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     of D' makes one _solve per support, _dd gives the chamber's vertices and
     the walls tight at each, and the walls tight on the same vertices are
     crossed together (support curves leave, curves enter), in lower-
-    dimensional chambers too, unless that leaves t >= 0.  A support off the
-    tiling gives P.E_i no larger (N is minimal), so the body is the hull of
-    all fibre ends.  grid_step > 0 and t_max >= 0 are checked and echoed in
-    meta only; past MAX_CHAMBERS supports the walk is refused.
+    dimensional chambers too, unless that leaves t >= 0.  Only negative
+    definite supports are solved, and on them P nef and N >= 0 is the
+    Zariski decomposition, so the body is the hull of all fibre ends.
+    grid_step > 0 and t_max >= 0 are checked and echoed in meta only; past
+    MAX_CHAMBERS supports the walk is refused.
     """
     points = flag_points(model, points)
     grid_step, t_max = Fraction(grid_step), Fraction(t_max)
@@ -463,7 +470,7 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     for k, supp in enumerate(todo):  # todo grows as the walk goes
         if k == MAX_CHAMBERS:
             raise ValueError(f"chamber walk exceeds MAX_CHAMBERS = {MAX_CHAMBERS}")
-        if not (sol := len(supp) <= model.s and _solve(supp, x, *us)):
+        if not (sol := _solve(supp, x, *us)):
             continue
         # Rows on (tau, t), the point t / tau, times det q > 0: P is p0 tau +
         # q sum t_i p_i, and the multiplicities are n0 tau + q sum t_i n_i.

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from okounkov import cli, surface, toric
 from okounkov.cli import main
+from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
 
 
@@ -298,6 +300,60 @@ def test_override_flags_are_not_input_keys(tmp_path):
         "input": {"r": 9, "d": "3", "m": ["1"] * 9},
     }, extra=["--grid-step", "1/4", "--m-max", "2"])
     assert code == 0
+
+
+# A bundled job of each kind.
+_JOB_OF_KIND = {json.loads(p.read_text())["kind"]: p for p in sorted(
+    (Path(__file__).parent.parent / "jobs").glob("*.json"))}
+
+
+@pytest.mark.parametrize("kind", cli._HANDLERS)
+def test_malformed_grid_step_exit_1_for_every_kind(tmp_path, capsys, kind):
+    # The flag is read as a rational before any work, whatever the kind.
+    out = tmp_path / "results"
+    code = main(["run", "--job", str(_JOB_OF_KIND[kind]), "--out", str(out),
+                 "--grid-step", "x"])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == "input error: --grid-step is not " \
+        "p/q: 'x'\n"
+
+
+def test_each_rational_is_read_once(tmp_path, monkeypatch):
+    # The input table reads each value once: no handler parses it again.
+    seen = []
+
+    def counting(v):
+        seen.append(v)
+        return parse_rat(v)
+
+    for module in (cli, surface):
+        monkeypatch.setattr(module, "parse_rat", counting)
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "seshadri",
+        "input": {"s": 2, "class": {"d": "1", "m": ["0", "1/2"]},
+                  "weights": ["2", "1"]},
+    })
+    assert code == 0
+    assert sorted(seen) == ["0", "1", "1", "1/2", "2"]
+
+
+@pytest.mark.parametrize("names, message", [
+    (("nosuch", "O1", "inf"), "input key 'fixture' names no fixture: "
+     "'nosuch'; accepted: " + ", ".join(toric.fixture_names())),
+    (("bl1p2", "O9", "inf"), "input key 'divisor' names no divisor of "
+     "fixture 'bl1p2': 'O9'; accepted: "
+     + ", ".join(sorted(toric.load_fixture("bl1p2")["divisors"]))),
+    (("bl1p2", "O1", "nope"), "input key 'flags' names no flags of fixture "
+     "'bl1p2': 'nope'; accepted: "
+     + ", ".join(sorted(toric.load_fixture("bl1p2")["flags"]))),
+], ids=["fixture", "divisor", "flags"])
+@pytest.mark.parametrize("kind", ["toric-body", "semigroup-sample"])
+def test_unknown_fixture_name_exit_1(tmp_path, capsys, kind, names,
+                                     message):
+    code, out = run_job(tmp_path, {"schema": 1, "kind": kind, "input": dict(
+        zip(("fixture", "divisor", "flags"), names))})
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_toric_body_job_inline_fan(tmp_path):

@@ -680,13 +680,15 @@ def test_integer_kernel_matches_fraction_reference(case):
 
 def _ref_project(support, *classes):
     """(X - sum a_c c, a) per class X with Gram(support) a = (X.c)_c, by
-    Fraction intersections and linalg.rref; None when Gram is singular."""
+    Fraction intersections and linalg.rref; None unless Gram is negative
+    definite, read off its leading minors (Sylvester's criterion)."""
     k = len(support)
-    red, pivots = linalg.rref([[surface.intersect(a, b) for b in support]
-                               + [surface.intersect(X, a) for X in classes]
-                               for a in support])
-    if pivots != list(range(k)):
+    gram = [[surface.intersect(a, b) for b in support] for a in support]
+    if any(linalg.det([row[:j] for row in gram[:j]]) * (-1) ** j <= 0
+           for j in range(1, k + 1)):
         return None
+    red, _ = linalg.rref([row + [surface.intersect(X, a) for X in classes]
+                          for row, a in zip(gram, support)])
     out = []
     for j, X in enumerate(classes):
         a = tuple(row[k + j] for row in red)

@@ -30,7 +30,7 @@ class CheckFailure(Exception):
     pass
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="okounkov")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a JSON job file")
@@ -42,7 +42,14 @@ def main(argv=None) -> int:
                       "echoed in surface-body meta; the body is exact")
     runp.add_argument("--m-max", type=int, default=None,
                       help="sampling level cap (semigroup-sample jobs)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _parser()  # built once, at import: main only parses
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return _run(args)
     except CheckFailure as exc:

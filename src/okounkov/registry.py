@@ -59,7 +59,8 @@ def invariant_setup(name: str) -> FixtureSetup:
         )
         return FixtureSetup(name, 1, 1, 2, D, body,
                             surface.vol(model, D), False)
-    raise ValueError(f"unknown invariant fixture {name!r}")
+    raise ValueError(f"unknown invariant fixture {name!r}; accepted: "
+                     f"{', '.join(INVARIANT_FIXTURES)}")
 
 
 def model_for(name: str) -> SurfaceModel:

@@ -191,12 +191,6 @@ class ZariskiDecomp:
     positive: PicClass
     negative_support: tuple[tuple[PicClass, Fraction], ...]
 
-    def negative_part(self) -> PicClass:
-        n = PicClass(0, (0,) * self.positive.s)
-        for c, a in self.negative_support:
-            n = n + c.scale(a)
-        return n
-
     def to_json(self) -> dict:
         return {
             "positive": self.positive.to_json(),
@@ -213,11 +207,26 @@ def is_psef(model: SurfaceModel, D: PicClass) -> bool:
     if model.mode == "user":
         cols = [[g.d] + [-x for x in g.m] for g in model.psef_generators()]
         return lp.in_cone(cols, [D.d] + [-x for x in D.m])
-    return _decompose(model, D) is not None
+    return _support(model, D) is not None
 
 
 def is_nef(model: SurfaceModel, D: PicClass) -> bool:
     return min(_dots(model._rows, _row(D)[0])) >= 0
+
+
+def _negative_definite(m, k: int, jordan: bool = False) -> int:
+    """linalg.bareiss(m, k, jordan) of an integer matrix whose leading k x k
+    block G is a Gram matrix under _dot, or 0 unless G is negative
+    definite."""
+    det = linalg.bareiss(m, k, jordan)
+    # Sylvester's criterion: G is negative definite iff its leading minors
+    # alternate in sign from negative, and with no row swap they are the
+    # pivots m[c][c].  A swap follows a zero minor, and then the last pivot,
+    # det G, has the wrong sign: G has a positive eigenvalue, and by the
+    # Hodge index theorem only one.
+    if det == 0 or any((m[c][c] < 0) != (c % 2 == 0) for c in range(k)):
+        return 0
+    return det
 
 
 def _solve(support, *xs):
@@ -231,13 +240,8 @@ def _solve(support, *xs):
     k = len(support)
     m = [[_dot(a, b) for b in support] + [_dot(x, a) for x in xs]
          for a in support]
-    det = linalg.bareiss(m, k, jordan=True)
-    # Sylvester's criterion: G is negative definite iff its leading minors
-    # alternate in sign from negative, and with no row swap they are the
-    # pivots m[c][c].  A swap follows a zero minor, and then the last pivot,
-    # det G, has the wrong sign: G has a positive eigenvalue, and by the
-    # Hodge index theorem only one.
-    if det == 0 or any((m[c][c] < 0) != (c % 2 == 0) for c in range(k)):
+    det = _negative_definite(m, k, jordan=True)
+    if not det:
         return None
     out = []
     for j, x in enumerate(xs):
@@ -249,9 +253,12 @@ def _solve(support, *xs):
     return det, out
 
 
-def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
-    """Zariski decomposition D = P + N by support growth, or None exactly
-    when D is not pseudoeffective.
+def _support(model: SurfaceModel, D: PicClass):
+    """The Zariski decomposition D = P + N by support growth, as integer
+    state: (support, p, n, den), or None exactly when D is not
+    pseudoeffective.  support lists indices into model.neg_curves, P = p /
+    den, and the curve support[j], whose row is q C, has multiplicity
+    q n[j] / den (zero for a curve that joined the support and left N).
 
     For psef D and a complete curve list each stage's support lies in
     Neg(D): its Gram matrix is negative definite, the multiplicities stay
@@ -270,13 +277,7 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
         new = [k for k, v in zip(range(len(model.neg_curves)), dots) if v < 0]
         if not new:
             if min(dots) >= 0:  # P is nef
-                den = det * q
-                P = PicClass(Fraction(p[0], den),
-                             tuple(Fraction(v, den) for v in p[1:]))
-                curves = [model.neg_curves[k] for k in support]
-                return ZariskiDecomp(P, tuple(
-                    (c, Fraction(_row(c)[1] * nb, den))
-                    for c, nb in zip(curves, n) if nb != 0))
+                return support, p, n, det * q
             break
         support.extend(new)
         if len(support) > model.s:
@@ -293,6 +294,14 @@ def _decompose(model: SurfaceModel, D: PicClass) -> ZariskiDecomp | None:
     return None
 
 
+def _big(model: SurfaceModel, D: PicClass, what: str):
+    """_support(model, D) of a big D, else a ValueError."""
+    sup = _support(model, D)
+    if sup is None or _dot(sup[1], sup[1]) <= 0:
+        raise ValueError(f"{what} computed for big classes only")
+    return sup
+
+
 def chambers(model: SurfaceModel, L: PicClass, w):
     """The Zariski chambers of L - t W, W = sum w_i E_i, w_i >= 0, t >= 0,
     in order (Bauer, Kuronya & Szemberg, Crelle 2004); none if L is not
@@ -306,14 +315,14 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     """
     lrow, qL = _row(L)
     wrow, qW = _row(PicClass(0, tuple(w)))  # the row of -W
-    # A nef L starts with empty support: on built-in rows _decompose would
-    # return (L, ()), and on a user list nef counts as psef.
+    # A nef L starts with empty support: on built-in rows _support would
+    # return it, and on a user list nef counts as psef.
     supp, dots = [], _dots(model._rows, lrow)
     if min(dots) < 0:
-        Z = _decompose(model, L)
-        if Z is None:
+        sup = _support(model, L)
+        if sup is None:
             return
-        supp = [_row(c)[0] for c, _ in Z.negative_support]
+        supp = [model._rows[k] for k, nb in zip(sup[0], sup[2]) if nb]
     tn, td = 0, 1
     for _ in range(10000):
         # P(t) = p0 / (det qL) + t p1 / (det qW), and the k-th support curve
@@ -356,36 +365,46 @@ def chambers(model: SurfaceModel, L: PicClass, w):
 
 def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
     """Zariski decomposition D = P + N by iterative support growth."""
-    Z = _decompose(model, D)
-    if Z is None:
+    sup = _support(model, D)
+    if sup is None:
         raise ValueError("Zariski decomposition needs a pseudoeffective class")
-    return Z
+    support, p, n, den = sup
+    P = PicClass(Fraction(p[0], den), tuple(Fraction(v, den) for v in p[1:]))
+    curves = [model.neg_curves[k] for k in support]
+    return ZariskiDecomp(P, tuple((c, Fraction(_row(c)[1] * nb, den))
+                                  for c, nb in zip(curves, n) if nb))
 
 
 def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[str]:
-    """Return a list of violated Zariski-decomposition invariants (empty = ok)."""
+    """Return a list of violated Zariski-decomposition invariants (empty = ok).
+
+    An audit of Z's own fields on integer rows, independent of how Z was
+    computed: P + N is compared with D over one common denominator.
+    """
     bad = []
-    if not is_nef(model, Z.positive):
+    p, qP = _row(Z.positive)
+    if min(_dots(model._rows, p)) < 0:
         bad.append("positive part not nef")
-    p, _ = _row(Z.positive)
-    rows = [_row(c)[0] for c, _ in Z.negative_support]
-    for (_, a), c in zip(Z.negative_support, rows):
+    x, qD = _row(D)
+    rows = [(_row(c), a) for c, a in Z.negative_support]
+    # a C = a_num * row / (q a_den) for the row q C of C.
+    den = math.lcm(qP, qD, *(q * a.denominator for (_, q), a in rows))
+    recon = [v * (den // qP) for v in p]
+    for (c, q), a in rows:
         if a <= 0:
             bad.append("nonpositive multiplicity in negative part")
         if _dot(p, c) != 0:
             bad.append("positive part meets a support curve")
-    recon = Z.positive + Z.negative_part()
-    if not (recon - D).is_zero():
+        f = a.numerator * (den // (q * a.denominator))
+        recon = [v + f * w for v, w in zip(recon, c)]
+    if recon != [v * (den // qD) for v in x]:
         bad.append("P + N does not reconstruct the input")
-    if rows:
-        # The Gram matrix of the rows: its k-th leading minor is that of the
-        # curves times the square of the product of their scales.
-        gram = [[_dot(a, b) for b in rows] for a in rows]
-        for k in range(1, len(rows) + 1):
-            minor = linalg.det([row[:k] for row in gram[:k]])
-            if (minor > 0) != (k % 2 == 0) or minor == 0:
-                bad.append("support intersection matrix not negative definite")
-                break
+    # The Gram matrix of the rows: its k-th leading minor is that of the
+    # curves times the square of the product of their scales.
+    if rows and not _negative_definite(
+            [[_dot(a, b) for (b, _), _ in rows] for (a, _), _ in rows],
+            len(rows)):
+        bad.append("support intersection matrix not negative definite")
     return bad
 
 
@@ -394,8 +413,11 @@ def is_big(model: SurfaceModel, D: PicClass) -> bool:
 
 
 def vol(model: SurfaceModel, D: PicClass) -> Fraction:
-    Z = _decompose(model, D)
-    return Fraction(0) if Z is None else intersect(Z.positive, Z.positive)
+    """P^2, read off the integer state of the support loop; 0 unless D is
+    psef."""
+    sup = _support(model, D)
+    return Fraction(0) if sup is None else Fraction(_dot(sup[1], sup[1]),
+                                                    sup[3] ** 2)
 
 
 def base_loci(model: SurfaceModel, D: PicClass) -> dict:
@@ -404,12 +426,9 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     bminus = support of the Zariski negative part; bplus additionally
     collects the model curves orthogonal to the positive part.
     """
-    Z = _decompose(model, D)
-    if Z is None or intersect(Z.positive, Z.positive) <= 0:
-        raise ValueError("base loci computed for big classes only")
-    bminus = [c for c, _ in Z.negative_support]
-    extra = [C for C, x in zip(model.neg_curves,
-                               _dots(model._rows, _row(Z.positive)[0]))
+    support, p, n, _ = _big(model, D, "base loci")
+    bminus = [model.neg_curves[k] for k, nb in zip(support, n) if nb]
+    extra = [C for C, x in zip(model.neg_curves, _dots(model._rows, p))
              if x == 0 and C not in bminus]
     return {"bminus": bminus, "bplus": bminus + extra}
 
@@ -455,17 +474,17 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     r = len(points)
-    Z0 = _decompose(model, D)
-    if Z0 is None or intersect(Z0.positive, Z0.positive) <= 0:
-        raise ValueError("surface body computed for big classes only")
+    support, _, n, den = _big(model, D, "surface body")
     flags = [E(model.s, i) for i in points]
-    N0 = dict(Z0.negative_support)
-    shift = [N0.get(f, Fraction(0)) for f in flags]
+    # The rows of N(D)'s curves, and the multiplicity of each E_i (scale 1).
+    N0 = {model.neg_curves[k]: (nb, model._rows[k])
+          for k, nb in zip(support, n) if nb}
+    shift = [Fraction(N0[f][0] if f in N0 else 0, den) for f in flags]
     x, q = _row(sum((f.scale(-a) for f, a in zip(flags, shift)), D))
     us = [_row(f.scale(-1))[0] for f in flags]  # D_t = D' + sum t_i us_i
     curves = set(model._rows[:len(model.neg_curves)])
     unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
-    todo = [tuple(sorted(_row(c)[0] for c in N0 if c not in flags))]
+    todo = [tuple(sorted(row for c, (_, row) in N0.items() if c not in flags))]
     seen, pts = set(todo), []
     for k, supp in enumerate(todo):  # todo grows as the walk goes
         if k == MAX_CHAMBERS:

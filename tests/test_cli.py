@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from okounkov import cli, surface, toric
+from okounkov import cli, registry, surface, toric
 from okounkov.cli import main
 from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
@@ -354,6 +354,27 @@ def test_unknown_fixture_name_exit_1(tmp_path, capsys, kind, names,
         zip(("fixture", "divisor", "flags"), names))})
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["xi", "eps-xi-check", "slice-volume"])
+def test_unknown_invariant_fixture_exit_1(tmp_path, capsys, kind):
+    code, out = run_job(tmp_path, {"schema": 1, "kind": kind, "input": {
+        "fixture": "nosuch", "weights": ["1"]}})
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "input error: unknown invariant fixture 'nosuch'; accepted: "
+        + ", ".join(registry.INVARIANT_FIXTURES) + "\n")
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    # The parser is built once, at import; a call of main only parses.
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    code, out = run_job(tmp_path, {"schema": 1, "kind": "standard-form",
+                                   "input": {"d": "3", "m": ["1", "1"]}})
+    assert code == 0 and (out / "standard-form.json").exists()
 
 
 def test_toric_body_job_inline_fan(tmp_path):

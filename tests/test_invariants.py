@@ -107,13 +107,13 @@ def test_one_support_loop_per_nakayama_and_xi_criterion(monkeypatch, setups):
     from okounkov import surface
 
     calls = []
-    real = surface._decompose
+    real = surface._support
 
     def counted(model, D):
         calls.append(D)
         return real(model, D)
 
-    monkeypatch.setattr(surface, "_decompose", counted)
+    monkeypatch.setattr(surface, "_support", counted)
     # The walk decides a nef class off its first scan, with no loop.
     nakayama_mu(SurfaceModel(3), PicClass(3, (0, 0, 0)))
     assert len(calls) == 0
@@ -163,10 +163,10 @@ def test_curve_scans_make_no_fraction_intersections(monkeypatch):
     monkeypatch.setattr(invariants, "intersect", counted)
     monkeypatch.setattr(surface, "_solve", solve)
     model = SurfaceModel(8)
-    assert surface._decompose(model, PicClass(3, (1,) * 8)) is not None
+    assert surface._support(model, PicClass(3, (1,) * 8)) is not None
     assert solved == []
     # 3H - 2E_1 - 2E_2 has the line through the two points as support.
-    Z = surface._decompose(model, PicClass(3, (2, 2) + (0,) * 6))
+    Z = surface.zariski(model, PicClass(3, (2, 2) + (0,) * 6))
     assert [a for _, a in Z.negative_support] == [1] and solved == [1]
 
     mu = nakayama_mu(model, H(8).scale(3))
@@ -550,7 +550,7 @@ def test_bad_flag_points_refused_before_work(monkeypatch, points):
     def no_work(*args):
         raise AssertionError("the flag check ran after the support loop")
 
-    monkeypatch.setattr(surface, "_decompose", no_work)
+    monkeypatch.setattr(surface, "_support", no_work)
     model = SurfaceModel(3)
     D = PicClass(3, (-1, 0, 0))  # 3H + E_1 is not nef: every call needs a loop
     calls = [

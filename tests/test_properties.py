@@ -657,12 +657,20 @@ def test_integer_kernel_matches_fraction_reference(case):
     model, D, w = case
     assert surface.is_nef(model, D) == _ref_is_nef(model, D)
     want = _ref_decompose(model, D)
-    Z = surface._decompose(model, D)
+    # is_psef, vol and is_big read the support loop's integer state, and
+    # check_zariski audits zariski's Fractions on integer rows.
+    assert surface.is_psef(model, D) == (want is not None)
+    v = surface.vol(model, D)
+    assert v == (0 if want is None else surface.intersect(want[0], want[0]))
+    assert surface.is_big(model, D) == (v > 0)
     if want is None:
-        assert Z is None
+        with pytest.raises(ValueError, match="pseudoeffective"):
+            surface.zariski(model, D)
         return
     P, support = want
+    Z = surface.zariski(model, D)
     assert (Z.positive, Z.negative_support) == (P, support)
+    assert surface.check_zariski(model, D, Z) == []
     assert invariants.seshadri_eps(model, P, w) == _ref_seshadri(model, P, w)
     if surface.intersect(P, P) > 0:
         bminus = [c for c, _ in support]
@@ -757,13 +765,13 @@ def test_project_singular_gram_gives_none():
 def _ref_nakayama(model, L, points):
     """The chamber walk on Fraction crossings and intersections; at the
     nearest wall it rescans the same chamber to find the walls reached."""
-    Z = surface._decompose(model, L)
-    if Z is None or surface.intersect(Z.positive, Z.positive) <= 0:
+    want = _ref_decompose(model, L)
+    if want is None or surface.intersect(want[0], want[0]) <= 0:
         return "not big"
     T = PicClass(0, (0,) * model.s)
     for i in range(model.s) if points is None else points:
         T = T + E(model.s, i)
-    t, supp = F(0), [c for c, _ in Z.negative_support]
+    t, supp = F(0), [c for c, _ in want[1]]
     while True:
         proj = _ref_project(supp, L, T.scale(-1))
         if proj is None:

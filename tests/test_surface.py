@@ -169,6 +169,56 @@ def test_check_zariski_on_rescaled_user_list():
         (line, F(3)),))) == ["P + N does not reconstruct the input"]
 
 
+def test_check_zariski_on_builtin_two_curve_support():
+    # Bl3 7/2 H - 3 E_1 - 3 E_2 + 1/2 E_3: N = 1/2 E_3 + 5/2 (H - E_1 - E_2),
+    # so P + N is compared with D over a common denominator of 2.
+    model, L12 = SurfaceModel(3), cls(1, 1, 1, 0)
+    D = cls(F(7, 2), 3, 3, F(-1, 2))
+    Z = zariski(model, D)
+    assert Z == ZariskiDecomp(cls(1, F(1, 2), F(1, 2), 0),
+                              ((E(3, 2), F(1, 2)), (L12, F(5, 2))))
+    assert check_zariski(model, D, Z) == []
+    # Half the line's multiple moved from N into P: P + N still gives D.
+    moved = ZariskiDecomp(Z.positive + L12.scale(F(5, 4)),
+                          ((E(3, 2), F(1, 2)), (L12, F(5, 4))))
+    assert check_zariski(model, D, moved) == [
+        "positive part not nef",
+        "positive part meets a support curve",
+    ]
+    zero = ZariskiDecomp(Z.positive, ((E(3, 2), F(0)), (L12, F(5, 2))))
+    assert check_zariski(model, D, zero) == [
+        "nonpositive multiplicity in negative part",
+        "P + N does not reconstruct the input",
+    ]
+    dropped = ZariskiDecomp(Z.positive, ((L12, F(5, 2)),))
+    assert check_zariski(model, D, dropped) == [
+        "P + N does not reconstruct the input"]
+    # H - E_1 meets the line, so the three Gram rows are not negative definite.
+    extra = ZariskiDecomp(Z.positive, Z.negative_support
+                          + ((cls(1, 1, 0, 0), F(0)),))
+    assert check_zariski(model, D, extra) == [
+        "nonpositive multiplicity in negative part",
+        "positive part meets a support curve",
+        "support intersection matrix not negative definite",
+    ]
+
+
+def test_psef_and_vol_build_no_decomposition(monkeypatch):
+    # On a built-in model is_psef, vol and is_big read the support loop's
+    # integer rows: no ZariskiDecomp and no PicClass is built.
+    model, built = SurfaceModel(5), []
+    D, X = cls(F(7, 2), 3, 3, F(-1, 2), 0, 0), cls(1, 2, 0, 0, 0, 0)
+    for name in ("ZariskiDecomp", "PicClass"):
+        real = getattr(surface, name)
+        monkeypatch.setattr(surface, name, lambda *a, real=real, name=name:
+                            built.append(name) or real(*a))
+    assert is_psef(model, D) and not is_psef(model, X)
+    assert vol(model, D) == F(1, 2) and is_big(model, D) and vol(model, X) == 0
+    assert built == []
+    zariski(model, D)
+    assert built.count("ZariskiDecomp") == 1
+
+
 def test_surface_body_chamber_cap_refused(monkeypatch):
     # Bl2 H at both points: the walk solves 4 supports (the empty one and
     # H-E1-E2, then two singular pairs).  Past MAX_CHAMBERS it refuses,

@@ -17,9 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import invariants, registry, render, surface, toric
+from . import invariants, polytope, registry, render, surface, toric
 from .numbers import RadVal, format_rat, parse_rat
-from .polytope import Polytope
 from .surface import PicClass, SurfaceModel
 
 class InputError(Exception):
@@ -104,8 +103,7 @@ def _run(args) -> int:
 # -- payload helpers -------------------------------------------------
 
 def _model(p) -> SurfaceModel:
-    return (SurfaceModel.from_json(p["surface"]) if "surface" in p
-            else SurfaceModel(p["s"]))
+    return p["surface"] if "surface" in p else SurfaceModel(p["s"])
 
 
 def _known(names, key, p, of=""):
@@ -131,7 +129,7 @@ def _body(p):
     if "fixture" in p:
         fx = registry.invariant_setup(p["fixture"])
         return fx.body, fx.n, fx.r, fx.vol_x
-    return Polytope.from_json(p["body"]), p["n"], p["r"], p.get("vol_x")
+    return p["body"], p["n"], p["r"], p.get("vol_x")
 
 
 # -- job handlers: each takes the input that _read_input read and returns
@@ -249,7 +247,9 @@ _HANDLERS = {
 
 # The reader of each kind of value, by what a message calls it: the value as
 # the handlers take it, or _BAD.  A bool is not an integer, a rational is "p/q"
-# or an integer; strings, objects, surfaces and bodies pass through unchanged.
+# or an integer; strings and objects pass through unchanged, and a surface or
+# a body is built from what was read, so a constructor's ValueError is an
+# input error.
 _BAD = object()
 
 
@@ -272,6 +272,25 @@ def _read_class(v):
     return _BAD if _BAD in (d, m) else PicClass(d, tuple(m))
 
 
+def _read_surface(v):
+    if not (isinstance(v, dict) and type(v.get("s")) is int
+            and isinstance(v.get("mode", ""), str)
+            and isinstance(v.get("neg_curves", []), list)):
+        return _BAD
+    curves = tuple(map(_read_class, v.get("neg_curves", [])))
+    return _BAD if _BAD in curves else SurfaceModel(
+        v["s"], v.get("mode", "delpezzo-general"), curves)
+
+
+def _read_body(v):
+    if not (isinstance(v, dict) and type(v.get("ambient_dim")) is int
+            and isinstance(v.get("vertices"), list)):
+        return _BAD
+    verts = list(map(_read_rats, v["vertices"]))
+    return _BAD if _BAD in verts else polytope.hull(
+        list(map(tuple, verts)), v["ambient_dim"])
+
+
 _KINDS = {
     "an integer": lambda v: v if type(v) is int else _BAD,
     "a rational": _read_rat,
@@ -279,15 +298,8 @@ _KINDS = {
     "a string": lambda v: v if isinstance(v, str) else _BAD,
     "an object": lambda v: v if isinstance(v, dict) else _BAD,
     "a class {d, m}": _read_class,
-    "a surface {s, mode, neg_curves}": lambda v: v if (
-        isinstance(v, dict) and type(v.get("s")) is int
-        and isinstance(v.get("mode", ""), str)
-        and isinstance(v.get("neg_curves", []), list)
-        and _BAD not in map(_read_class, v.get("neg_curves", []))) else _BAD,
-    "a body {ambient_dim, vertices}": lambda v: v if (
-        isinstance(v, dict) and type(v.get("ambient_dim")) is int
-        and isinstance(v.get("vertices"), list)
-        and _BAD not in map(_read_rats, v["vertices"])) else _BAD,
+    "a surface {s, mode, neg_curves}": _read_surface,
+    "a body {ambient_dim, vertices}": _read_body,
     # surface.flag_points checks them against s, before any work.
     "flag points": lambda v: v,
 }

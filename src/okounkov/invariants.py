@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from . import polytope, surface
-from .numbers import RadVal, format_rat
+from . import linalg, polytope, surface
+from .numbers import (RadVal, _fraction, _sign_surd, format_rat,
+                      squarefree_split)
 from .polytope import Polytope, SliceSpec
 from .surface import PicClass, SurfaceModel, E, intersect
 
@@ -110,20 +111,26 @@ def _volume_root(first, walk) -> RadVal:
 
 def _first_root_after(A, B, C2, t) -> RadVal | None:
     """Smallest root > t of A + B x + C2 x^2, exactly, or None."""
-    if C2 == 0:
-        if B == 0:
+    (a, b, c), _ = linalg.scaled((A, B, C2))  # same roots, integer terms
+    tn, td = t.numerator, t.denominator
+    if c == 0:
+        if b == 0:
             return None
-        root = Fraction(-A, 1) / B
+        root = Fraction(-a, b)
         return RadVal.rational(root) if root > t else None
-    disc = B * B - 4 * A * C2
+    if c < 0:
+        a, b, c = -a, -b, -c
+    disc = b * b - 4 * a * c
     if disc < 0:
         return None
-    sq = RadVal.sqrt(disc)
-    cands = [
-        (RadVal.rational(-B) - sq) / (2 * C2),
-        (RadVal.rational(-B) + sq) / (2 * C2),
-    ]
-    return min((c for c in cands if c > t), default=None)
+    # With disc = r^2 f, the roots (-b -+ r sqrt(f)) / (2c) ascend, and one
+    # is > t = tn / td iff u -+ v sqrt(f) > 0: u = -b td - 2c tn, v = r td.
+    r, f = squarefree_split(disc)
+    u, v = -b * td - 2 * c * tn, r * td
+    for sign in (-1, 1):
+        if _sign_surd(u, sign * v, f) > 0:
+            return RadVal(Fraction(sign * r, 2 * c), f, Fraction(-b, 2 * c))
+    return None
 
 
 def xi_constant(body: Polytope, w, n: int, r: int) -> Fraction:
@@ -367,30 +374,27 @@ def nef_boundary_check(d, m) -> dict:
 
     Requires multiplicities sorted descending; pads to at least 8 entries.
     """
-    d = Fraction(d)
-    ms = [Fraction(x) for x in m]
+    # Every condition is homogeneous in (d, m), so it holds of q (d, m).
+    (d, *ms), q = linalg.scaled([_fraction(x) for x in (d, *m)])
     if any(ms[i] < ms[i + 1] for i in range(len(ms) - 1)):
         raise ValueError("multiplicities must be sorted descending")
-    while len(ms) < 8:
-        ms.append(Fraction(0))
-    s = len(ms)
+    ms += [0] * (8 - len(ms))
+    sq = [x * x for x in ms]
+    dd, sum_sq = d * d, sum(sq)
     c1 = d >= ms[1] + ms[2]
     c2 = 2 * d >= sum(ms[1:6])
-    sum_sq = sum(x * x for x in ms)
     rhs = 2 * ms[1] + sum(ms[2:8])
     c3 = rhs < 0 or 9 * sum_sq > rhs * rhs
-    c4 = all(
-        d * d - Fraction(t + 3, t + 2) * sum(x * x for x in ms[1:t + 1]) > 0
-        for t in range(2, s)
-    )
-    L2 = d * d - sum_sq
+    # d^2 > (t+3)/(t+2) * (m_1^2 + ... + m_t^2), times t + 2.
+    c4 = all((t + 2) * dd > (t + 3) * sum(sq[1:t + 1])
+             for t in range(2, len(ms)))
     verdict = c1 and c2 and c3 and c4
     out = {
-        "conditions": [bool(c1), bool(c2), bool(c3), bool(c4)],
-        "nef": bool(verdict),
-        "self_intersection": L2,
-        "on_boundary": L2 == 0,
+        "conditions": [c1, c2, c3, c4],
+        "nef": verdict,
+        "self_intersection": Fraction(dd - sum_sq, q * q),
+        "on_boundary": dd == sum_sq,
     }
-    if verdict and L2 != 0:
+    if verdict and dd != sum_sq:
         out["note"] = "criterion passes but not on the L^2 = 0 boundary"
     return out

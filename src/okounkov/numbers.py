@@ -58,6 +58,14 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return (s, f)
 
 
+_ZERO = Fraction(0)
+
+
+def _fraction(x) -> Fraction:
+    # A Fraction is immutable, so one passed in is shared, not copied.
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
@@ -82,34 +90,36 @@ class RadVal:
 
     Pure volumes and thresholds have shift == 0; rational values are
     normalized to radicand == 1 (so radicand == 1 iff the value is
-    rational, matching the serialization contract).
+    rational, matching the serialization contract).  A radicand that
+    is not an int is refused.
     """
 
     coeff: Fraction
     radicand: int
-    shift: Fraction = Fraction(0)
+    shift: Fraction = _ZERO
 
     def __post_init__(self):
-        coeff = Fraction(self.coeff)
-        shift = Fraction(self.shift)
-        s, f = squarefree_split(self.radicand)
-        coeff *= s
-        if f == 0:
-            coeff, f = Fraction(0), 1
-        if coeff == 0:
-            f = 1
-        if f == 1:
+        k = self.radicand
+        if type(k) is not int:
+            raise ValueError(f"radicand must be an int, got {k!r}")
+        coeff, shift = _fraction(self.coeff), _fraction(self.shift)
+        if k != 1:
+            s, k = squarefree_split(k)  # a negative radicand raises
+            if k == 0 or coeff == 0:
+                coeff, k = _ZERO, 1
+            elif s != 1:
+                coeff *= s
+        if k == 1 and shift:
             # rational value: keep it entirely in coeff, shift = 0
-            coeff = shift + coeff
-            shift = Fraction(0)
+            coeff, shift = shift + coeff, _ZERO
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", f)
+        object.__setattr__(self, "radicand", k)
         object.__setattr__(self, "shift", shift)
 
     # -- constructors ------------------------------------------------
     @staticmethod
     def rational(q) -> "RadVal":
-        return RadVal(Fraction(q), 1)
+        return RadVal(q, 1)
 
     @staticmethod
     def sqrt(q) -> "RadVal":
@@ -139,7 +149,7 @@ class RadVal:
     # -- arithmetic (closed only within one radicand) ----------------
     def _parts(self) -> tuple[Fraction, Fraction, int]:
         if self.is_rational:
-            return (self.coeff, Fraction(0), 1)
+            return (self.coeff, _ZERO, 1)
         return (self.shift, self.coeff, self.radicand)
 
     def __add__(self, other) -> "RadVal":

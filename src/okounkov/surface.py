@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import index, mul
 
 from . import linalg, lp, polytope
-from .numbers import format_rat, parse_rat
+from .numbers import _fraction, format_rat, parse_rat
 from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
@@ -28,11 +28,6 @@ _CURVE_TYPES = (
     (1, (1, 1)), (2, (1,) * 5), (3, (2,) + (1,) * 6),
     (4, (2,) * 3 + (1,) * 5), (5, (2,) * 6 + (1, 1)), (6, (3,) + (2,) * 7),
 )
-
-
-def _fraction(x) -> Fraction:
-    # A Fraction is immutable, so one passed in is shared, not copied.
-    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -112,13 +107,46 @@ def _dots(rows, x) -> list[int]:
 
 
 def _distinct_permutations(values):
-    """Distinct orderings of a multiset, in lexicographic order."""
-    if not values:
-        yield ()
-    for v in sorted(set(values)):
-        rest = list(values)
-        rest.remove(v)
-        yield from ((v,) + tail for tail in _distinct_permutations(rest))
+    """Distinct orderings of a multiset, in lexicographic order (Knuth,
+    TAOCP 4A, 7.2.1.2, Algorithm L: step to the next one in place)."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
+def _curve_rows(s: int) -> list[tuple[int, ...]]:
+    """The integer rows (d, m_1, ..., m_s) of neg_curve_classes(s)."""
+    if not 1 <= s <= 8:
+        raise ValueError(
+            "unsupported generality: built-in negative-curve lists cover "
+            "1 <= s <= 8 only; supply a user curve list beyond that"
+        )
+    rows = [(0, *(-int(j == i) for j in range(s))) for i in range(s)]
+    for d, mult in _CURVE_TYPES:
+        if len(mult) <= s:
+            rows += ((d, *m) for m in _distinct_permutations(
+                mult + (0,) * (s - len(mult))))
+    assert len(rows) == _NEG_CURVE_COUNTS[s], (s, len(rows))
+    return rows
+
+
+# The entries of _curve_rows, each built once and shared by all the classes.
+_ENTRIES = {k: Fraction(k) for k in range(-1, 7)}
+
+
+def _curve_classes(rows) -> tuple[PicClass, ...]:
+    return tuple(PicClass(_ENTRIES[r[0]], tuple(_ENTRIES[x] for x in r[1:]))
+                 for r in rows)
 
 
 def neg_curve_classes(s: int) -> list[PicClass]:
@@ -129,19 +157,7 @@ def neg_curve_classes(s: int) -> list[PicClass]:
     of C^2 = -1, C.K = -1 (K = -3H + sum E_i) with d >= 0.  Counts are
     asserted against the classical table.
     """
-    if not 1 <= s <= 8:
-        raise ValueError(
-            "unsupported generality: built-in negative-curve lists cover "
-            "1 <= s <= 8 only; supply a user curve list beyond that"
-        )
-    out = [E(s, i) for i in range(s)]
-    frac = [Fraction(k) for k in range(4)]  # shared by all the curves
-    for d, mult in _CURVE_TYPES:
-        if len(mult) <= s:
-            for m in _distinct_permutations(mult + (0,) * (s - len(mult))):
-                out.append(PicClass(d, tuple(frac[x] for x in m)))
-    assert len(out) == _NEG_CURVE_COUNTS[s], (s, len(out))
-    return out
+    return list(_curve_classes(_curve_rows(s)))
 
 
 @dataclass(frozen=True)
@@ -156,16 +172,20 @@ class SurfaceModel:
 
     def __post_init__(self):
         if self.mode == "delpezzo-general":
-            curves = tuple(neg_curve_classes(self.s))
+            rows = _curve_rows(self.s)
+            curves = _curve_classes(rows)
         elif self.mode == "user":
             curves = tuple(self.neg_curves)
             if not all(c.s == self.s for c in curves):
                 raise ValueError("user curve list has wrong s")
+            rows = [_row(c)[0] for c in curves]
         else:
             raise ValueError(f"unknown surface mode {self.mode!r}")
+        # H (i = -1), then the H - E_i.
+        rows += [(1, *(int(j == i) for j in range(self.s)))
+                 for i in range(-1, self.s)]
         object.__setattr__(self, "neg_curves", curves)
-        object.__setattr__(self, "_rows", tuple(
-            _row(g)[0] for g in self.psef_generators()))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def psef_generators(self) -> list[PicClass]:
         gens = list(self.neg_curves) + [H(self.s)]

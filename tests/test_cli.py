@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from okounkov import cli, registry, surface, toric
+from okounkov import cli, polytope, registry, surface, toric
 from okounkov.cli import main
 from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
@@ -318,6 +318,21 @@ def test_malformed_grid_step_exit_1_for_every_kind(tmp_path, capsys, kind):
         "p/q: 'x'\n"
 
 
+_READ_ONCE = [
+    ("seshadri", {"s": 2, "class": {"d": "1", "m": ["0", "1/2"]},
+                  "weights": ["2", "1"]}, ["0", "1", "1", "1/2", "2"]),
+    # a user surface: its curves are read by the table, not again when the
+    # model is built
+    ("nakayama", {"surface": {"s": 1, "mode": "user", "neg_curves": [
+        {"d": "0", "m": ["-1"]}, {"d": "1", "m": ["1"]}]},
+        "class": {"d": "1", "m": ["0"]}}, ["-1", "0", "0", "1", "1", "1"]),
+    # an inline body: its vertices are read by the table, not again
+    ("xi", {"body": {"ambient_dim": 2, "vertices": [
+        ["0", "0"], ["1", "0"], ["1", "1"]]}, "n": 2, "r": 1,
+        "weights": ["1"]}, ["0", "0", "0", "1", "1", "1", "1"]),
+]
+
+
 def test_each_rational_is_read_once(tmp_path, monkeypatch):
     # The input table reads each value once: no handler parses it again.
     seen = []
@@ -326,15 +341,15 @@ def test_each_rational_is_read_once(tmp_path, monkeypatch):
         seen.append(v)
         return parse_rat(v)
 
-    for module in (cli, surface):
+    for module in (cli, surface, polytope):
         monkeypatch.setattr(module, "parse_rat", counting)
-    code, out = run_job(tmp_path, {
-        "schema": 1, "kind": "seshadri",
-        "input": {"s": 2, "class": {"d": "1", "m": ["0", "1/2"]},
-                  "weights": ["2", "1"]},
-    })
-    assert code == 0
-    assert sorted(seen) == ["0", "1", "1", "1/2", "2"]
+    for kind, payload, rationals in _READ_ONCE:
+        seen.clear()
+        (tmp_path / kind).mkdir()
+        code, out = run_job(tmp_path / kind, {"schema": 1, "kind": kind,
+                                              "input": payload})
+        assert code == 0, kind
+        assert sorted(seen) == rationals, kind
 
 
 @pytest.mark.parametrize("names, message", [

@@ -33,6 +33,22 @@ def test_radval_normalization():
     assert RadVal(Fraction(0), 7).is_rational
 
 
+@pytest.mark.parametrize("radicand", [Fraction(4, 9), Fraction(4), 2.0,
+                                      "2", True])
+def test_radval_refuses_a_radicand_that_is_not_an_int(radicand):
+    # Kept, RadVal(1, 4/9) would read 1*sqrt(4/9): irrational by its
+    # radicand, for the value 2/3.
+    with pytest.raises(ValueError, match="radicand must be an int"):
+        RadVal(Fraction(1), radicand)
+
+
+@pytest.mark.parametrize("coeff, shift", [(0, 0), (1, 0), (0, 5)])
+def test_radval_refuses_a_negative_radicand(coeff, shift):
+    # Also with coeff 0, where the radicand does not change the value.
+    with pytest.raises(ValueError, match="negative radicand"):
+        RadVal(Fraction(coeff), -3, Fraction(shift))
+
+
 def test_radval_sqrt_and_square():
     v = RadVal.sqrt(Fraction(1, 2))
     assert v.squared() == Fraction(1, 2)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from okounkov import invariants, linalg, lp, polytope, surface
 from okounkov.numbers import RadVal, parse_rat, format_rat, squarefree_split
@@ -762,6 +762,52 @@ def test_project_singular_gram_gives_none():
         _ref_project([E(s, 0), L12.scale(F(1, 3))], H(s))
 
 
+def _ref_first_root_after(A, B, C2, t):
+    """Smallest root > t of A + B x + C2 x^2 by the quadratic formula in
+    RadVal arithmetic, or None."""
+    if C2 == 0:
+        if B == 0:
+            return None
+        root = Fraction(-A, 1) / B
+        return RadVal.rational(root) if root > t else None
+    disc = B * B - 4 * A * C2
+    if disc < 0:
+        return None
+    sq = RadVal.sqrt(disc)
+    cands = [
+        (RadVal.rational(-B) - sq) / (2 * C2),
+        (RadVal.rational(-B) + sq) / (2 * C2),
+    ]
+    return min((c for c in cands if c > t), default=None)
+
+
+coefficients = st.one_of(st.integers(-30, 30),
+                         st.fractions(-10, 10, max_denominator=9))
+
+
+@settings(deadline=None, max_examples=300)
+@given(coefficients, coefficients, coefficients,
+       st.fractions(-6, 6, max_denominator=7))
+@example(1, 0, -4, F(0))          # C2 < 0, B = 0, a square discriminant
+@example(-2, 0, 1, F(0))          # the root sqrt(2)
+@example(3, -2, 0, F(0))          # C2 = 0: the linear root 3/2
+@example(1, 0, 0, F(0))           # C2 = B = 0: no root
+@example(1, 0, 1, F(0))           # a negative discriminant
+@example(1, -2, 1, F(0))          # a zero discriminant: the double root 1
+@example(1, -2, 1, F(1))          # ... and t at it
+@example(2, -3, 1, F(1))          # t at the smaller of the roots 1, 2
+@example(2, -3, 1, F(2))          # t at the larger
+@example(F(4, 3), F(-10, 3), 2, F(0))  # rational terms, discriminant 4/9
+@example(F(1, 2), F(-3, 5), F(-7, 4), F(-1, 3))
+def test_first_root_after_matches_surd_formula(A, B, C2, t):
+    got = invariants._first_root_after(A, B, C2, t)
+    want = _ref_first_root_after(A, B, C2, t)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want and got.to_json() == want.to_json()
+
+
 def _ref_nakayama(model, L, points):
     """The chamber walk on Fraction crossings and intersections; at the
     nearest wall it rescans the same chamber to find the walls reached."""
@@ -792,7 +838,7 @@ def _ref_nakayama(model, L, points):
             supp = [C for k, C in enumerate(supp) if k not in drop_now]
             supp += add_now
             continue
-        root = invariants._first_root_after(
+        root = _ref_first_root_after(
             surface.intersect(P0, P0), 2 * surface.intersect(P0, P1),
             surface.intersect(P1, P1), t)
         if root is not None and (t_next is None or root <= t_next):
@@ -844,3 +890,56 @@ def test_nakayama_matches_fraction_walk(case):
     else:
         mu = invariants.nakayama_mu(model, D, points)
         assert mu == want and mu.to_json() == want.to_json()
+
+
+# -- the nef-boundary criterion against its Fraction form ---------------
+
+def _ref_nef_boundary_check(d, m):
+    d = Fraction(d)
+    ms = [Fraction(x) for x in m]
+    if any(ms[i] < ms[i + 1] for i in range(len(ms) - 1)):
+        raise ValueError("multiplicities must be sorted descending")
+    while len(ms) < 8:
+        ms.append(Fraction(0))
+    s = len(ms)
+    c1 = d >= ms[1] + ms[2]
+    c2 = 2 * d >= sum(ms[1:6])
+    sum_sq = sum(x * x for x in ms)
+    rhs = 2 * ms[1] + sum(ms[2:8])
+    c3 = rhs < 0 or 9 * sum_sq > rhs * rhs
+    c4 = all(
+        d * d - Fraction(t + 3, t + 2) * sum(x * x for x in ms[1:t + 1]) > 0
+        for t in range(2, s)
+    )
+    L2 = d * d - sum_sq
+    verdict = c1 and c2 and c3 and c4
+    out = {
+        "conditions": [bool(c1), bool(c2), bool(c3), bool(c4)],
+        "nef": bool(verdict),
+        "self_intersection": L2,
+        "on_boundary": L2 == 0,
+    }
+    if verdict and L2 != 0:
+        out["note"] = "criterion passes but not on the L^2 = 0 boundary"
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.fractions(-2, 12, max_denominator=6),
+       st.lists(st.fractions(-2, 5, max_denominator=6), min_size=1,
+                max_size=11),
+       st.booleans())
+@example(3, [1] * 9, True)        # -K on Bl_9: on the boundary
+@example(F(17, 4), [F(3, 2)] * 8, True)
+@example(5, [1, 2], False)        # unsorted
+def test_nef_boundary_check_matches_fraction_form(d, m, ordered):
+    if ordered:
+        m = sorted(m, reverse=True)
+    if any(a < b for a, b in zip(m, m[1:])):
+        with pytest.raises(ValueError, match="sorted descending"):
+            invariants.nef_boundary_check(d, m)
+        return
+    got = invariants.nef_boundary_check(d, m)
+    want = _ref_nef_boundary_check(d, m)
+    assert got == want
+    assert type(got["self_intersection"]) is Fraction

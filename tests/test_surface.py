@@ -73,6 +73,16 @@ def test_neg_curve_classes_match_brute_force(s):
     assert neg_curve_classes(s) == oracle
 
 
+@pytest.mark.parametrize("s", list(range(1, 9)))
+def test_builtin_model_rows_match_its_classes(s):
+    # A built-in model takes its integer rows straight from the curve types;
+    # they are the rows of its classes, and its curves are the classical ones.
+    model = SurfaceModel(s)
+    assert model._rows == tuple(surface._row(g)[0]
+                                for g in model.psef_generators())
+    assert model.neg_curves == tuple(neg_curve_classes(s))
+
+
 def test_unsupported_generality():
     with pytest.raises(ValueError, match="unsupported generality"):
         neg_curve_classes(9)

@@ -4,7 +4,8 @@ Usage: okounkov run --job job.json --out results/ [--render]
                     [--grid-step p/q] [--m-max k]
 
 A job file is `{"schema": 1, "kind": <kind>, "input": {...},
-"output_path": "name.json"}`.  Output JSON is deterministic
+"output_path": "name.json"}`; output_path is a file name, written in the
+--out directory.  Output JSON is deterministic
 (sorted keys, fixed formatting): identical inputs give byte-identical
 artifacts.  Exit codes: 0 success, 1 input error, 2 check failure,
 3 internal error.
@@ -66,12 +67,22 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     with open(args.job) as fh:
         job = json.load(fh)
+    if not isinstance(job, dict):
+        raise InputError("a job file must hold a JSON object")
     if job.get("schema") != 1:
         raise InputError(f'job "schema" must be 1, got {job.get("schema")!r}')
     kind = job.get("kind")
     if kind not in _HANDLERS:
         raise InputError(f"unknown job kind {kind!r}; expected one of "
                          f"{', '.join(_HANDLERS)}")
+    name = job.get("output_path", f"{kind}.json")
+    if not (isinstance(name, str) and name not in ("", "..")
+            and Path(name).name == name):
+        raise InputError(f'job "output_path" must be a file name, written in '
+                         f'--out, got {name!r}')
+    draw = job.get("render", False)
+    if not isinstance(draw, bool):
+        raise InputError(f'job "render" must be true or false, got {draw!r}')
     payload = job.get("input", {})
     if not isinstance(payload, dict):
         raise InputError('job "input" must be an object')
@@ -83,16 +94,17 @@ def _run(args) -> int:
     if args.m_max is not None:
         p["m_max"] = args.m_max
     result, poly, failed = _HANDLERS[kind](p)
+    draw = draw or args.render
+    if draw and (poly is None or poly.ambient_dim > 2):
+        raise InputError(f"job kind {kind!r} has no renderable polytope")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / job.get("output_path", f"{kind}.json")
+    out_path = out_dir / name
     doc = {"schema": 1, "kind": kind, "result": result}
     with open(out_path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if args.render or job.get("render"):
-        if poly is None:
-            raise InputError(f"job kind {kind!r} has no renderable polytope")
+    if draw:
         render.render_svg(poly, out_path.with_suffix(".svg"))
     if failed:
         raise CheckFailure(failed)
@@ -159,7 +171,7 @@ def _job_surface_body(p):
         model, p["class"], p.get("points", range(model.s)),
         p.get("grid_step", Fraction(1, 2)), p.get("t_max", Fraction(1)))
     out = {**body.to_json(), "meta": dict(body.meta)}
-    return out, (body if body.ambient_dim <= 2 else None), None
+    return out, body, None
 
 
 def _job_seshadri(p):

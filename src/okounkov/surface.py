@@ -20,7 +20,7 @@ from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
 _NEG_CURVE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-# Most supports that the chamber walk of surface_body_outer solves.
+# Most steps of a Zariski-chamber walk: chambers and surface_body_outer.
 MAX_CHAMBERS = 10_000
 # The exceptional classes besides the E_i, one type per degree d: d and the
 # nonzero multiplicities (Manin, Cubic Forms, Ch. IV).
@@ -56,9 +56,6 @@ class PicClass:
     def scale(self, k) -> "PicClass":
         k = Fraction(k)
         return PicClass(k * self.d, tuple(k * x for x in self.m))
-
-    def is_zero(self) -> bool:
-        return self.d == 0 and all(x == 0 for x in self.m)
 
     def to_json(self) -> dict:
         return {"d": format_rat(self.d), "m": [format_rat(x) for x in self.m]}
@@ -256,8 +253,11 @@ def _solve(support, *xs):
     [(p, n) for each x]) with det = |det G| > 0, n = det * y for G y =
     (x.b)_b and p = det * x - sum n_b b: on a chamber with this support,
     P(X) = p / (det q) and c has multiplicity q_b n_b / (det q) (Bauer
-    2009)."""
+    2009).  A support of more than s curves is never negative definite
+    (Pic has signature (1, s)), so it is refused before G is built."""
     k = len(support)
+    if k >= len(xs[0]):  # a row has s + 1 entries
+        return None
     m = [[_dot(a, b) for b in support] + [_dot(x, a) for x in xs]
          for a in support]
     det = _negative_definite(m, k, jordan=True)
@@ -300,8 +300,6 @@ def _support(model: SurfaceModel, D: PicClass):
                 return support, p, n, det * q
             break
         support.extend(new)
-        if len(support) > model.s:
-            break
         sol = _solve([model._rows[k] for k in support], x)
         if sol is None:
             break
@@ -322,6 +320,20 @@ def _big(model: SurfaceModel, D: PicClass, what: str):
     return sup
 
 
+def _chamber(model: SurfaceModel, supp, x, *us):
+    """One walk step: the family x + sum t_j u_j (integer rows on one scale
+    q > 0) solved once on the support rows supp.  None unless _solve
+    answers; else (det, ps, cols): on the chamber P = (p_0 + sum t_j p_j)
+    / (det q) for the rows ps of x, u_1, ..., and the homogeneous wall rows
+    w, w_0 + sum t_j w_j >= 0, are zip(*cols): each support curve's
+    multiplicity, then P.g for each g in model._rows (0 on supp), times
+    positive scales.  Columns, because a scan gives one per p_j."""
+    if (sol := _solve(supp, x, *us)) is None:
+        return None
+    det, pn = sol
+    return det, [p for p, _ in pn], [n + _dots(model._rows, p) for p, n in pn]
+
+
 def chambers(model: SurfaceModel, L: PicClass, w):
     """The Zariski chambers of L - t W, W = sum w_i E_i, w_i >= 0, t >= 0,
     in order (Bauer, Kuronya & Szemberg, Crelle 2004); none if L is not
@@ -330,56 +342,48 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     [t0, t1]: t1 is None past the last wall and t1 == t0 where one t
     changes the support twice, k is the support size, and A + B t + C t^2
     is a positive multiple of the volume on the chamber.  The volume does
-    not increase along the walk, which ends with the chamber where it
-    reaches 0 (the first, when L is not big) or with t1 None.
-    """
-    lrow, qL = _row(L)
-    wrow, qW = _row(PicClass(0, tuple(w)))  # the row of -W
-    # A nef L starts with empty support: on built-in rows _support would
-    # return it, and on a user list nef counts as psef.
-    supp, dots = [], _dots(model._rows, lrow)
-    if min(dots) < 0:
+    not increase along the walk, which starts from L's Zariski support
+    (empty when the walls of the empty support show L nef) and ends with
+    the chamber where it reaches 0 (the first, when L is not big) or with
+    t1 None; past MAX_CHAMBERS chambers it is refused."""
+    n = len(L.m) + 1  # x = q L and u = q (-W) on one scale q
+    row, _ = linalg.scaled((L.d, *L.m, 0, *PicClass(0, tuple(w)).m))
+    x, u, supp, tn, td = row[:n], row[n:], [], 0, 1
+    ch = _chamber(model, supp, x, u)
+    if ch and min(ch[2][0]) < 0:  # not nef: start from L's Zariski support
         sup = _support(model, L)
         if sup is None:
             return
-        supp = [model._rows[k] for k, nb in zip(sup[0], sup[2]) if nb]
-    tn, td = 0, 1
-    for _ in range(10000):
-        # P(t) = p0 / (det qL) + t p1 / (det qW), and the k-th support curve
-        # (scale q_k) has multiplicity q_k (n0_k / qL + t n1_k / qW) / det.
-        sol = _solve(supp, lrow, wrow)
-        if sol is None:
+        supp = [model._rows[c] for c, nb in zip(sup[0], sup[2]) if nb]
+        ch = _chamber(model, supp, x, u)
+    for _ in range(MAX_CHAMBERS):
+        if ch is None:
             raise RuntimeError("singular support system in chamber walk")
-        _, ((p0, n0), (p1, n1)) = sol
-        # Walls t = num / den, den > 0, tagged (k, c): support curve k leaves
-        # where its multiplicity vanishes, outside curve c enters where P.c
-        # does.  P0 and P1 meet every support curve in 0.
-        walls = [(a * qW, -b * qL, k, None)
-                 for k, (a, b) in enumerate(zip(n0, n1)) if b < 0]
-        walls += [(x0 * qW, -x1 * qL, None, c) for c, x0, x1 in zip(
-            model._rows, dots if not supp else _dots(model._rows, p0),
-            _dots(model._rows, p1)) if x1 < 0]  # with no support p0 = lrow
-        quad = (_dot(p0, p0) * qW * qW, 2 * _dot(p0, p1) * qL * qW,
-                _dot(p1, p1) * qL * qL)  # (det qL qW)^2 P(t)^2
+        _, (p0, p1), cols = ch
+        # Walls t = a / b, b > 0, by wall row j: support curve j leaves where
+        # its multiplicity vanishes, model row j - k enters where P.g does.
+        k = len(supp)
+        ts = [(a, -b, j) for j, (a, b) in enumerate(zip(*cols)) if b < 0]
+        quad = (_dot(p0, p0), 2 * _dot(p0, p1), _dot(p1, p1))  # (det q P)^2
         g = math.gcd(*quad) or 1
-        t1 = (tn, td)
-        if all(v[0] * td > tn * v[1] for v in walls):
-            t1 = None  # the nearest wall, compared by cross-multiplication
-            for v in walls:
-                if t1 is None or v[0] * t1[1] < t1[0] * v[1]:
-                    t1 = v[:2]
-        A, B, C = (x // g for x in quad)
+        t1 = None  # the nearest wall, compared by cross-multiplication
+        for a, b, _ in ts:
+            if t1 is None or a * t1[1] < t1[0] * b:
+                t1 = (a, b)
+        if t1 is not None and t1[0] * td <= tn * t1[1]:
+            t1 = (tn, td)  # a wall at t0: the chamber is the point t0
+        A, B, C = (v // g for v in quad)
         yield (Fraction(tn, td), None if t1 is None else Fraction(*t1),
-               len(supp), (A, B, C))
+               k, (A, B, C))
         if t1 is None:
             return
         tn, td = t1  # the walls at t1 change the support, unless vol is 0
         if A * td * td + B * tn * td + C * tn * tn <= 0:
             return  # there the ray leaves the big cone, which chambers tile
-        now = [v for v in walls if v[0] * td <= tn * v[1]]
-        gone = {v[2] for v in now}
-        supp = ([b for k, b in enumerate(supp) if k not in gone]
-                + [v[3] for v in now if v[3] is not None])
+        now = {j for a, b, j in ts if a * td <= tn * b}
+        supp = ([c for j, c in enumerate(supp) if j not in now]
+                + [model._rows[j - k] for j in sorted(now) if j >= k])
+        ch = _chamber(model, supp, x, u)
     raise RuntimeError("chamber walk did not terminate")
 
 
@@ -478,15 +482,15 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     positive part of D' - sum t_i E_i, D' = D - sum shift_i E_i (Lazarsfeld
     & Mustata 2009, Thm 6.4).  P(t) is affine on each Zariski chamber
     (Bauer, Kuronya & Szemberg 2004): a breadth-first walk from the support
-    of D' makes one _solve per support, _dd gives the chamber's vertices and
-    the walls tight at each, and the walls tight on the same vertices are
-    crossed together (support curves leave, curves enter), in lower-
-    dimensional chambers too, unless that leaves t >= 0.  Only negative
-    definite supports are solved, and on them P nef and N >= 0 is the
-    Zariski decomposition, so the body is the hull of all fibre ends.
-    grid_step > 0 and t_max >= 0 are checked and echoed in meta only; past
-    MAX_CHAMBERS supports the walk is refused.
-    """
+    of D' takes one _chamber step per support, _dd gives the chamber's
+    vertices and the walls tight at each, and the walls tight on the same
+    vertices are crossed together (support curves leave, curves enter), in
+    lower-dimensional chambers too, unless that leaves t >= 0.  _solve
+    answers only negative definite supports (one of more than s curves
+    costs no elimination), and on them P nef and N >= 0 is the Zariski
+    decomposition, so the body is the hull of all fibre ends.  grid_step >
+    0 and t_max >= 0 are checked and echoed in meta only; past MAX_CHAMBERS
+    supports the walk is refused."""
     points = flag_points(model, points)
     grid_step, t_max = Fraction(grid_step), Fraction(t_max)
     if grid_step <= 0:
@@ -501,7 +505,7 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
           for k, nb in zip(support, n) if nb}
     shift = [Fraction(N0[f][0] if f in N0 else 0, den) for f in flags]
     x, q = _row(sum((f.scale(-a) for f, a in zip(flags, shift)), D))
-    us = [_row(f.scale(-1))[0] for f in flags]  # D_t = D' + sum t_i us_i
+    us = [_row(f.scale(-q))[0] for f in flags]  # q D_t = x + sum t_i us_i
     curves = set(model._rows[:len(model.neg_curves)])
     unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
     todo = [tuple(sorted(row for c, (_, row) in N0.items() if c not in flags))]
@@ -509,16 +513,11 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     for k, supp in enumerate(todo):  # todo grows as the walk goes
         if k == MAX_CHAMBERS:
             raise ValueError(f"chamber walk exceeds MAX_CHAMBERS = {MAX_CHAMBERS}")
-        if not (sol := _solve(supp, x, *us)):
+        if not (ch := _chamber(model, supp, x, *us)):
             continue
-        # Rows on (tau, t), the point t / tau, times det q > 0: P is p0 tau +
-        # q sum t_i p_i, and the multiplicities are n0 tau + q sum t_i n_i.
-        det, ((p0, n0), *lin) = sol
-        out = [g for g in model._rows if g not in supp]
-        walls = [(a, *(q * n[j] for _, n in lin)) for j, a in enumerate(n0)]
-        walls += zip(_dots(out, p0),
-                     *([q * y for y in _dots(out, p)] for p, _ in lin))
-        betas = [(p0[i + 1], *(q * p[i + 1] for p, _ in lin)) for i in points]
+        det, ps, cols = ch  # rows on (tau, t), the point t / tau
+        walls = [*zip(*cols)]
+        betas = [tuple(p[i + 1] for p in ps) for i in points]
         verts = [v for v in polytope._dd(walls + unit) if v[0][0] > 0]
         for v, _ in verts:  # t = v[1:] / v[0], and P(t).E_i = P(t).m_i
             ends = [[(sh + Fraction(tk, v[0]), y) for y in (0, Fraction(
@@ -530,8 +529,9 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
                for j in range(len(walls) + r + 1)]
         # Beyond a face in t_i = 0, short of the whole chamber, t_i < 0.
         edge = set(ons[len(walls) + 1:]) - {(1 << len(verts)) - 1}
-        for j, g in enumerate(list(supp) + out):
-            if ons[j] and ons[j] not in edge and (j < len(supp) or g in curves):
+        for j, g in enumerate(supp + model._rows):  # P.g = 0 on the support
+            if ons[j] and ons[j] not in edge and (
+                    j < len(supp) or g in curves and g not in supp):
                 groups.setdefault(ons[j], set()).add(g)
         new = {tuple(sorted(set(supp) ^ gs)) for gs in groups.values()} - seen
         seen |= new

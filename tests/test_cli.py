@@ -293,6 +293,31 @@ def test_input_must_be_an_object(tmp_path, capsys):
     assert 'job "input" must be an object' in capsys.readouterr().err
 
 
+def test_job_must_be_an_object(tmp_path, capsys):
+    # A list at the top level has no "schema": an input error, not a crash.
+    code, out = run_job(tmp_path, [{"schema": 1, "kind": "nagata"}])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "input error: a job file must hold a JSON object\n")
+
+
+@pytest.mark.parametrize("name", [5, None, "../x.json", "sub/x.json", "",
+                                  "..", "ABSOLUTE"])
+def test_output_path_must_be_a_file_name(tmp_path, capsys, name):
+    # Nothing is written, neither in --out nor beside it.
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "x.json")
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "nagata", "output_path": name,
+        "input": {"r": 9, "d": "3", "m": ["1"] * 9},
+    })
+    assert code == 1 and not out.exists()
+    assert not (tmp_path / "x.json").exists()
+    assert capsys.readouterr().err == (
+        f'input error: job "output_path" must be a file name, written in '
+        f'--out, got {name!r}\n')
+
+
 def test_override_flags_are_not_input_keys(tmp_path):
     # --grid-step and --m-max merge after the key check, whatever the kind.
     code, out = run_job(tmp_path, {
@@ -545,20 +570,55 @@ def test_render_flag_writes_svg(tmp_path):
 
 
 def test_render_without_polytope_exit_1(tmp_path):
-    code, _ = run_job(tmp_path, {
+    code, out = run_job(tmp_path, {
         "schema": 1, "kind": "seshadri",
         "input": {"s": 1, "class": {"d": "1", "m": ["0"]}, "weights": ["1"]},
     }, extra=["--render"])
-    assert code == 1
+    assert code == 1 and not out.exists()
+
+
+def test_render_key_must_be_a_boolean(tmp_path, capsys):
+    # "false" is a string, and a nonempty string is truthy: it used to render.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "toric-body", "render": "false",
+        "input": {"fixture": "bl1p2", "divisor": "O1", "flags": "inf"},
+    })
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "input error: job \"render\" must be true or false, got 'false'\n")
+
+
+def test_render_key_without_polytope_exit_1(tmp_path, capsys):
+    # "render": true in the job is refused like --render, before the
+    # result file is written.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "seshadri", "render": True,
+        "input": {"s": 1, "class": {"d": "1", "m": ["0"]}, "weights": ["1"]},
+    })
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "input error: job kind 'seshadri' has no renderable polytope\n")
 
 
 def test_render_high_dimension_exit_1(tmp_path):
-    code, _ = run_job(tmp_path, {
+    code, out = run_job(tmp_path, {
         "schema": 1, "kind": "surface-body",
         "input": {"s": 2, "class": {"d": "1", "m": ["0", "0"]},
                   "points": [0, 1]},
     }, extra=["--render"])
-    assert code == 1
+    assert code == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("flag, key", [(["--render"], {}),
+                                       ([], {"render": True})])
+def test_render_body_above_dimension_2_exit_1(tmp_path, flag, key):
+    # Two flags on a toric surface give a 4-D body: refused before the
+    # result file is written, like a kind with no body.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "toric-body", **key,
+        "input": {"fixture": "bl2p2", "divisor": "H-E2", "flags": "inf2"},
+    }, extra=flag)
+    assert code == 1 and not out.exists()
 
 
 def test_byte_identical_outputs(tmp_path):

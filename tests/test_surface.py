@@ -464,6 +464,55 @@ def test_surface_body_anticanonical_bl8():
     assert volume(body) == F(1, 2) == vol(m8, K) / 2
 
 
+def test_surface_body_eliminates_no_impossible_support(monkeypatch):
+    # Where P(t) reaches 0 every curve is tight, and the walk meets supports
+    # of up to 240 curves on Bl_8.  Pic has signature (1, s), so none of
+    # more than s curves is negative definite: the solver refuses them
+    # before building their Gram matrix, with the same vertices.
+    rows = []
+    real = surface._negative_definite
+
+    def counted(m, k, **kw):
+        rows.append(len(m))
+        return real(m, k, **kw)
+
+    monkeypatch.setattr(surface, "_negative_definite", counted)
+    m8 = SurfaceModel(8)
+    K = cls(3, *[1] * 8)
+    body = surface_body_outer(m8, K, [0], F(1, 2), F(1))
+    assert body.vertices == ((0, 0), (0, 1), (F(1, 3), F(4, 3)), (F(1, 2), 0))
+    body = surface_body_outer(m8, K, [0, 1], F(1, 2), F(1))
+    third, fifth = F(1, 3), F(1, 5)
+    assert body.vertices == (
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, third, 4 * third),
+        (0, 0, F(1, 2), 0), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, third, 0),
+        (0, 1, third, 4 * third), (fifth, 0, fifth, 6 * fifth),
+        (fifth, 6 * fifth, fifth, 0), (fifth, 6 * fifth, fifth, 6 * fifth),
+        (third, 0, 0, 1), (third, 4 * third, 0, 0), (third, 4 * third, 0, 1),
+        (F(1, 2), 0, 0, 0))
+    assert rows and max(rows) <= 8
+    rows.clear()
+    surface_body_outer(SurfaceModel(5), cls(3, *[1] * 5), [0, 1, 2, 3],
+                       F(1, 2), F(1))
+    assert rows and max(rows) <= 5
+
+
+def test_chambers_bounded_by_max_chambers(monkeypatch):
+    # H on Bl_3 along E_1 + E_2 + E_3 has two chambers; with room for one
+    # step the walk refuses instead of ending.
+    model = SurfaceModel(3)
+    assert len(list(surface.chambers(model, H(3), [1, 1, 1]))) == 2
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 1)
+    with pytest.raises(RuntimeError, match="chamber walk did not terminate"):
+        list(surface.chambers(model, H(3), [1, 1, 1]))
+    # The nef test of a class that is not nef is no chamber: 2H + E_1 along
+    # E_2 + E_3 starts from the support E_1 and fits in two.
+    L = cls(2, -1, 0, 0)
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 2)
+    assert [c[:3] for c in surface.chambers(model, L, [0, 1, 1])] == [
+        (0, 1, 1), (1, 2, 2)]
+
+
 def test_surface_body_degenerate_start(monkeypatch):
     # 2H - E1 - E2 - E3 is nef, but every t != 0 brings in the three lines
     # at once: the first chamber is the point t = 0, and the walk crosses it

@@ -370,20 +370,21 @@ def _dd(rows):
         masks = [m for _, m in rays]
         out = [(r, m | 1 << i if v == 0 else m)
                for (r, m), v in zip(rays, vals) if v >= 0]
-        for p, vp in enumerate(vals):
-            if vp <= 0:
-                continue
-            rp, mp = rays[p]
-            for q, vq in enumerate(vals):
-                if vq >= 0:
-                    continue
-                z = mp & masks[q]
+        pos = [(v, r, m) for (r, m), v in zip(rays, vals) if v > 0]
+        neg = [(v, r, m) for (r, m), v in zip(rays, vals) if v < 0]
+        for vp, rp, mp in pos:
+            # A ray tight at exactly n - 1 rows is tight at independent
+            # ones.  Then z, short of all of them (q is another ray), holds
+            # n - 2 at most, and n - 2 cut out a 2-face: p and q span an edge.
+            simple = mp.bit_count() == n - 1
+            for vq, rq, mq in neg:
+                z = mp & mq
                 # p and q themselves contain z; a third ray means the two
-                # span no edge.
-                if (z.bit_count() < n - 2
-                        or sum(m & z == z for m in masks) > 2):
+                # span no edge.  Rays have distinct masks.
+                if z.bit_count() < n - 2 or not simple and any(
+                        m & z == z and m != mp and m != mq for m in masks):
                     continue
-                r = [vp * y - vq * x for x, y in zip(rp, rays[q][0])]
+                r = [vp * y - vq * x for x, y in zip(rp, rq)]
                 g = gcd(*r)
                 out.append((tuple(x // g for x in r), z | 1 << i))
         rays = out

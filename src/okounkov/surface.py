@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 from operator import index, mul
 
 from . import linalg, lp, polytope
@@ -53,6 +56,12 @@ class PicClass:
         return PicClass(self.d - other.d,
                         tuple(a - b for a, b in zip(self.m, other.m, strict=True)))
 
+    @cached_property
+    def _row(self) -> tuple[tuple[int, ...], int]:
+        """(row, q), built once: q > 0 is the lcm of the denominators of the
+        class and row is the integer tuple q * (d, m_1, ..., m_s)."""
+        return linalg.scaled((self.d, *self.m))
+
     def scale(self, k) -> "PicClass":
         k = Fraction(k)
         return PicClass(k * self.d, tuple(k * x for x in self.m))
@@ -85,19 +94,97 @@ def intersect(a: PicClass, b: PicClass) -> Fraction:
     )
 
 
-def _row(X: PicClass) -> tuple[tuple[int, ...], int]:
-    """(row, q): q > 0 is the lcm of the denominators of X and row is the
-    integer tuple q * (d, m_1, ..., m_s)."""
-    return linalg.scaled((X.d, *X.m))
-
-
 def _dot(a, b) -> int:
     """d d' - sum m_i m'_i of two integer rows: the intersection number of
     their classes times both scales."""
     return a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
 
-def _dots(rows, x) -> list[int]:
+# A packed scan keeps one dot per 64-bit lane, offset by _HALF = 2^63.
+_HALF = 1 << 63
+_BIG_ENDIAN = sys.byteorder == "big"
+# Byte b to 1 where its top bit is set, else to 0.
+_TOP = bytes(int(b >= 0x80) for b in range(256))
+
+
+def _pack(values) -> int:
+    """sum(v_k 2^(64 k)) of integers |v_k| < 2^63, read from their bytes:
+    lane k of their two's complement bytes holds v_k + 2^64 where v_k < 0,
+    and the 1 borrowed from lane k + 1 is put back."""
+    lanes = array("q", values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    raw = lanes.tobytes()
+    borrow = bytearray(len(raw) + 8)
+    borrow[8::8] = raw[7::8].translate(_TOP)
+    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+
+
+class _Rows(tuple):
+    """A model's integer rows (d, m_1, ..., m_s), its negative curves first,
+    packed for _dots (SIMD within a register: Lamport, "Multiple byte
+    processing with full-word instructions", CACM 1975).
+
+    cols[j] packs column j as sum_k r_kj 2^(64 k), negated for j >= 1 so
+    that the sign of d is folded in, and maxes[j] = max_k |r_kj|.  A column
+    with an entry past a lane packs as 0: the guard of _dots passes only
+    rows x with x_j = 0 there.  off holds 2^63 in every lane, off_curves in
+    the lanes of the curves."""
+
+    def __new__(cls, rows, curves: int):
+        self = super().__new__(cls, rows)
+        self.curves = curves
+        cols = list(zip(*rows))
+        self.maxes = [max(max(c), -min(c)) for c in cols]
+        self.cols = [(_pack(c) if mx < _HALF else 0) * (-1 if j else 1)
+                     for j, (c, mx) in enumerate(zip(cols, self.maxes))]
+        top = b"\0" * 7 + b"\x80"
+        self.off = int.from_bytes(top * len(rows), "little")
+        self.off_curves = int.from_bytes(top * curves, "little")
+        return self
+
+    def values(self, scan) -> list[int]:
+        """The dots of a scan, one per row."""
+        if type(scan) is list:
+            return scan
+        # Lane k holds dot + 2^63; flipping its top bit leaves the dot in
+        # two's complement.
+        lanes = array("q", (scan ^ self.off).to_bytes(8 * len(self), "little"))
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        return lanes.tolist()
+
+    def nef(self, scan) -> bool:
+        """No dot of the scan is negative: every lane keeps its top bit."""
+        if type(scan) is list:
+            return min(scan) >= 0
+        return scan & self.off == self.off
+
+    def negative(self, scan) -> list[int]:
+        """The indices of the curves with a negative dot, in order."""
+        if type(scan) is list:
+            return [k for k in range(self.curves) if scan[k] < 0]
+        if scan & self.off_curves == self.off_curves:
+            return []
+        # Flipped, the top bit of a curve's lane is set where dot < 0.
+        tops = (scan ^ self.off).to_bytes(8 * len(self), "little")[
+            7:8 * self.curves:8]
+        return list(itertools.compress(range(self.curves),
+                                       tops.translate(_TOP)))
+
+
+def _dots(rows: _Rows, x):
+    """The scan of the integer row x against rows: while sum_j |x_j| maxes_j
+    < 2^63 every |_dot(r, x)| is too, and the scan is one integer, sum_k
+    (_dot(rows[k], x) + 2^63) 2^(64 k), with no carry between lanes; else
+    it is the list of the dots from the row loop.  Read it with
+    rows.values, rows.nef and rows.negative."""
+    if sum(map(mul, map(abs, x), rows.maxes)) < _HALF:
+        return sum(map(mul, x, rows.cols), rows.off)
+    return _row_dots(rows, x)
+
+
+def _row_dots(rows, x) -> list[int]:
     """[_dot(r, x) for r in rows], with the sign of d folded into x once."""
     xt = (-x[0], *x[1:])
     return [-sum(map(mul, r, xt)) for r in rows]
@@ -154,7 +241,20 @@ def neg_curve_classes(s: int) -> list[PicClass]:
     of C^2 = -1, C.K = -1 (K = -3H + sum E_i) with d >= 0.  Counts are
     asserted against the classical table.
     """
-    return list(_curve_classes(_curve_rows(s)))
+    return list(_builtin(index(s))[0])
+
+
+def _generator_rows(s: int) -> list[tuple[int, ...]]:
+    """The rows of H, then of the H - E_i."""
+    return [(1, *(int(j == i) for j in range(s))) for i in range(-1, s)]
+
+
+@cache
+def _builtin(s: int) -> tuple[tuple[PicClass, ...], _Rows]:
+    """The curve classes and packed rows of SurfaceModel(s), built once per
+    s.  Callers pass index(s), so that 4.0 does not read the entry of 4."""
+    rows = _curve_rows(s)
+    return _curve_classes(rows), _Rows(rows + _generator_rows(s), len(rows))
 
 
 @dataclass(frozen=True)
@@ -162,27 +262,25 @@ class SurfaceModel:
     s: int
     mode: str = "delpezzo-general"
     neg_curves: tuple[PicClass, ...] = field(default=())
-    # _row of each of psef_generators(), so the negative curves come first.
-    # A row is its class scaled by a positive factor, which cancels from
-    # every sign and every ratio read off the rows.
-    _rows: tuple = field(default=(), init=False, repr=False, compare=False)
+    # The _row of each of psef_generators(), so the negative curves come
+    # first, packed once: per s on built-in models.  A row is its class
+    # scaled by a positive factor, which cancels from every sign and every
+    # ratio read off the rows.
+    _rows: _Rows = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode == "delpezzo-general":
-            rows = _curve_rows(self.s)
-            curves = _curve_classes(rows)
+            curves, rows = _builtin(index(self.s))
         elif self.mode == "user":
             curves = tuple(self.neg_curves)
             if not all(c.s == self.s for c in curves):
                 raise ValueError("user curve list has wrong s")
-            rows = [_row(c)[0] for c in curves]
+            rows = _Rows([c._row[0] for c in curves]
+                         + _generator_rows(self.s), len(curves))
         else:
             raise ValueError(f"unknown surface mode {self.mode!r}")
-        # H (i = -1), then the H - E_i.
-        rows += [(1, *(int(j == i) for j in range(self.s)))
-                 for i in range(-1, self.s)]
         object.__setattr__(self, "neg_curves", curves)
-        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_rows", rows)
 
     def psef_generators(self) -> list[PicClass]:
         gens = list(self.neg_curves) + [H(self.s)]
@@ -228,7 +326,7 @@ def is_psef(model: SurfaceModel, D: PicClass) -> bool:
 
 
 def is_nef(model: SurfaceModel, D: PicClass) -> bool:
-    return min(_dots(model._rows, _row(D)[0])) >= 0
+    return model._rows.nef(_dots(model._rows, D._row[0]))
 
 
 def _negative_definite(m, k: int, jordan: bool = False) -> int:
@@ -289,18 +387,19 @@ def _support(model: SurfaceModel, D: PicClass):
     """
     if model.mode == "user" and not is_psef(model, D):
         return None
-    x, q = _row(D)
+    rows = model._rows
+    x, q = D._row
     support, p, det, n = [], x, 1, ()  # P = p / (det q)
     while True:
         # A support curve has P.C = 0 exactly, so it never shows up again.
-        dots = _dots(model._rows, p)
-        new = [k for k, v in zip(range(len(model.neg_curves)), dots) if v < 0]
+        scan = _dots(rows, p)
+        new = rows.negative(scan)
         if not new:
-            if min(dots) >= 0:  # P is nef
+            if rows.nef(scan):  # P is nef
                 return support, p, n, det * q
             break
         support.extend(new)
-        sol = _solve([model._rows[k] for k in support], x)
+        sol = _solve([rows[k] for k in support], x)
         if sol is None:
             break
         det, [(p, n)] = sol
@@ -331,7 +430,9 @@ def _chamber(model: SurfaceModel, supp, x, *us):
     if (sol := _solve(supp, x, *us)) is None:
         return None
     det, pn = sol
-    return det, [p for p, _ in pn], [n + _dots(model._rows, p) for p, n in pn]
+    rows = model._rows
+    return det, [p for p, _ in pn], [n + rows.values(_dots(rows, p))
+                                     for p, n in pn]
 
 
 def chambers(model: SurfaceModel, L: PicClass, w):
@@ -345,9 +446,19 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     not increase along the walk, which starts from L's Zariski support
     (empty when the walls of the empty support show L nef) and ends with
     the chamber where it reaches 0 (the first, when L is not big) or with
-    t1 None; past MAX_CHAMBERS chambers it is refused."""
+    t1 None; past MAX_CHAMBERS chambers it is refused.  A w of other than s
+    entries, or with a negative one, is refused before the walk."""
+    minus_w = PicClass(0, tuple(w))
+    if minus_w.s != model.s or any(x < 0 for x in minus_w.m):
+        raise ValueError(f"weights must be {model.s} nonnegative rationals, "
+                         f"got {list(w)!r}")
+    return _walk(model, L, minus_w)
+
+
+def _walk(model: SurfaceModel, L: PicClass, minus_w: PicClass):
+    """The generator of chambers(model, L, w), minus_w = -W."""
     n = len(L.m) + 1  # x = q L and u = q (-W) on one scale q
-    row, _ = linalg.scaled((L.d, *L.m, 0, *PicClass(0, tuple(w)).m))
+    row, _ = linalg.scaled((L.d, *L.m, 0, *minus_w.m))
     x, u, supp, tn, td = row[:n], row[n:], [], 0, 1
     ch = _chamber(model, supp, x, u)
     if ch and min(ch[2][0]) < 0:  # not nef: start from L's Zariski support
@@ -395,7 +506,7 @@ def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
     support, p, n, den = sup
     P = PicClass(Fraction(p[0], den), tuple(Fraction(v, den) for v in p[1:]))
     curves = [model.neg_curves[k] for k in support]
-    return ZariskiDecomp(P, tuple((c, Fraction(_row(c)[1] * nb, den))
+    return ZariskiDecomp(P, tuple((c, Fraction(c._row[1] * nb, den))
                                   for c, nb in zip(curves, n) if nb))
 
 
@@ -406,11 +517,11 @@ def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[st
     computed: P + N is compared with D over one common denominator.
     """
     bad = []
-    p, qP = _row(Z.positive)
-    if min(_dots(model._rows, p)) < 0:
+    p, qP = Z.positive._row
+    if not model._rows.nef(_dots(model._rows, p)):
         bad.append("positive part not nef")
-    x, qD = _row(D)
-    rows = [(_row(c), a) for c, a in Z.negative_support]
+    x, qD = D._row
+    rows = [(c._row, a) for c, a in Z.negative_support]
     # a C = a_num * row / (q a_den) for the row q C of C.
     den = math.lcm(qP, qD, *(q * a.denominator for (_, q), a in rows))
     recon = [v * (den // qP) for v in p]
@@ -452,7 +563,8 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     """
     support, p, n, _ = _big(model, D, "base loci")
     bminus = [model.neg_curves[k] for k, nb in zip(support, n) if nb]
-    extra = [C for C, x in zip(model.neg_curves, _dots(model._rows, p))
+    extra = [C for C, x in zip(model.neg_curves,
+                               model._rows.values(_dots(model._rows, p)))
              if x == 0 and C not in bminus]
     return {"bminus": bminus, "bplus": bminus + extra}
 
@@ -504,8 +616,8 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     N0 = {model.neg_curves[k]: (nb, model._rows[k])
           for k, nb in zip(support, n) if nb}
     shift = [Fraction(N0[f][0] if f in N0 else 0, den) for f in flags]
-    x, q = _row(sum((f.scale(-a) for f, a in zip(flags, shift)), D))
-    us = [_row(f.scale(-q))[0] for f in flags]  # q D_t = x + sum t_i us_i
+    x, q = sum((f.scale(-a) for f, a in zip(flags, shift)), D)._row
+    us = [f.scale(-q)._row[0] for f in flags]  # q D_t = x + sum t_i us_i
     curves = set(model._rows[:len(model.neg_curves)])
     unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
     todo = [tuple(sorted(row for c, (_, row) in N0.items() if c not in flags))]

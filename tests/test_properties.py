@@ -684,6 +684,121 @@ def test_integer_kernel_matches_fraction_reference(case):
             surface.base_loci(model, D)
 
 
+
+# -- packed curve scans against the row loop ---------------------------
+
+_LANE_HALF = 2 ** 63
+_SCALES = (1, 2, F(1, 2), F(2, 3))
+
+
+@functools.cache
+def _user_rescaled(s, k):
+    """The built-in curves of Bl_s as a user list, curve i scaled by
+    _SCALES[(i + k) % 4]."""
+    return SurfaceModel(s, mode="user", neg_curves=tuple(
+        C.scale(_SCALES[(i + k) % 4])
+        for i, C in enumerate(_model(s).neg_curves)))
+
+
+def _check_scan(model, x):
+    """The packed scan of x agrees with the row loop in every reading;
+    returns whether it was packed."""
+    rows = model._rows
+    want = surface._row_dots(rows, x)
+    assert want == [surface._dot(r, x) for r in rows]
+    scan = surface._dots(rows, x)
+    packed = sum(abs(v) * m for v, m in zip(x, rows.maxes)) < _LANE_HALF
+    assert isinstance(scan, int) == packed
+    assert rows.values(scan) == want
+    assert rows.negative(scan) == [k for k in range(len(model.neg_curves))
+                                   if want[k] < 0]
+    assert rows.nef(scan) == (min(want) >= 0)
+    return packed
+
+
+@st.composite
+def scan_cases(draw):
+    """A built-in model, s = 1..8, or its curves rescaled by 1, 2, 1/2 and
+    2/3 as a user list, and an integer row x: small entries, or one entry
+    set so that the guard sum_j |x_j| maxes_j lands within two maxes of
+    2^63, on either side."""
+    s = draw(st.integers(1, 8))
+    model = _model(s) if draw(st.booleans()) else \
+        _user_rescaled(s, draw(st.integers(0, 3)))
+    maxes = model._rows.maxes
+    x = [draw(st.integers(-60, 60)) for _ in range(s + 1)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, s))
+        rest = sum(abs(v) * m for i, (v, m) in enumerate(zip(x, maxes))
+                   if i != j)
+        target = _LANE_HALF + draw(st.integers(-2 * maxes[j], 2 * maxes[j]))
+        x[j] = draw(st.sampled_from([1, -1])) * ((target - rest) // maxes[j])
+    return model, x
+
+
+@settings(deadline=None, max_examples=150)
+@given(scan_cases())
+def test_packed_scan_matches_row_loop(case):
+    _check_scan(*case)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_packed_scan_at_the_guard(s):
+    # x = +-c e_j with c the largest multiple count under the guard is
+    # packed, and c + 1 is the row loop.  On Bl_s, s <= 6, every |m_i| <= 1,
+    # so for j >= 1 that c is 2^63 - 1, the dot with E_j: a full lane.
+    for model in (_model(s), _user_rescaled(s, 0)):
+        maxes = model._rows.maxes
+        for j in range(s + 1):
+            c = (_LANE_HALF - 1) // maxes[j]
+            for sign in (1, -1):
+                for k, packed in ((c, True), (c + 1, False)):
+                    x = [0] * (s + 1)
+                    x[j] = sign * k
+                    assert _check_scan(model, x) == packed
+            if s <= 6 and j and model is _model(s):
+                x = [0] * (s + 1)
+                x[j] = c
+                dots = surface._row_dots(model._rows, x)
+                assert max(map(abs, dots)) == c == _LANE_HALF - 1
+    assert _check_scan(_model(s), [0] * (s + 1))
+    # A curve entry past a lane packs its column as 0, and only rows with
+    # a 0 there pass the guard.
+    big = SurfaceModel(s, mode="user", neg_curves=(
+        E(s, 0).scale(2 ** 70),) + _model(s).neg_curves[1:])
+    assert _check_scan(big, [5, 0] + [-3] * (s - 1))
+    assert not _check_scan(big, [0, 1] + [0] * (s - 1))
+
+
+@pytest.mark.parametrize("s", [2, 5, 8])
+def test_zariski_past_the_lanes_matches_fraction_reference(s, monkeypatch):
+    # ~30-digit entries fail the guard: the support loop, check_zariski,
+    # is_nef and base_loci run on the row loop, exactly.
+    loops = []
+    real = surface._row_dots
+    monkeypatch.setattr(surface, "_row_dots",
+                        lambda rows, x: loops.append(x) or real(rows, x))
+    rng = random.Random(s)
+    model = _model(s)
+    gens = model.psef_generators()
+    D = PicClass(0, (0,) * s)
+    for g in rng.sample(gens, min(4, len(gens))) + [H(s)]:
+        D = D + g.scale(F(rng.randrange(10 ** 29, 10 ** 30),
+                          rng.randrange(1, 4)))
+    P, support = _ref_decompose(model, D)
+    Z = surface.zariski(model, D)
+    assert (Z.positive, Z.negative_support) == (P, support)
+    assert surface.check_zariski(model, D, Z) == []
+    assert surface.vol(model, D) == surface.intersect(P, P) > 0
+    assert surface.is_nef(model, P)
+    assert surface.base_loci(model, D)["bminus"] == [c for c, _ in support]
+    assert loops
+    # Pushed out of the cone along -H it is rejected by the same loop.
+    out = D - H(s).scale(10 ** 31)
+    assert _ref_decompose(model, out) is None
+    assert not surface.is_psef(model, out)
+
+
 # -- fraction-free support solver and chamber walk --------------------
 
 def _ref_project(support, *classes):
@@ -729,8 +844,8 @@ def _read_back(support, *classes):
     back with Fractions as (X - sum a_c c, a) per class X: with rows
     r_c = q_c c and r_X = q_X X, a_c = q_c n_c / (det q_X) and the positive
     part is p / (det q_X)."""
-    rows = [surface._row(c) for c in support]
-    xs = [surface._row(X) for X in classes]
+    rows = [c._row for c in support]
+    xs = [X._row for X in classes]
     sol = surface._solve([r for r, _ in rows], *(r for r, _ in xs))
     if sol is None:
         return None

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from okounkov import linalg, polytope, surface
+from okounkov import invariants, linalg, polytope, surface
 from okounkov.numbers import format_rat
 from okounkov.polytope import contains, volume
 from okounkov.surface import (
@@ -78,7 +78,7 @@ def test_builtin_model_rows_match_its_classes(s):
     # A built-in model takes its integer rows straight from the curve types;
     # they are the rows of its classes, and its curves are the classical ones.
     model = SurfaceModel(s)
-    assert model._rows == tuple(surface._row(g)[0]
+    assert model._rows == tuple(g._row[0]
                                 for g in model.psef_generators())
     assert model.neg_curves == tuple(neg_curve_classes(s))
 
@@ -524,7 +524,7 @@ def test_surface_body_degenerate_start(monkeypatch):
     m3 = SurfaceModel(3)
     D = cls(2, 1, 1, 1)
     body = surface_body_outer(m3, D, [0, 1], F(1, 2), F(1))
-    lines = sorted(surface._row(c)[0] for c in m3.neg_curves[3:])
+    lines = sorted(c._row[0] for c in m3.neg_curves[3:])
     assert solved[:2] == [(), tuple(lines)]
     assert body == _oracle_body(m3, D, [0, 1])
     assert len(body.vertices) == 6 and volume(body) == F(1, 12)
@@ -540,3 +540,41 @@ def test_surface_body_grid_keys_shape_nothing():
         assert body.meta["t_max"] == format_rat(t_max)
     with pytest.raises(ValueError, match="grid_step must be positive"):
         surface_body_outer(m1, cls(2, 0), [0], F(0), F(1))
+
+
+def test_chambers_refuses_bad_weights():
+    # A w of the wrong length used to be zipped short or padded, and a
+    # negative weight walked L + t W.
+    model = SurfaceModel(3)
+    L = H(3).scale(3)
+    for w in ([1], [1, 0, 0, 0], [-1, 0, 0], [1, F(-1, 2), 1]):
+        with pytest.raises(ValueError, match="3 nonnegative rationals"):
+            surface.chambers(model, L, w)
+    assert next(surface.chambers(model, L, [1, 0, 0]))[:2] == (0, 3)
+
+
+def test_packed_scans_cover_the_benchmark_classes(monkeypatch):
+    # The scans of Bl_8 -K multiples, a class with a negative part and the
+    # sandwich degrees d H, d = 1..6, all fit the 64-bit lanes: none falls
+    # back to the row loop.
+    loops = []
+    real = surface._row_dots
+    monkeypatch.setattr(surface, "_row_dots",
+                        lambda rows, x: loops.append(x) or real(rows, x))
+    m8 = SurfaceModel(8)
+    K = cls(3, *[1] * 8)
+    for D in [K.scale(k) for k in (F(1, 2), 1, 2, 5)] + [
+            K + E(8, 0) + cls(1, 1, 1, 0, 0, 0, 0, 0, 0).scale(2)]:
+        assert is_psef(m8, D)
+        Z = zariski(m8, D)
+        assert check_zariski(m8, D, Z) == []
+        assert vol(m8, D) > 0 and is_nef(m8, Z.positive)
+        base_loci(m8, D)
+        invariants.seshadri_eps(m8, Z.positive, [1] * 8)
+    assert not is_psef(m8, K - E(8, 0).scale(3))
+    for d in range(1, 7):
+        invariants.bounds_sandwich(m8, H(8).scale(d))
+    assert loops == []
+    # A class past the guard does take it.
+    assert not is_nef(m8, cls(10 ** 30, 10 ** 30 + 1, *[0] * 7))
+    assert loops

@@ -89,9 +89,8 @@ def E(s: int, i: int) -> PicClass:
 def intersect(a: PicClass, b: PicClass) -> Fraction:
     if a.s != b.s:
         raise ValueError("intersection of classes with different s")
-    return a.d * b.d - sum(
-        (x * y for x, y in zip(a.m, b.m)), Fraction(0)
-    )
+    (ra, qa), (rb, qb) = a._row, b._row
+    return Fraction(_dot(ra, rb), qa * qb)
 
 
 def _dot(a, b) -> int:
@@ -142,6 +141,10 @@ class _Rows(tuple):
         self.off = int.from_bytes(top * len(rows), "little")
         self.off_curves = int.from_bytes(top * curves, "little")
         return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild the rows through __new__, which packs them.
+        return _Rows, (tuple(self), self.curves)
 
     def values(self, scan) -> list[int]:
         """The dots of a scan, one per row."""
@@ -316,16 +319,28 @@ class ZariskiDecomp:
         }
 
 
+def _check_s(model: SurfaceModel, *classes: PicClass) -> None:
+    """A ValueError unless each class has model.s multiplicities: the
+    integer scans zip a class's row with the model's rows, so a row of
+    another length would be truncated or padded without notice."""
+    for D in classes:
+        if len(D.m) != model.s:
+            raise ValueError(f"a class of s = {len(D.m)} on a model of "
+                             f"s = {model.s}")
+
+
 def is_psef(model: SurfaceModel, D: PicClass) -> bool:
     """Pseudoeffectivity: the support-growth verdict on built-in models; a
     user curve list may be incomplete, so there cone membership decides."""
     if model.mode == "user":
+        _check_s(model, D)
         cols = [[g.d] + [-x for x in g.m] for g in model.psef_generators()]
         return lp.in_cone(cols, [D.d] + [-x for x in D.m])
     return _support(model, D) is not None
 
 
 def is_nef(model: SurfaceModel, D: PicClass) -> bool:
+    _check_s(model, D)
     return model._rows.nef(_dots(model._rows, D._row[0]))
 
 
@@ -378,17 +393,38 @@ def _support(model: SurfaceModel, D: PicClass):
     den, and the curve support[j], whose row is q C, has multiplicity
     q n[j] / den (zero for a curve that joined the support and left N).
 
+    The state is kept with D, as D._row is: one entry of D.__dict__,
+    outside the dataclass fields, tagged with model._rows and read back
+    only for the same rows object (built-in models of one s share it), so
+    a class runs the loop once per model whoever asks first.  A ValueError
+    is raised again on every call, never kept.
+    """
+    rows = model._rows
+    memo = D.__dict__.get("_support")
+    if memo is not None and memo[0] is rows:
+        return memo[1]
+    _check_s(model, D)
+    sup = None
+    if model.mode != "user" or is_psef(model, D):
+        sup = _grow(rows, *D._row)
+        if sup is None and model.mode == "user":
+            raise ValueError("the user curve list is inconsistent: the class "
+                             "is in its cone but has no Zariski "
+                             "decomposition over it")
+    D.__dict__["_support"] = (rows, sup)
+    return sup
+
+
+def _grow(rows: _Rows, x, q: int):
+    """The support-growth loop of _support on the row x = q D, q > 0.
+
     For psef D and a complete curve list each stage's support lies in
     Neg(D): its Gram matrix is negative definite, the multiplicities stay
     >= 0, it has at most s curves, and the loop ends with nef P (Bauer,
     J. Algebraic Geom. 2009).  Nef P plus N >= 0 shows D psef, so any other
-    outcome rejects D.  On a user list that outcome, after the cone test
-    accepted D, means the list is inconsistent.
+    outcome rejects D: None.  On a user list that outcome, after the cone
+    test accepted D, means the list is inconsistent.
     """
-    if model.mode == "user" and not is_psef(model, D):
-        return None
-    rows = model._rows
-    x, q = D._row
     support, p, det, n = [], x, 1, ()  # P = p / (det q)
     while True:
         # A support curve has P.C = 0 exactly, so it never shows up again.
@@ -396,19 +432,15 @@ def _support(model: SurfaceModel, D: PicClass):
         new = rows.negative(scan)
         if not new:
             if rows.nef(scan):  # P is nef
-                return support, p, n, det * q
-            break
+                return tuple(support), tuple(p), tuple(n), det * q
+            return None
         support.extend(new)
         sol = _solve([rows[k] for k in support], x)
         if sol is None:
-            break
+            return None
         det, [(p, n)] = sol
         if any(nb < 0 for nb in n):
-            break
-    if model.mode == "user":
-        raise ValueError("the user curve list is inconsistent: the class is in "
-                         "its cone but has no Zariski decomposition over it")
-    return None
+            return None
 
 
 def _big(model: SurfaceModel, D: PicClass, what: str):
@@ -446,8 +478,10 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     not increase along the walk, which starts from L's Zariski support
     (empty when the walls of the empty support show L nef) and ends with
     the chamber where it reaches 0 (the first, when L is not big) or with
-    t1 None; past MAX_CHAMBERS chambers it is refused.  A w of other than s
-    entries, or with a negative one, is refused before the walk."""
+    t1 None; past MAX_CHAMBERS chambers it is refused.  An L of the wrong
+    s, or a w of other than s entries or with a negative one, is refused
+    before the walk."""
+    _check_s(model, L)
     minus_w = PicClass(0, tuple(w))
     if minus_w.s != model.s or any(x < 0 for x in minus_w.m):
         raise ValueError(f"weights must be {model.s} nonnegative rationals, "
@@ -514,8 +548,10 @@ def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[st
     """Return a list of violated Zariski-decomposition invariants (empty = ok).
 
     An audit of Z's own fields on integer rows, independent of how Z was
-    computed: P + N is compared with D over one common denominator.
+    computed: P + N is compared with D over one common denominator.  A
+    class of the wrong s, in D or in Z, is refused with a ValueError.
     """
+    _check_s(model, D, Z.positive, *(c for c, _ in Z.negative_support))
     bad = []
     p, qP = Z.positive._row
     if not model._rows.nef(_dots(model._rows, p)):
@@ -601,8 +637,9 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     answers only negative definite supports (one of more than s curves
     costs no elimination), and on them P nef and N >= 0 is the Zariski
     decomposition, so the body is the hull of all fibre ends.  grid_step >
-    0 and t_max >= 0 are checked and echoed in meta only; past MAX_CHAMBERS
-    supports the walk is refused."""
+    0 and t_max >= 0 are checked and echoed in meta only; a D of the wrong
+    s is refused, by _support; past MAX_CHAMBERS supports the walk is
+    refused."""
     points = flag_points(model, points)
     grid_step, t_max = Fraction(grid_step), Fraction(t_max)
     if grid_step <= 0:

@@ -61,6 +61,16 @@ def test_surface_zariski_job(tmp_path):
     assert doc["result"]["negative_support"][0]["mult"] == "2"
 
 
+def test_surface_zariski_job_refuses_class_of_wrong_s(tmp_path, capsys):
+    # Four multiplicities on Bl_3: refused as an input error, nothing written.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "surface-zariski",
+        "input": {"s": 3, "class": {"d": "2", "m": ["1", "1", "1", "1"]}},
+    })
+    assert code == 1 and not out.exists()
+    assert "a class of s = 4 on a model of s = 3" in capsys.readouterr().err
+
+
 def test_surface_body_grid_step_override(tmp_path):
     code, out = run_job(tmp_path, {
         "schema": 1, "kind": "surface-body",

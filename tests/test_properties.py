@@ -586,8 +586,29 @@ def test_is_psef_matches_cone_membership_s8():
 
 # -- integer curve kernel against Fraction intersections --------------
 
+def _frac_dot(a, b):
+    """The intersection form summed in Fractions: the references below do
+    not read surface.intersect, which runs on the classes' integer rows."""
+    assert a.s == b.s
+    return a.d * b.d - sum((x * y for x, y in zip(a.m, b.m)), F(0))
+
+
+fractional = st.fractions(-7, 7, max_denominator=12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 8).flatmap(lambda s: st.tuples(*[st.builds(
+    PicClass, fractional, st.tuples(*[fractional] * s))] * 2)))
+def test_intersect_matches_fraction_form(pair):
+    a, b = pair
+    assert surface.intersect(a, b) == _frac_dot(a, b) == surface.intersect(b, a)
+    assert surface.intersect(a, a) == _frac_dot(a, a)
+    with pytest.raises(ValueError, match="different s"):
+        surface.intersect(a, PicClass(b.d, b.m + (F(1, 2),)))
+
+
 def _ref_is_nef(model, D):
-    return all(surface.intersect(D, C) >= 0 for C in model.psef_generators())
+    return all(_frac_dot(D, C) >= 0 for C in model.psef_generators())
 
 
 def _ref_decompose(model, D):
@@ -596,7 +617,7 @@ def _ref_decompose(model, D):
         return None
     support, P, coeffs = [], D, ()
     while True:
-        new = [C for C in model.neg_curves if surface.intersect(P, C) < 0
+        new = [C for C in model.neg_curves if _frac_dot(P, C) < 0
                and all(C != S for S in support)]
         if not new:
             if not _ref_is_nef(model, P):
@@ -618,7 +639,7 @@ def _ref_seshadri(model, L, w):
     for C in model.psef_generators():
         den = sum((wi * mi for wi, mi in zip(w, C.m)), F(0))
         if den > 0:
-            cand = surface.intersect(L, C) / den
+            cand = _frac_dot(L, C) / den
             best = cand if best is None else min(best, cand)
     return RadVal.rational(max(best, F(0)))
 
@@ -661,7 +682,7 @@ def test_integer_kernel_matches_fraction_reference(case):
     # check_zariski audits zariski's Fractions on integer rows.
     assert surface.is_psef(model, D) == (want is not None)
     v = surface.vol(model, D)
-    assert v == (0 if want is None else surface.intersect(want[0], want[0]))
+    assert v == (0 if want is None else _frac_dot(want[0], want[0]))
     assert surface.is_big(model, D) == (v > 0)
     if want is None:
         with pytest.raises(ValueError, match="pseudoeffective"):
@@ -672,10 +693,10 @@ def test_integer_kernel_matches_fraction_reference(case):
     assert (Z.positive, Z.negative_support) == (P, support)
     assert surface.check_zariski(model, D, Z) == []
     assert invariants.seshadri_eps(model, P, w) == _ref_seshadri(model, P, w)
-    if surface.intersect(P, P) > 0:
+    if _frac_dot(P, P) > 0:
         bminus = [c for c, _ in support]
         bplus = bminus + [C for C in model.neg_curves
-                          if surface.intersect(P, C) == 0
+                          if _frac_dot(P, C) == 0
                           and all(C != b for b in bminus)]
         assert surface.base_loci(model, D) == {"bminus": bminus,
                                                "bplus": bplus}
@@ -789,7 +810,7 @@ def test_zariski_past_the_lanes_matches_fraction_reference(s, monkeypatch):
     Z = surface.zariski(model, D)
     assert (Z.positive, Z.negative_support) == (P, support)
     assert surface.check_zariski(model, D, Z) == []
-    assert surface.vol(model, D) == surface.intersect(P, P) > 0
+    assert surface.vol(model, D) == _frac_dot(P, P) > 0
     assert surface.is_nef(model, P)
     assert surface.base_loci(model, D)["bminus"] == [c for c, _ in support]
     assert loops
@@ -806,11 +827,11 @@ def _ref_project(support, *classes):
     Fraction intersections and linalg.rref; None unless Gram is negative
     definite, read off its leading minors (Sylvester's criterion)."""
     k = len(support)
-    gram = [[surface.intersect(a, b) for b in support] for a in support]
+    gram = [[_frac_dot(a, b) for b in support] for a in support]
     if any(linalg.det([row[:j] for row in gram[:j]]) * (-1) ** j <= 0
            for j in range(1, k + 1)):
         return None
-    red, _ = linalg.rref([row + [surface.intersect(X, a) for X in classes]
+    red, _ = linalg.rref([row + [_frac_dot(X, a) for X in classes]
                           for row, a in zip(gram, support)])
     out = []
     for j, X in enumerate(classes):
@@ -927,7 +948,7 @@ def _ref_nakayama(model, L, points):
     """The chamber walk on Fraction crossings and intersections; at the
     nearest wall it rescans the same chamber to find the walls reached."""
     want = _ref_decompose(model, L)
-    if want is None or surface.intersect(want[0], want[0]) <= 0:
+    if want is None or _frac_dot(want[0], want[0]) <= 0:
         return "not big"
     T = PicClass(0, (0,) * model.s)
     for i in range(model.s) if points is None else points:
@@ -941,9 +962,9 @@ def _ref_nakayama(model, L, points):
         t_next, add_now, drop_now = None, [], []
         crossings = [(-a0[k] / a1[k], k, None)
                      for k in range(len(supp)) if a1[k] < 0]
-        crossings += [(-surface.intersect(P0, C) / surface.intersect(P1, C),
+        crossings += [(-_frac_dot(P0, C) / _frac_dot(P1, C),
                        None, C) for C in model.neg_curves
-                      if surface.intersect(P1, C) < 0]
+                      if _frac_dot(P1, C) < 0]
         for cross, k, C in crossings:
             if cross <= t:
                 (drop_now.append(k) if C is None else add_now.append(C))
@@ -954,8 +975,8 @@ def _ref_nakayama(model, L, points):
             supp += add_now
             continue
         root = _ref_first_root_after(
-            surface.intersect(P0, P0), 2 * surface.intersect(P0, P1),
-            surface.intersect(P1, P1), t)
+            _frac_dot(P0, P0), 2 * _frac_dot(P0, P1),
+            _frac_dot(P1, P1), t)
         if root is not None and (t_next is None or root <= t_next):
             return root
         if t_next is None:

@@ -1,4 +1,7 @@
+import copy as copy_module
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -373,6 +376,13 @@ def test_surface_json_round_trip():
 
 # -- the chamber walk against an exact oracle ----------------------------
 
+def _frac_intersect(a, b):
+    """The intersection form summed in Fractions, apart from
+    surface.intersect, which runs on the classes' integer rows."""
+    return a.d * b.d - sum((x * y for x, y in zip(a.m, b.m, strict=True)),
+                           F(0))
+
+
 def _oracle_body(model, D, points):
     """The body as the hull of the pieces over every candidate support S of
     at most s curves with a negative definite Gram matrix.  On S, P(t) =
@@ -389,7 +399,7 @@ def _oracle_body(model, D, points):
     pts = set()
     for k in range(model.s + 1):
         for S in itertools.combinations(model.neg_curves, k):
-            gram = [[intersect(a, b) for b in S] for a in S]
+            gram = [[_frac_intersect(a, b) for b in S] for a in S]
             if any((-1) ** j * linalg.det([row[:j] for row in gram[:j]]) <= 0
                    for j in range(1, k + 1)):
                 continue  # not negative definite
@@ -397,15 +407,15 @@ def _oracle_body(model, D, points):
             # the same for the multiplicities.
             Ps, As = [], []
             for X in [base] + [f.scale(-1) for f in flags]:
-                a = linalg.solve(gram, [intersect(X, c) for c in S])
+                a = linalg.solve(gram, [_frac_intersect(X, c) for c in S])
                 for c, x in zip(S, a):
                     X = X - c.scale(x)
                 Ps.append(X)
                 As.append(a)
             halfs = [(tuple(-As[1 + i][j] for i in range(r)), As[0][j])
                      for j in range(k)]
-            halfs += [(tuple(-intersect(Ps[1 + i], g) for i in range(r)),
-                       intersect(Ps[0], g))
+            halfs += [(tuple(-_frac_intersect(Ps[1 + i], g)
+                             for i in range(r)), _frac_intersect(Ps[0], g))
                       for g in model.psef_generators() if g not in S]
             halfs += [(tuple(F(-(i == j)) for i in range(r)), F(0))
                       for j in range(r)]
@@ -578,3 +588,187 @@ def test_packed_scans_cover_the_benchmark_classes(monkeypatch):
     # A class past the guard does take it.
     assert not is_nef(m8, cls(10 ** 30, 10 ** 30 + 1, *[0] * 7))
     assert loops
+
+
+# -- the support loop's state, kept with the class ---------------------
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("model, D", [
+    (SurfaceModel(5), cls(F(7, 2), 3, 3, F(-1, 2), 0, 0)),
+    (SurfaceModel(8), cls(F(7, 2), 3, 3, F(-1, 2), 0, 0, 0, 0, 0)),
+])
+def test_one_support_loop_per_class(monkeypatch, model, D):
+    # Every reader of the support loop's state on one class runs the loop
+    # once, and that run solves as many supports as a lone loop does.
+    lone = _count(monkeypatch, surface, "_solve")
+    assert surface._support(model, PicClass(D.d, D.m)) is not None
+    lone = len(lone)
+    loops = _count(monkeypatch, surface, "_grow")
+    solved = _count(monkeypatch, surface, "_solve")
+    assert is_psef(model, D)
+    Z = zariski(model, D)
+    assert check_zariski(model, D, Z) == []
+    assert vol(model, D) > 0 and is_big(model, D)
+    assert base_loci(model, D)["bminus"] == [c for c, _ in Z.negative_support]
+    assert len(loops) == 1 and solved and len(solved) == lone
+    # A model of the same s shares the built-in rows, and so the state.
+    assert vol(SurfaceModel(model.s), D) == vol(model, D)
+    assert len(loops) == 1
+
+
+def test_one_support_loop_per_surface_body_op(monkeypatch):
+    # nakayama_mu of a class that is not nef, its surface body and its
+    # volume: the walk's support loop serves the body and vol.
+    model, D = SurfaceModel(3), cls(2, -1, 0, 0)  # 2H + E_1
+    assert not is_nef(model, D)
+    loops = _count(monkeypatch, surface, "_grow")
+    invariants.nakayama_mu(model, D, [1])
+    body = surface_body_outer(model, D, [1], F(1, 4), F(1))
+    assert vol(model, D) == 4  # P = 2H
+    assert volume(body).as_rational() == 2
+    assert len(loops) == 1
+
+
+def test_user_model_pays_its_cone_test_once(monkeypatch):
+    line = cls(1, 1, 1).scale(F(1, 2))
+    model = SurfaceModel(2, mode="user",
+                         neg_curves=(E(2, 0).scale(2), E(2, 1), line))
+    D = cls(3, 2, 2)
+    lps = _count(monkeypatch, surface.lp, "in_cone")
+    Z = zariski(model, D)
+    assert check_zariski(model, D, Z) == []
+    assert vol(model, D) == 2 and is_big(model, D)
+    assert base_loci(model, D)["bminus"] == [line]
+    assert len(lps) == 1
+    # is_psef keeps its own cone test on user models.
+    assert is_psef(model, D) and len(lps) == 2
+
+
+def test_support_state_belongs_to_one_model(monkeypatch):
+    # Bl2 without its line H - E_1 - E_2: the user cone misses 3H - 2E_1 -
+    # 2E_2, which the built-in model splits as (2H - E_1 - E_2) + line.
+    builtin = SurfaceModel(2)
+    user = SurfaceModel(2, mode="user", neg_curves=(E(2, 0), E(2, 1)))
+    D = cls(3, 2, 2)
+    loops = _count(monkeypatch, surface, "_grow")
+    for _ in range(2):
+        assert is_psef(builtin, D) and vol(builtin, D) == 2
+        assert zariski(builtin, D) == ZariskiDecomp(
+            cls(2, 1, 1), ((cls(1, 1, 1), F(1)),))
+        assert not is_psef(user, D) and vol(user, D) == 0
+        with pytest.raises(ValueError, match="pseudoeffective"):
+            zariski(user, D)
+    # Each switch of model runs the loop again; the user cone test refuses
+    # D before any loop.
+    assert len(loops) == 2
+    # An equal user model has rows of its own, so it does not read the
+    # state kept for the first.
+    twin = SurfaceModel(2, mode="user", neg_curves=(E(2, 0), E(2, 1)))
+    lps = _count(monkeypatch, surface.lp, "in_cone")
+    assert vol(twin, D) == 0 and len(lps) == 1
+
+
+def test_inconsistent_user_list_raises_on_every_call():
+    m = SurfaceModel(2, mode="user",
+                     neg_curves=(E(2, 0), E(2, 0).scale(2)))
+    D = cls(1, -3, 0)
+    for call in (zariski, vol, zariski, is_big):
+        with pytest.raises(ValueError, match="curve list is inconsistent"):
+            call(m, D)
+    assert "_support" not in D.__dict__
+
+
+def test_check_zariski_never_reads_the_kept_state(monkeypatch):
+    # Bl3 7/2 H - 3 E_1 - 3 E_2 + 1/2 E_3 = P + 1/2 E_3 + 5/2 L12.  With D's
+    # state kept, a tampered Z is still audited on its own fields.
+    model, L12 = SurfaceModel(3), cls(1, 1, 1, 0)
+    D = cls(F(7, 2), 3, 3, F(-1, 2))
+    Z = zariski(model, D)
+    assert "_support" in D.__dict__
+
+    def no_loop(*args):
+        raise AssertionError("check_zariski read the support loop")
+
+    monkeypatch.setattr(surface, "_support", no_loop)
+    moved = ZariskiDecomp(  # L12 moved from N into P
+        Z.positive + L12, ((E(3, 2), F(1, 2)), (L12, F(3, 2))))
+    assert check_zariski(model, D, moved) == [
+        "positive part not nef",
+        "positive part meets a support curve",
+    ]
+    changed = ZariskiDecomp(Z.positive, ((E(3, 2), F(1)), (L12, F(5, 2))))
+    assert check_zariski(model, D, changed) == [
+        "P + N does not reconstruct the input"]
+    assert check_zariski(model, D, Z) == []
+    monkeypatch.undo()
+    assert zariski(model, D) == Z != moved
+
+
+def test_kept_state_leaves_the_class_as_it_was():
+    model = SurfaceModel(5)
+    D = cls(F(7, 2), 3, 3, F(-1, 2), 0, 0)
+    before = (repr(D), hash(D), D.to_json())
+    zariski(model, D)
+    base_loci(model, D)
+    assert "_support" in D.__dict__
+    fresh = cls(F(7, 2), 3, 3, F(-1, 2), 0, 0)
+    assert (repr(D), hash(D), D.to_json()) == before
+    assert D == fresh and hash(D) == hash(fresh) and {D, fresh} == {D}
+    assert [f.name for f in dataclasses.fields(D)] == ["d", "m"]
+    assert dataclasses.astuple(D) == dataclasses.astuple(fresh)
+
+
+def test_models_and_classes_survive_pickle_and_deepcopy():
+    # A model's packed rows and a class's kept state (which holds them)
+    # are rebuilt from the rows; the copy of a class does not share the
+    # original model's rows object, so it runs its own loop there.
+    model = SurfaceModel(5)
+    user = SurfaceModel(2, mode="user", neg_curves=(E(2, 0), E(2, 1)))
+    D = cls(F(7, 2), 3, 3, F(-1, 2), 0, 0)
+    assert vol(model, D) == F(1, 2)
+    for copy in (lambda x: pickle.loads(pickle.dumps(x)), copy_module.deepcopy):
+        m2, u2, D2 = map(copy, (model, user, D))
+        assert (m2, u2, D2) == (model, user, D)
+        assert m2._rows.cols == model._rows.cols
+        assert m2._rows.curves == len(model.neg_curves)
+        assert vol(m2, D2) == vol(model, D2) == F(1, 2)
+        assert zariski(m2, D) == zariski(model, D)
+        assert not is_psef(u2, cls(1, 1, 1))
+
+
+# -- a class of the wrong s --------------------------------------------
+
+_M3 = SurfaceModel(3)
+_USER3 = SurfaceModel(3, mode="user", neg_curves=tuple(_M3.neg_curves))
+
+
+@pytest.mark.parametrize("call", [
+    lambda D: is_psef(_M3, D),
+    lambda D: is_psef(_USER3, D),
+    lambda D: zariski(_M3, D),
+    lambda D: zariski(_USER3, D),
+    lambda D: vol(_M3, D),
+    lambda D: is_big(_M3, D),
+    lambda D: base_loci(_M3, D),
+    lambda D: is_nef(_M3, D),
+    lambda D: surface.chambers(_M3, D, [1, 1, 1]),
+    lambda D: invariants.nakayama_mu(_M3, D),
+    lambda D: check_zariski(_M3, D, ZariskiDecomp(H(3), ())),
+    lambda D: check_zariski(_M3, H(3), ZariskiDecomp(D, ())),
+    lambda D: check_zariski(_M3, H(3), ZariskiDecomp(H(3), ((D, F(1)),))),
+    lambda D: surface_body_outer(_M3, D, [0], F(1, 2), F(1)),
+])
+@pytest.mark.parametrize("D", [cls(2, 1, 1, 1, 1), cls(1, 0)])
+def test_class_of_wrong_s_refused(call, D):
+    # The scans zip a class's row with the model's: a row of four or of
+    # one multiplicity on Bl3 used to read as that of another class.
+    with pytest.raises(ValueError, match="on a model of s = 3"):
+        call(D)
+    assert "_support" not in D.__dict__

@@ -7,8 +7,8 @@ A job file is `{"schema": 1, "kind": <kind>, "input": {...},
 "output_path": "name.json"}`; output_path is a file name, written in the
 --out directory.  Output JSON is deterministic
 (sorted keys, fixed formatting): identical inputs give byte-identical
-artifacts.  Exit codes: 0 success, 1 input error, 2 check failure,
-3 internal error.
+artifacts.  Exit codes: 0 success, 1 input error (a usage error too),
+2 check failure, 3 internal error.
 """
 from __future__ import annotations
 
@@ -30,8 +30,16 @@ class CheckFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as an InputError (exit 1), not
+    argparse's exit 2, which this CLI keeps for a failed check."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="okounkov")
+    parser = _Parser(prog="okounkov")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a JSON job file")
     runp.add_argument("--job", required=True, help="job description file")
@@ -49,9 +57,8 @@ _PARSER = _parser()  # built once, at import: main only parses
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        return _run(args)
+        return _run(_PARSER.parse_args(argv))
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 2
@@ -126,9 +133,7 @@ def _known(names, key, p, of=""):
 
 def _toric_parts(p):
     if "fan" in p:
-        return (toric.Fan.from_json(p["fan"]),
-                toric.ToricDivisor.from_json(p["divisor"]),
-                toric.ToricFlagSpec.from_json(p["flags"]))
+        return p["fan"], p["divisor"], p["flags"]
     _known(toric.fixture_names(), "fixture", p)
     fx = toric.load_fixture(p["fixture"])
     _known(fx["divisors"], "divisor", p, f" of fixture {p['fixture']!r}")
@@ -259,9 +264,9 @@ _HANDLERS = {
 
 # The reader of each kind of value, by what a message calls it: the value as
 # the handlers take it, or _BAD.  A bool is not an integer, a rational is "p/q"
-# or an integer; strings and objects pass through unchanged, and a surface or
-# a body is built from what was read, so a constructor's ValueError is an
-# input error.
+# or an integer; strings pass through unchanged, and a surface, a body, a
+# fan, a divisor or flags are built from what was read, so a constructor's
+# ValueError is an input error.
 _BAD = object()
 
 
@@ -303,12 +308,48 @@ def _read_body(v):
         list(map(tuple, verts)), v["ambient_dim"])
 
 
+def _read_int_lists(v):
+    ok = isinstance(v, list) and all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in v)
+    return v if ok else _BAD
+
+
+def _read_fan(v):
+    if not (isinstance(v, dict) and v.keys() == {"dim", "rays", "max_cones"}
+            and type(v["dim"]) is int):
+        return _BAD
+    rays, cones = _read_int_lists(v["rays"]), _read_int_lists(v["max_cones"])
+    # A negative ray index would wrap round; one past the end has no ray.
+    if _BAD in (rays, cones) or not all(
+            0 <= i < len(rays) for c in cones for i in c):
+        return _BAD
+    return toric.Fan(v["dim"], rays, cones)
+
+
+def _read_divisor(v):
+    if not (isinstance(v, dict) and v.keys() == {"coeffs"}):
+        return _BAD
+    coeffs = _read_rats(v["coeffs"])
+    return _BAD if coeffs is _BAD else toric.ToricDivisor(tuple(coeffs))
+
+
+def _read_flags(v):
+    if not (isinstance(v, dict) and v.keys() == {"flags"}):
+        return _BAD
+    flags = _read_int_lists(v["flags"])
+    # ToricFlagSpec.validate checks the cones against the fan.
+    return _BAD if flags is _BAD or not flags else toric.ToricFlagSpec(flags)
+
+
 _KINDS = {
     "an integer": lambda v: v if type(v) is int else _BAD,
     "a rational": _read_rat,
     "a list of rationals": _read_rats,
     "a string": lambda v: v if isinstance(v, str) else _BAD,
-    "an object": lambda v: v if isinstance(v, dict) else _BAD,
+    "an object {dim: an integer, rays, max_cones: lists of integer lists}":
+        _read_fan,
+    "an object {coeffs: a list of rationals}": _read_divisor,
+    "an object {flags: a nonempty list of integer lists}": _read_flags,
     "a class {d, m}": _read_class,
     "a surface {s, mode, neg_curves}": _read_surface,
     "a body {ambient_dim, vertices}": _read_body,
@@ -325,8 +366,11 @@ _SURFACE = {"surface": ("a surface {s, mode, neg_curves}", True),
 _S = {"s": ("an integer", True), "class": ("a class {d, m}", True)}
 _FIXTURE = {"fixture": ("a string", True), "divisor": ("a string", True),
             "flags": ("a string", True)}
-_FAN = {"fan": ("an object", True), "divisor": ("an object", True),
-        "flags": ("an object", True)}
+_FAN = {"fan": ("an object {dim: an integer, rays, max_cones: lists of "
+                "integer lists}", True),
+        "divisor": ("an object {coeffs: a list of rationals}", True),
+        "flags": ("an object {flags: a nonempty list of integer lists}",
+                  True)}
 _BODY = {"body": ("a body {ambient_dim, vertices}", True),
          "n": ("an integer", True), "r": ("an integer", True)}
 _NAME = {"fixture": ("a string", True)}
@@ -366,8 +410,9 @@ _INPUT_KEYS = {kind: set().union(*forms)
 
 
 def _read_input(kind, payload) -> dict:
-    """The payload read by the declared kind of each value; an InputError
-    names the first key refused: unknown, of another form or kind, missing."""
+    """The payload read by the declared kind of each value, in the form's
+    order; an InputError names the first key refused: unknown, of another
+    form or kind, missing."""
     unknown = sorted(set(payload) - _INPUT_KEYS[kind])
     if unknown:
         raise InputError(
@@ -375,15 +420,18 @@ def _read_input(kind, payload) -> dict:
             f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
     forms = _INPUT_FORMS[kind]
     form = next((f for f in forms if next(iter(f)) in payload), forms[-1])
+    stray = sorted(set(payload) - form.keys())
+    if stray:
+        raise InputError(f"input key {stray[0]!r} does not go with "
+                         f"{next(iter(form))!r} in job kind {kind!r}")
+    # The key that chose the form is read first.
     out = {}
-    for key in sorted(payload):
-        if key not in form:
-            raise InputError(f"input key {key!r} does not go with "
-                             f"{next(iter(form))!r} in job kind {kind!r}")
-        out[key] = _KINDS[form[key][0]](payload[key])
-        if out[key] is _BAD:
-            raise InputError(f"input key {key!r} of job kind {kind!r} must "
-                             f"be {form[key][0]}, got {payload[key]!r}")
+    for key, (what, _) in form.items():
+        if key in payload:
+            out[key] = _KINDS[what](payload[key])
+            if out[key] is _BAD:
+                raise InputError(f"input key {key!r} of job kind {kind!r} "
+                                 f"must be {what}, got {payload[key]!r}")
     for key, (what, required) in form.items():
         if required and key not in payload:
             raise InputError(f"missing input key {key!r} ({what}) for job "

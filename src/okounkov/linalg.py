@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
@@ -78,6 +78,20 @@ def solve(rows: Mat, rhs) -> Vec | None:
     return tuple(x)
 
 
+def bareiss_step(rows, pr, c: int, prev: int, start: int = 0) -> None:
+    """The fraction-free row update (Edmonds 1967; Bareiss 1968), in place:
+    with p = pr[c], every row in rows becomes (p row - row[c] pr) / prev at
+    the columns from start on.  In a fraction-free elimination of an
+    integer matrix, prev the pivot of the step before (1 at the first), the
+    new entries are minors of the matrix, so the division is exact."""
+    p = pr[c]
+    js = range(start, len(pr))
+    for row in rows:
+        f = row[c]
+        for j in js:
+            row[j] = (row[j] * p - f * pr[j]) // prev
+
+
 def bareiss(m: list[list[int]], k: int, jordan: bool = False) -> int:
     """Fraction-free (Bareiss) elimination of the first k columns of the
     integer matrix m, in place; returns the determinant of its leading
@@ -92,7 +106,6 @@ def bareiss(m: list[list[int]], k: int, jordan: bool = False) -> int:
     column are not updated.
     """
     prev = 1
-    cols = range(len(m[0]) if m else 0)
     for c in range(k):
         pr = m[c]
         if pr[c] == 0:
@@ -101,13 +114,9 @@ def bareiss(m: list[list[int]], k: int, jordan: bool = False) -> int:
                 return 0
             m[c], m[i] = m[i], [-x for x in pr]
             pr = m[c]
-        p = pr[c]
-        js = cols[c + 1:]
-        for row in m[:c] + m[c + 1:] if jordan else m[c + 1:]:
-            f = row[c]
-            for j in js:
-                row[j] = (row[j] * p - f * pr[j]) // prev
-        prev = p
+        bareiss_step(m[:c] + m[c + 1:] if jordan else m[c + 1:], pr, c, prev,
+                     c + 1)
+        prev = pr[c]
     if jordan and prev < 0:
         for row in m:
             row[k:] = [-x for x in row[k:]]
@@ -132,12 +141,8 @@ def det(rows: Mat) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("det of non-square matrix")
-    m, scale = [], 1
-    for r in rows:
-        row, q = scaled(r)
-        m.append(list(row))
-        scale *= q
-    return Fraction(bareiss(m, n), scale)
+    m = [scaled(r) for r in rows]
+    return Fraction(bareiss([list(r) for r, _ in m], n), prod(q for _, q in m))
 
 
 def primitive(v: Vec) -> Vec:
@@ -146,11 +151,6 @@ def primitive(v: Vec) -> Vec:
     Sign convention: first nonzero entry positive is NOT enforced here;
     callers wanting an oriented normal keep the sign.
     """
-    from functools import reduce
-
-    denom = reduce(lambda a, b: a * b.denominator // gcd(a, b.denominator), v, 1)
-    ints = [int(x * denom) for x in v]
-    g = reduce(gcd, (abs(i) for i in ints), 0)
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
+    ints, _ = scaled(v)
+    g = gcd(*ints) or 1
     return tuple(Fraction(i, g) for i in ints)

@@ -1,78 +1,88 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-Everything runs over Fraction; no floating point.  Only the small wrappers
-the geometry needs are exposed: feasibility of {A x = b, x >= 0} and
-maximization of c.x over {A x <= b}.
+The input is scaled to integers by one common denominator, and the simplex
+runs on an integer tableau M over one denominator den > 0, the last pivot:
+M / den is the rational tableau.  Each pivot is linalg's fraction-free row
+update, whose divisions are exact, so there is no floating point and no
+Fraction arithmetic until the returned values are built.  Only the small
+wrappers the geometry needs are exposed: feasibility of {A x = b, x >= 0}
+and maximization of c.x over {A x <= b}.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from . import linalg
 
 
-def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int):
-    """Run simplex with Bland's rule on a tableau in canonical form.
+def _scaled(rows) -> list[list[int]]:
+    """The rational rows times one common lcm q > 0 of their denominators,
+    as integers.  One q for every row keeps the signs of the column sums,
+    the phase-one reduced costs."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r]
+            for r in rows]
+    q = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (q // x.denominator) for x in r] for r in rows]
 
-    tableau rows: constraint rows then objective row (to be maximized,
-    stored as z-row with reduced costs; entry [-1] is -current value).
-    Mutates in place; returns when optimal (all reduced costs <= 0).
-    """
-    nrows = len(tableau) - 1
+
+def _simplex(tableau: list[list[int]], basis: list[int], ncols: int,
+             den: int) -> int:
+    """Simplex with Bland's rule, in place, on an integer tableau in
+    canonical form over den > 0: constraint rows, then the objective row to
+    be maximized (reduced costs; entry [-1] is -current value), all times
+    den.  Returns the final den once every reduced cost is <= 0."""
     while True:
         # Bland: entering = lowest index with positive reduced cost.
         obj = tableau[-1]
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
-            return
-        # Ratio test, Bland tie-break on basis index.
+            return den
+        # Ratio test by cross-multiplication (den cancels), Bland tie-break
+        # on basis index.
         best = None
-        for i in range(nrows):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
+        for i, row in enumerate(tableau[:-1]):
+            if row[enter] > 0:
+                if best is not None:
+                    top = tableau[best]
+                    d = row[-1] * top[enter] - top[-1] * row[enter]
+                if best is None or d < 0 or d == 0 and basis[i] < basis[best]:
+                    best = i
         if best is None:
             raise ValueError("unbounded linear program")
-        _pivot(tableau, basis, best[1], enter)
+        den = _pivot(tableau, basis, best, enter, den)
 
 
-def _pivot(tableau, basis, leave: int, enter: int) -> None:
-    """Pivot on row leave, column enter: enter replaces basis[leave]."""
-    piv = tableau[leave][enter]
-    tableau[leave] = prow = [x / piv for x in tableau[leave]]
-    for i, row in enumerate(tableau):
-        if i != leave and row[enter] != 0:
-            f = row[enter]
-            tableau[i] = [x - f * y for x, y in zip(row, prow)]
+def _pivot(tableau, basis, leave: int, enter: int, den: int) -> int:
+    """Pivot on row leave, column enter: enter replaces basis[leave].  The
+    pivot row stays and the pivot is the new den; a negative one (only a
+    drive-out pivot can be) negates the whole tableau, so den stays > 0."""
+    prow = tableau[leave]
+    linalg.bareiss_step(tableau[:leave] + tableau[leave + 1:], prow, enter,
+                        den)
     basis[leave] = enter
+    if prow[enter] < 0:
+        tableau[:] = [[-x for x in row] for row in tableau]
+    return tableau[leave][enter]
 
 
-def _phase_one(rows, b):
-    """Phase-one simplex on {rows x = b, x >= 0}: the optimal tableau (one
-    artificial column per row, before the right-hand side) and its basis,
-    or None when the system is infeasible."""
+def _phase_one(A, b):
+    """Phase-one simplex on {A x = b, x >= 0}, [A | b] scaled to integers:
+    the optimal tableau (one artificial column per row, before the
+    right-hand side), its basis and den, or None when infeasible."""
+    rows = _scaled([*r, bi] for r, bi in zip(A, b, strict=True))
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = []
-    for i in range(m):
-        sg = -1 if b[i] < 0 else 1
-        tableau.append([sg * Fraction(x) for x in rows[i]]
-                       + [_ONE if k == i else _ZERO for k in range(m)]
-                       + [sg * Fraction(b[i])])
+    n = len(rows[0]) - 1 if m else 0
+    tableau = [[-x if row[-1] < 0 else x for x in row[:-1]]
+               + [int(k == i) for k in range(m)] + [abs(row[-1])]
+               for i, row in enumerate(rows)]
     basis = list(range(n, n + m))
     # Phase-one objective: maximize -(sum of artificials).
-    obj = [sum(col, _ZERO) for col in zip(*tableau)] or [_ZERO]
-    obj[n:n + m] = [_ZERO] * m
+    obj = [sum(col) for col in zip(*tableau)] or [0]
+    obj[n:n + m] = [0] * m
     tableau.append(obj)
-    _simplex(tableau, basis, n + m)
-    if tableau[-1][-1] != 0:
-        return None
-    return tableau, basis
+    den = _simplex(tableau, basis, n + m, 1)
+    return None if tableau[-1][-1] else (tableau, basis, den)
 
 
 def feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
@@ -80,12 +90,9 @@ def feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
     done = _phase_one(A, b)
     if done is None:
         return None
-    tableau, basis = done
-    x = [_ZERO] * (len(A[0]) if A else 0)
-    for i, bj in enumerate(basis):
-        if bj < len(x):
-            x[bj] = tableau[i][-1]
-    return x
+    tableau, basis, den = done
+    at = {bj: row[-1] for row, bj in zip(tableau, basis)}
+    return [Fraction(at.get(j, 0), den) for j in range(len(A[0]) if A else 0)]
 
 
 def in_cone(generators: list[list[Fraction]], target: list[Fraction]) -> bool:
@@ -94,20 +101,16 @@ def in_cone(generators: list[list[Fraction]], target: list[Fraction]) -> bool:
         return True
     if not generators:
         return False
-    dim = len(target)
-    A = [[Fraction(g[k]) for g in generators] for k in range(dim)]
-    return feasible_nonneg(A, [Fraction(t) for t in target]) is not None
+    A = [[g[k] for g in generators] for k in range(len(target))]
+    return feasible_nonneg(A, target) is not None
 
 
 def in_convex_hull(points: list[list[Fraction]], target: list[Fraction]) -> bool:
     """Is target a convex combination of the points?"""
     if not points:
         return False
-    dim = len(target)
-    A = [[Fraction(p[k]) for p in points] for k in range(dim)]
-    A.append([_ONE] * len(points))
-    b = [Fraction(t) for t in target] + [_ONE]
-    return feasible_nonneg(A, b) is not None
+    A = [[p[k] for p in points] for k in range(len(target))]
+    return feasible_nonneg(A + [[1] * len(points)], [*target, 1]) is not None
 
 
 def maximize(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
@@ -116,44 +119,38 @@ def maximize(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> t
     Free variables are split x = x+ - x-; raises ValueError if unbounded
     or infeasible.
     """
-    m = len(A)
-    n = len(c)
-    # Split free vars and add slacks: columns = 2n + m (+ artificials in phase 1).
-    rows = [[sg * Fraction(A[i][j]) for j in range(n) for sg in (1, -1)]
-            + [_ONE if k == i else _ZERO for k in range(m)] for i in range(m)]
+    m, n = len(A), len(c)
+    # Split free vars and add slacks: columns = 2n + m (+ artificials in
+    # phase 1).
+    rows = [[sg * Fraction(x) for x in r for sg in (1, -1)]
+            + [int(k == i) for k in range(m)] for i, r in enumerate(A)]
     ncols = 2 * n + m
     done = _phase_one(rows, b)
     if done is None:
         raise ValueError("infeasible linear program")
-    tableau, basis = done
+    tableau, basis, den = done
     # Drive any artificial still in the basis out or drop its row.
     keep = []
     for i in range(len(basis)):
         if basis[i] >= ncols:
-            enter = next((j for j in range(ncols) if tableau[i][j] != 0), None)
+            enter = next((j for j in range(ncols) if tableau[i][j]), None)
             if enter is None:
                 continue  # redundant row
-            _pivot(tableau, basis, i, enter)
+            den = _pivot(tableau, basis, i, enter, den)
         keep.append(i)
-    tableau = [
-        [tableau[i][j] for j in range(ncols)] + [tableau[i][-1]]
-        for i in keep
-    ] + [[_ZERO] * (ncols + 1)]
+    tableau = [tableau[i][:ncols] + tableau[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
-    # Phase two objective: c on split variables, reduced against the basis.
-    obj = tableau[-1]
-    for j in range(n):
-        obj[2 * j] = Fraction(c[j])
-        obj[2 * j + 1] = -Fraction(c[j])
-    for i, bj in enumerate(basis):
-        if obj[bj] != 0:
-            f = obj[bj]
-            tableau[-1] = [x - f * y for x, y in zip(tableau[-1], tableau[i])]
-            obj = tableau[-1]
-    _simplex(tableau, basis, ncols)
-    xsplit = [_ZERO] * ncols
-    for i, bj in enumerate(basis):
-        xsplit[bj] = tableau[i][-1]
-    x = [xsplit[2 * j] - xsplit[2 * j + 1] for j in range(n)]
-    value = sum((Fraction(c[j]) * x[j] for j in range(n)), _ZERO)
-    return value, x
+    # Phase two objective: c scaled to integers on the split variables,
+    # reduced against the basis.  A row is 0 at the other basic columns, so
+    # its multiple is c's own coefficient.
+    cs = [sg * x for x in _scaled([c])[0] for sg in (1, -1)] + [0] * m
+    obj = [den * x for x in cs] + [0]
+    for row, bj in zip(tableau, basis):
+        if cs[bj]:
+            obj = [x - cs[bj] * y for x, y in zip(obj, row)]
+    tableau.append(obj)
+    den = _simplex(tableau, basis, ncols, den)
+    at = {bj: row[-1] for row, bj in zip(tableau, basis)}
+    x = [Fraction(at.get(2 * j, 0) - at.get(2 * j + 1, 0), den)
+         for j in range(n)]
+    return sum((Fraction(cj) * xj for cj, xj in zip(c, x)), Fraction(0)), x

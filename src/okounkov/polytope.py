@@ -289,21 +289,20 @@ def _frame(ints):
 
 def _independent(rows) -> tuple[list[int], list[int]]:
     """The rows independent of the rows before them, at most as many as
-    there are columns, by integer elimination: (their indices, the pivot
-    columns of the RREF of their span)."""
+    there are columns, by fraction-free (Bareiss) elimination: (their
+    indices, the pivot columns of the RREF of their span)."""
     picked, echelon = [], []
     for i, a in enumerate(rows):
         # Each echelon row is zero at the leading columns of the rows before
         # it, so a ends zero at every leading column.
+        a, prev = list(a), 1
         for c, b in echelon:
-            f = a[c]
-            if f:
-                a = [b[c] * x - f * y for x, y in zip(a, b)]
+            linalg.bareiss_step([a], b, c, prev)
+            prev = b[c]
         lead = next((c for c, x in enumerate(a) if x), None)
         if lead is None:
             continue
-        g = gcd(*a)
-        echelon.append((lead, [x // g for x in a]))
+        echelon.append((lead, a))
         picked.append(i)
         if len(picked) == len(a):
             break

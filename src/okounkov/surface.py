@@ -81,6 +81,9 @@ def H(s: int) -> PicClass:
 
 def E(s: int, i: int) -> PicClass:
     # The exceptional class itself: 0*H - (-1)*E_i, so m_i = -1.
+    if not 0 <= i < s:
+        raise ValueError(f"exceptional class index i = {i} outside "
+                         f"0..{s - 1} (s = {s})")
     m = [Fraction(0)] * s
     m[i] = Fraction(-1)
     return PicClass(0, tuple(m))

@@ -222,6 +222,8 @@ def extended_body_toric(fan: Fan, D: ToricDivisor,
     representative with that property.
     """
     M = flag_matrix(fan, flags)
+    # divisor_polytope first checks the coefficient count against the rays.
+    P = divisor_polytope(fan, D)
     for f in flags.flags:
         for i in f:
             if D.coeffs[i] != 0:
@@ -230,7 +232,7 @@ def extended_body_toric(fan: Fan, D: ToricDivisor,
                     f"{fan.rays[i]}; choose a linearly equivalent "
                     f"representative vanishing on all flag rays"
                 )
-    return polytope.affine_image(divisor_polytope(fan, D), M)
+    return polytope.affine_image(P, M)
 
 
 def _lattice_box(P: Polytope, m: int = 1):

@@ -483,6 +483,17 @@ def test_surface_body_whole_at_cli_defaults(tmp_path):
 _CLASS = {"d": "1", "m": ["0", "0"]}
 _INLINE_BODY = {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"],
                                                ["1", "1"]]}
+# The bl1p2 fixture's fan, divisor O1 and flags inf, inline.
+_INLINE_FAN = {
+    "fan": {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
+            "max_cones": [[0, 2], [2, 1], [1, 3], [3, 0]]},
+    "divisor": {"coeffs": ["0", "0", "0", "1"]},
+    "flags": {"flags": [[2, 0]]}}
+
+
+def _fan_input(part, **fields):
+    """_INLINE_FAN with the given fields of one part changed."""
+    return {**_INLINE_FAN, part: {**_INLINE_FAN[part], **fields}}
 
 
 @pytest.mark.parametrize("kind, payload, message", [
@@ -536,6 +547,35 @@ _INLINE_BODY = {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"],
     ("seshadri", {"surface": {"s": 2}, "s": 2, "class": _CLASS,
                   "weights": ["1", "1"]},
      "input key 's' does not go with 'surface' in job kind 'seshadri'"),
+    # inline toric objects of the wrong shape: "rays": 5 was an internal
+    # error, "dim": 2.5 read as 2, a cone index past the rays an
+    # IndexError and -1 a wrap round to the last ray
+    ("toric-body", _fan_input("fan", rays=5),
+     "input key 'fan' of job kind 'toric-body' must be an object {dim"),
+    ("semigroup-sample", _fan_input("fan", dim=2.5),
+     "input key 'fan' of job kind 'semigroup-sample' must be an object"),
+    ("toric-body", _fan_input("fan", dim=True), "input key 'fan'"),
+    ("toric-body", _fan_input("fan", rays=[[1.0, 0], [0, 1], [1, 1],
+                                           [-1, -1]]), "input key 'fan'"),
+    ("toric-body", _fan_input("fan", max_cones=[[0, 9], [2, 1], [1, 3],
+                                                [3, 0]]), "input key 'fan'"),
+    ("toric-body", _fan_input("fan", max_cones=[[0, 2], [2, 1], [1, -1],
+                                                [-1, 0]]), "input key 'fan'"),
+    ("toric-body", _fan_input("fan", name="bl1p2"), "input key 'fan'"),
+    ("toric-body", _fan_input("divisor", coeffs=3),
+     "input key 'divisor' of job kind 'toric-body' must be an object "
+     "{coeffs: a list of rationals}"),
+    ("semigroup-sample", _fan_input("divisor", coeffs=["0", "0", "0", "x"]),
+     "input key 'divisor'"),
+    ("toric-body", _fan_input("flags", flags=[[2, "0"]]), "input key 'flags'"),
+    ("toric-body", _fan_input("flags", flags=[]),
+     "input key 'flags' of job kind 'toric-body' must be an object "
+     "{flags: a nonempty list of integer lists}"),
+    # well-shaped, checked by the constructors (a short divisor was an
+    # IndexError in toric-body)
+    ("toric-body", _fan_input("divisor", coeffs=["0"]),
+     "divisor coefficient count does not match ray count"),
+    ("toric-body", _fan_input("fan", dim=3), "ray dimension mismatch"),
 ])
 def test_input_contract_exit_1(tmp_path, capsys, kind, payload, message):
     code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
@@ -564,6 +604,34 @@ def test_invalid_json_exit_1(tmp_path):
     bad.write_text("{not json")
     assert main(["run", "--job", str(bad),
                  "--out", str(tmp_path / "results")]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--job", "job.json"], "the following arguments are required: "
+     "--out"),
+    ([], "the following arguments are required: command"),
+    (["run", "--job", "job.json", "--out", "o", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["run", "--job", "job.json", "--out", "o", "--m-max", "x"],
+     "argument --m-max: invalid int value: 'x'"),
+    (["walk"], "invalid choice: 'walk'"),
+])
+def test_usage_error_exit_1(tmp_path, capsys, argv, message):
+    # Exit 2 is kept for a failed mathematical check, not argparse's usage
+    # errors.
+    job = write_job(tmp_path, {"schema": 1, "kind": "standard-form",
+                               "input": {"d": "3", "m": ["1", "1"]}})
+    argv = [job if a == "job.json" else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0 and "--m-max" in capsys.readouterr().out
 
 
 # -- rendering and determinism ----------------------------------------

@@ -46,6 +46,13 @@ def test_intersection_form():
     assert intersect(cls(1, 1, 1), cls(1, 1, 1)) == -1
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_exceptional_index_outside_range_is_refused(i):
+    # -1 used to wrap round to E_3, and 3 raised a bare IndexError.
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        E(3, i)
+
+
 def test_neg_curve_classes_small():
     assert {c for c in map(repr, neg_curve_classes(1))} == {repr(E(1, 0))}
     s2 = neg_curve_classes(2)

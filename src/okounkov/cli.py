@@ -266,7 +266,7 @@ _HANDLERS = {
 # the handlers take it, or _BAD.  A bool is not an integer, a rational is "p/q"
 # or an integer; strings pass through unchanged, and a surface, a body, a
 # fan, a divisor or flags are built from what was read, so a constructor's
-# ValueError is an input error.
+# ValueError is an input error naming the key.
 _BAD = object()
 
 
@@ -319,11 +319,7 @@ def _read_fan(v):
             and type(v["dim"]) is int):
         return _BAD
     rays, cones = _read_int_lists(v["rays"]), _read_int_lists(v["max_cones"])
-    # A negative ray index would wrap round; one past the end has no ray.
-    if _BAD in (rays, cones) or not all(
-            0 <= i < len(rays) for c in cones for i in c):
-        return _BAD
-    return toric.Fan(v["dim"], rays, cones)
+    return _BAD if _BAD in (rays, cones) else toric.Fan(v["dim"], rays, cones)
 
 
 def _read_divisor(v):
@@ -428,7 +424,11 @@ def _read_input(kind, payload) -> dict:
     out = {}
     for key, (what, _) in form.items():
         if key in payload:
-            out[key] = _KINDS[what](payload[key])
+            try:
+                out[key] = _KINDS[what](payload[key])
+            except ValueError as exc:
+                raise InputError(f"input key {key!r} of job kind {kind!r}: "
+                                 f"{exc}") from None
             if out[key] is _BAD:
                 raise InputError(f"input key {key!r} of job kind {kind!r} "
                                  f"must be {what}, got {payload[key]!r}")

@@ -115,7 +115,7 @@ def cone_base(graded_points) -> Polytope:
         level = int(level)
         if level <= 0:
             raise ValueError("levels must be positive")
-        v = tuple(Fraction(x, 1) / level for x in p)
+        v = tuple(Fraction(x, level) for x in p)
         dim = len(v) if dim is None else dim
         pts.append(v)
     if dim is None:
@@ -212,7 +212,9 @@ def volume(P: Polytope) -> RadVal:
                    if not f & low
                    and not any(f != g and f & g == f for g in subs))
 
-    total = pull((1 << len(coords)) - 1, [])
+    # The body's own faces are its facet masks, already maximal: cone those
+    # that miss vertex 0 from it.
+    total = sum(pull(m, [coords[0]]) for m in masks if not m & 1)
     return RadVal.sqrt(gram) * Fraction(total, q ** d * factorial(d))
 
 
@@ -318,10 +320,13 @@ def _kernel(rows, n) -> tuple[list[int], list[list[int]]]:
     _independent finds the pivots and a basis of the span among the rows;
     one fraction-free Gauss-Jordan pass (Bareiss) over it, pivot columns
     first, gives D B at the free columns, D > 0, and the vector for f is D
-    at f and -D B[:, f] at the pivots.  No nonzero row: the unit basis.
+    at f and -D B[:, f] at the pivots.  No nonzero row: the unit basis; rank
+    n: no free column and no pass.
     """
     picked, pivots = _independent(rows)
     d = len(pivots)
+    if d == n:
+        return pivots, []
     free = [c for c in range(n) if c not in pivots]
     m = [[rows[i][c] for c in pivots + free] for i in picked]
     det = linalg.bareiss(m, d, jordan=True)
@@ -365,12 +370,20 @@ def _dd(rows):
     for i, a in enumerate(rows):
         if full >> i & 1:
             continue
-        vals = [sum(map(mul, a, r)) for r, _ in rays]
-        masks = [m for _, m in rays]
-        out = [(r, m | 1 << i if v == 0 else m)
-               for (r, m), v in zip(rays, vals) if v >= 0]
-        pos = [(v, r, m) for (r, m), v in zip(rays, vals) if v > 0]
-        neg = [(v, r, m) for (r, m), v in zip(rays, vals) if v < 0]
+        out, pos, neg = [], [], []
+        for r, m in rays:
+            v = sum(map(mul, a, r))
+            if v > 0:
+                out.append((r, m))
+                pos.append((v, r, m))
+            elif v < 0:
+                neg.append((v, r, m))
+            else:
+                out.append((r, m | 1 << i))
+        if not neg:
+            rays = out
+            continue
+        masks = None
         for vp, rp, mp in pos:
             # A ray tight at exactly n - 1 rows is tight at independent
             # ones.  Then z, short of all of them (q is another ray), holds
@@ -378,11 +391,14 @@ def _dd(rows):
             simple = mp.bit_count() == n - 1
             for vq, rq, mq in neg:
                 z = mp & mq
-                # p and q themselves contain z; a third ray means the two
-                # span no edge.  Rays have distinct masks.
-                if z.bit_count() < n - 2 or not simple and any(
-                        m & z == z and m != mp and m != mq for m in masks):
+                if z.bit_count() < n - 2:
                     continue
+                if not simple:
+                    # p and q themselves contain z; a third ray means the
+                    # two span no edge.  Rays have distinct masks.
+                    masks = masks or [m for _, m in rays]
+                    if any(m & z == z and m != mp and m != mq for m in masks):
+                        continue
                 r = [vp * y - vq * x for x, y in zip(rp, rq)]
                 g = gcd(*r)
                 out.append((tuple(x // g for x in r), z | 1 << i))
@@ -414,18 +430,23 @@ def _hrep_from_vertices(q, ints, ambient_dim):
     facets_local = _dd([(q,) + tuple(-x for x in y) for y in coords])
     # A point is a vertex iff no other point lies on a strict superset of
     # its facets.
-    on = [sum(1 << f for f, (_, m) in enumerate(facets_local) if m >> k & 1)
-          for k in range(len(ints))]
+    on = [0] * len(ints)
+    for f, (_, m) in enumerate(facets_local):
+        while m:
+            low = m & -m
+            on[low.bit_length() - 1] |= 1 << f
+            m ^= low
     is_vertex = [not any(o != mine and o & mine == mine for o in on)
                  for mine in on]
     # Pull each local halfspace h.y <= c back through y = L(x - v0): its
     # primitive normal is w / k, w = h.(g L) and k = gcd(w), and its offset
     # is normal.p = (w.(q p)) / (q k) at any point p on it.  Distinct facets
-    # have distinct normals, which key and sort them.
+    # have distinct normals, which key and sort them.  With no equalities
+    # g L is the identity and w = h.
     cols = list(zip(*pullback))
     facets = {}
     for (_, *h), mask in facets_local:
-        w = [sum(map(mul, h, col)) for col in cols]
+        w = [sum(map(mul, h, col)) for col in cols] if normals else h
         k = gcd(*w)
         on_it = ints[(mask & -mask).bit_length() - 1]
         facets[tuple(x // k for x in w)] = (

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from . import linalg, polytope
@@ -22,6 +23,46 @@ from .polytope import Polytope
 
 # Largest bounding box lattice_points scans, in lattice points.
 MAX_LATTICE_BOX = 10**6
+
+
+def _int_lists(v):
+    if isinstance(v, list) and all(
+            isinstance(r, list) and all(type(x) is int for x in r) for r in v):
+        return tuple(map(tuple, v))
+    return None
+
+
+def _rats(v):
+    if not isinstance(v, list) or any(type(x) is bool for x in v):
+        return None
+    try:
+        return tuple(map(parse_rat, v))
+    except ValueError:
+        return None
+
+
+# JSON value readers for _read_json: (read, what it must be); read returns
+# the value as the constructor takes it, or None.  A bool is not a number.
+_INT = (lambda v: v if type(v) is int else None, "an integer")
+_INT_LISTS = (_int_lists, "a list of integer lists")
+_RATS = (_rats, "a list of rationals")
+_FLAGS = (lambda v: _int_lists(v) or None, "a nonempty list of integer lists")
+
+
+def _read_json(obj, of, **readers):
+    """The values of the keys of the JSON object obj, in the order of
+    readers (key -> a reader above); a ValueError names the first key
+    refused."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{of} must be an object, got {obj!r}")
+    out = []
+    for key, (read, what) in readers.items():
+        v = read(obj[key]) if key in obj else None
+        if v is None:
+            got = repr(obj[key]) if key in obj else "no such key"
+            raise ValueError(f"{of} key {key!r} must be {what}, got {got}")
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,6 +91,10 @@ class Fan:
         for c in cones:
             if len(c) != n or len(set(c)) != n:
                 raise ValueError(f"max cone {c} must list {n} distinct rays")
+            # A negative index would wrap round to a ray from the end.
+            if not all(0 <= i < len(rays) for i in c):
+                raise ValueError(f"max cone {c} names a ray outside "
+                                 f"0..{len(rays) - 1}")
             d = linalg.det([rays[i] for i in c])
             if abs(d) != 1:
                 raise ValueError(
@@ -102,9 +147,8 @@ class Fan:
 
     @staticmethod
     def from_json(obj: dict) -> "Fan":
-        return Fan(int(obj["dim"]),
-                   tuple(tuple(r) for r in obj["rays"]),
-                   tuple(tuple(c) for c in obj["max_cones"]))
+        return Fan(*_read_json(obj, "fan", dim=_INT, rays=_INT_LISTS,
+                               max_cones=_INT_LISTS))
 
 
 @dataclass(frozen=True)
@@ -127,7 +171,7 @@ class ToricDivisor:
 
     @staticmethod
     def from_json(obj: dict) -> "ToricDivisor":
-        return ToricDivisor(tuple(parse_rat(c) for c in obj["coeffs"]))
+        return ToricDivisor(*_read_json(obj, "divisor", coeffs=_RATS))
 
 
 @dataclass(frozen=True)
@@ -172,7 +216,7 @@ class ToricFlagSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ToricFlagSpec":
-        return ToricFlagSpec(tuple(tuple(f) for f in obj["flags"]))
+        return ToricFlagSpec(*_read_json(obj, "flags", flags=_FLAGS))
 
 
 @dataclass(frozen=True)
@@ -246,22 +290,29 @@ def _lattice_box(P: Polytope, m: int = 1):
     return ranges, math.prod(map(len, ranges))
 
 
-def lattice_points(P: Polytope) -> list[tuple[int, ...]]:
-    """All lattice points of a bounded polytope (bounding-box scan)."""
+def lattice_points(P: Polytope, m: int = 1) -> list[tuple[int, ...]]:
+    """All lattice points of m P, P a bounded polytope and m a positive
+    integer, sorted: a scan of the bounding box of m P."""
+    if m < 1:
+        raise ValueError("lattice_points needs a positive multiple m")
     if P.is_empty:
         return []
-    ranges, size = _lattice_box(P)
+    ranges, size = _lattice_box(P, m)
     if size > MAX_LATTICE_BOX:
         raise ValueError(f"lattice-point scan of a {size}-point bounding box "
                          f"exceeds MAX_LATTICE_BOX = {MAX_LATTICE_BOX}")
     halfs, eqs = P.halfspaces()
-    out = []
-    for pt in itertools.product(*ranges):
-        v = tuple(Fraction(x) for x in pt)
-        if all(dot(nrm, v) == c for nrm, c in eqs) and \
-           all(dot(nrm, v) <= c for nrm, c in halfs):
-            out.append(pt)
-    return sorted(out)
+
+    # n.x <= c on P is a.u <= m b on m P, (a, b) = q (n, c) integers, q > 0.
+    def rows(cons):
+        return [(a, m * b) for *a, b in
+                (linalg.scaled((*nrm, c))[0] for nrm, c in cons)]
+
+    eq, le = rows(eqs), rows(halfs)
+    # product runs through the box in lexicographic order.
+    return [u for u in itertools.product(*ranges)
+            if all(sum(map(mul, a, u)) == b for a, b in eq)
+            and all(sum(map(mul, a, u)) <= b for a, b in le)]
 
 
 def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
@@ -300,16 +351,16 @@ def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
         raise ValueError(f"semigroup sampling up to level {m_max} scans up to "
                          f"{size} lattice points, above MAX_LATTICE_BOX = "
                          f"{MAX_LATTICE_BOX}; lower m_max")
-    # monomial_valuation of every lattice point, validating the flags once.
+    # monomial_valuation of every lattice point, validating the flags once;
+    # level m reads the lattice points of m P, the polytope of m D.
     rays = [i for f in flags.flags for i in f]
-    vecs = [tuple(Fraction(x) for x in fan.rays[i]) for i in rays]
+    vecs = [fan.rays[i] for i in rays]
     graded = []
     for m in range(1, m_max + 1):
         a = [m * D.coeffs[i] for i in rays]
-        Pm = P if m == 1 else divisor_polytope(fan, D.scale(m))
-        for u in lattice_points(Pm):
-            graded.append((tuple(ai + dot(u, v) for ai, v in zip(a, vecs)),
-                           m))
+        for u in lattice_points(P, m):
+            graded.append((tuple(ai + sum(map(mul, u, v))
+                                 for ai, v in zip(a, vecs)), m))
     if not graded:
         nr = fan.dim * flags.r
         return Polytope(nr, ())

@@ -585,6 +585,28 @@ def test_input_contract_exit_1(tmp_path, capsys, kind, payload, message):
     assert err.startswith("input error: ") and message in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rays", 5, "fan key 'rays' must be a list of integer lists, got 5"),
+    ("dim", 2.5, "fan key 'dim' must be an integer, got 2.5"),
+])
+def test_malformed_fixture_exit_1(tmp_path, monkeypatch, capsys, field,
+                                  value, message):
+    # A fixture under OKOUNKOV_FIXTURES is read by the same shape checks:
+    # "rays": 5 was an internal error, "dim": 2.5 read as 2.
+    raw = json.loads((toric._FIXTURE_DIR / "bl1p2.json").read_text())
+    raw["fan"][field] = value
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "bl1p2.json").write_text(json.dumps(raw))
+    monkeypatch.setenv("OKOUNKOV_FIXTURES", str(fixtures))
+    code, out = run_job(tmp_path, {"schema": 1, "kind": "toric-body",
+                                   "input": {"fixture": "bl1p2",
+                                             "divisor": "O1",
+                                             "flags": "inf"}})
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_every_input_key_has_a_declared_kind():
     for kind, forms in cli._INPUT_FORMS.items():
         assert kind in cli._HANDLERS and forms

@@ -289,6 +289,20 @@ def test_volume_reuses_hull_record(monkeypatch):
     assert calls.count("_hrep_from_vertices") == 1
 
 
+def test_kernel_of_full_rank_rows_runs_no_elimination_pass(monkeypatch):
+    # Rank n leaves no free column: _independent's pivots are the answer.
+    calls = []
+    real = linalg.bareiss
+    monkeypatch.setattr(linalg, "bareiss",
+                        lambda *args, **kw: calls.append(args) or real(*args,
+                                                                       **kw))
+    rows = [[1, 2, 0], [0, 1, 3], [2, 0, 1], [1, 1, 1]]
+    assert polytope._kernel(rows, 3) == ([0, 1, 2], [])
+    assert calls == []
+    assert polytope._kernel(rows[:2], 3) == ([0, 1], [[6, -3, 1]])
+    assert len(calls) == 1
+
+
 def test_program_runs_no_fraction_elimination(monkeypatch):
     # One integer elimination kernel: the frame, the double-description
     # start, H->V with or without equalities, the volume leaves and the

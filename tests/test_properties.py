@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from okounkov import invariants, linalg, lp, polytope, surface
+from okounkov import invariants, linalg, lp, polytope, surface, toric
 from okounkov.numbers import RadVal, parse_rat, format_rat, squarefree_split
 from okounkov.polytope import (
     affine_image,
@@ -529,6 +530,52 @@ def test_vertices_from_constraints_matches_fraction_path(case):
     for v in got:
         assert all(linalg.dot(n, v) == c for n, c in eqs)
         assert all(linalg.dot(n, v) <= c for n, c in halfs)
+
+
+# -- integer lattice scan against the Fraction box scan ----------------
+
+def _ref_lattice_points(P, m):
+    """The Fraction box scan of m P: the hull of m times P's vertices, each
+    point of its bounding box tested against its own halfspaces."""
+    mP = hull([tuple(m * x for x in v) for v in P.vertices], P.ambient_dim)
+    ranges = [range(math.floor(min(v[t] for v in mP.vertices)),
+                    math.ceil(max(v[t] for v in mP.vertices)) + 1)
+              for t in range(P.ambient_dim)]
+    halfs, eqs = mP.halfspaces()
+    out = []
+    for pt in itertools.product(*ranges):
+        v = tuple(F(x) for x in pt)
+        if all(linalg.dot(n, v) == c for n, c in eqs) and \
+           all(linalg.dot(n, v) <= c for n, c in halfs):
+            out.append(pt)
+    return sorted(out)
+
+
+@st.composite
+def lattice_bodies(draw):
+    """(P, m), m = 1..4, P with fractional vertices in R^n, n = 1..3:
+    full-dimensional, or on a rational affine k-plane, k < n."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    coord = st.fractions(min_value=-1, max_value=1, max_denominator=3)
+    vec = st.tuples(*[coord] * n)
+    if k == n:
+        pts = draw(st.lists(vec, min_size=1, max_size=6))
+    else:
+        x0 = draw(vec)
+        dirs = draw(st.lists(vec, min_size=k, max_size=k))
+        c = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+        cs = draw(st.lists(st.tuples(*[c] * k), min_size=1, max_size=5))
+        pts = [tuple(x0[i] + sum(a * u[i] for a, u in zip(cc, dirs))
+                     for i in range(n)) for cc in cs]
+    return hull(pts, n), draw(st.integers(1, 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_bodies())
+def test_lattice_points_match_fraction_box_scan(case):
+    P, m = case
+    assert toric.lattice_points(P, m) == _ref_lattice_points(P, m)
 
 
 # -- psef verdict against the cone-membership oracle ------------------

@@ -71,6 +71,48 @@ def test_unused_ray_rejected():
             ((0, 1), (1, 2), (2, 0)))
 
 
+def test_cone_index_outside_rays_rejected():
+    # A negative index would wrap round to the last ray, 9 names no ray.
+    rays = ((1, 0), (0, 1), (1, 1), (-1, -1))
+    for cones in (((0, 2), (2, 1), (1, -1), (-1, 0)),
+                  ((0, 9), (2, 1), (1, 3), (3, 0))):
+        with pytest.raises(ValueError, match=r"names a ray outside 0\.\.3"):
+            Fan(2, rays, cones)
+
+
+_BL1P2_FAN = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
+              "max_cones": [[0, 2], [2, 1], [1, 3], [3, 0]]}
+
+
+@pytest.mark.parametrize("cls, obj, message", [
+    (Fan, {**_BL1P2_FAN, "rays": 5},
+     "fan key 'rays' must be a list of integer lists, got 5"),
+    (Fan, {**_BL1P2_FAN, "dim": 2.5}, "fan key 'dim' must be an integer, "
+     "got 2.5"),
+    (Fan, {**_BL1P2_FAN, "dim": True}, "fan key 'dim' must be an integer, "
+     "got True"),
+    (Fan, {**_BL1P2_FAN, "max_cones": [[0, 2.0]]},
+     "fan key 'max_cones' must be a list of integer lists, got [[0, 2.0]]"),
+    (Fan, {"dim": 2, "rays": []}, "fan key 'max_cones' must be a list of "
+     "integer lists, got no such key"),
+    (Fan, [2], "fan must be an object, got [2]"),
+    (ToricDivisor, {"coeffs": 3}, "divisor key 'coeffs' must be a list of "
+     "rationals, got 3"),
+    (ToricDivisor, {"coeffs": ["0", "x"]}, "divisor key 'coeffs' must be a "
+     "list of rationals, got ['0', 'x']"),
+    (ToricDivisor, {"coeffs": [True]}, "divisor key 'coeffs' must be a list "
+     "of rationals, got [True]"),
+    (ToricFlagSpec, {"flags": []}, "flags key 'flags' must be a nonempty "
+     "list of integer lists, got []"),
+    (ToricFlagSpec, {"flags": [[2, "0"]]}, "flags key 'flags' must be a "
+     "nonempty list of integer lists, got [[2, '0']]"),
+])
+def test_from_json_refuses_wrong_shapes(cls, obj, message):
+    with pytest.raises(ValueError) as exc:
+        cls.from_json(obj)
+    assert str(exc.value) == message
+
+
 def test_flag_sharing_ray_rejected():
     fan = fx("bl2p2")["fan"]
     flags = ToricFlagSpec(((2, 0), (2, 1)))
@@ -251,7 +293,7 @@ def test_semigroup_work_bound_refused_before_scan(monkeypatch):
     f = fx("bl1p2")
     D, flags = f["divisors"]["O1"], f["flags"]["inf"]
 
-    def no_scan(P):
+    def no_scan(P, m=1):
         raise AssertionError("the work guard let the scan start")
 
     monkeypatch.setattr(toric, "lattice_points", no_scan)
@@ -260,6 +302,29 @@ def test_semigroup_work_bound_refused_before_scan(monkeypatch):
             semigroup_body_approx(f["fan"], D, flags, m_max)
     with pytest.raises(AssertionError, match="let the scan start"):
         semigroup_body_approx(f["fan"], D, flags, 99)
+
+
+def test_lattice_points_of_multiple_match_scaled_divisor():
+    # The scan of m P reads P's own rows; the polytope of m D is m P.
+    for name in FIXTURE_NAMES:
+        f = fx(name)
+        for D in f["divisors"].values():
+            P = divisor_polytope(f["fan"], D)
+            for m in range(1, 5):
+                assert lattice_points(P, m) == lattice_points(
+                    divisor_polytope(f["fan"], D.scale(m)))
+
+
+def test_semigroup_builds_one_divisor_polytope(monkeypatch):
+    # Every level reads the lattice points of m P from P itself.
+    f = fx("bl1p2")
+    D = f["divisors"]["O2"]
+    calls = []
+    real = toric.divisor_polytope
+    monkeypatch.setattr(toric, "divisor_polytope",
+                        lambda fan, E: calls.append(E) or real(fan, E))
+    semigroup_body_approx(f["fan"], D, f["flags"]["inf"], 4)
+    assert calls == [D]
 
 
 def test_sampler_p2_saturates_at_level_one():

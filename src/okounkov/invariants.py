@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from . import linalg, polytope, surface
 from .numbers import (RadVal, _fraction, _sign_surd, format_rat,
@@ -143,20 +144,14 @@ def xi_constant(body: Polytope, w, n: int, r: int) -> Fraction:
         raise ValueError("body must live in R^(n*r)")
     if not polytope.contains(body, (Fraction(0),) * (n * r)):
         return Fraction(0)
-    gens = polytope._block_steps(w, n)
-    halfs, eqs = body.halfspaces()
-    for hn, _ in eqs:
-        for g in gens:
-            if polytope.dot(hn, g) != 0:
-                return Fraction(0)
-    best = None
-    for hn, c in halfs:
-        for g in gens:
-            p = polytope.dot(hn, g)
-            if p > 0:
-                cand = c / p
-                if best is None or cand < best:
-                    best = cand
+    ws, qw = linalg.scaled(w)
+    gens = polytope._block_steps(ws, n)  # qw times the generators g
+    le, eqs, q = body._core.facets, body._core.eqs, body._core.q
+    if any(sum(map(mul, a, g)) for a, _ in eqs for g in gens):
+        return Fraction(0)
+    # a.(q x) <= b holds at x = a' g, a' >= 0, up to a' = qw b / (q a.(qw g)).
+    best = min((Fraction(qw * b, q * p) for a, b in le for g in gens
+                if (p := sum(map(mul, a, g))) > 0), default=None)
     if best is None:
         raise ValueError("unbounded body in simplex directions")
     return max(best, Fraction(0))

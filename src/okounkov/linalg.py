@@ -8,10 +8,6 @@ Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 

@@ -15,6 +15,10 @@ from math import lcm
 
 from . import linalg
 
+# Largest cone test in_cone sets up, in generator entries (generators x
+# dimension): the built-in curves at s = 8 as a user list have 2,241.
+MAX_CONE_CELLS = 100_000
+
 
 def _scaled(rows) -> list[list[int]]:
     """The rational rows times one common lcm q > 0 of their denominators,
@@ -96,7 +100,11 @@ def feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
 
 
 def in_cone(generators: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """Is target a nonnegative combination of the generator vectors?"""
+    """Is target a nonnegative combination of the generator vectors?  Past
+    MAX_CONE_CELLS generator entries the test is refused before any pivot."""
+    if (size := len(generators) * len(target)) > MAX_CONE_CELLS:
+        raise ValueError(f"cone test of {size} generator entries exceeds "
+                         f"MAX_CONE_CELLS = {MAX_CONE_CELLS}")
     if all(t == 0 for t in target):
         return True
     if not generators:

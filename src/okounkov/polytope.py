@@ -2,23 +2,28 @@
 
 A body is the convex hull of the points it is built from: the constructor
 keeps the sorted vertices and the H-representation (facet halfspaces plus
-affine-hull equalities) it computes on the way.  Volumes are measured
+affine-hull equalities) it computes on the way, as integer rows.  The
+producers below hand it integer points on one common scale, and the rows
+become Fractions only when halfspaces() is read.  Volumes are measured
 in the Euclidean metric induced from the ambient space, so lower-dimensional
 bodies get the honest surface measure (a diagonal segment has length sqrt(2)).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from . import linalg
-from .linalg import Vec, dot, vadd
+from .linalg import Vec
 from .numbers import RadVal, format_rat, parse_rat
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
 Equality = tuple[Vec, Fraction]   # <normal, x> == offset
+_Record = namedtuple("_Record", "facets eqs q points coords gram masks")
 
 
 @dataclass(frozen=True)
@@ -59,20 +64,49 @@ class Polytope:
     """The convex hull of the given points.
 
     The constructor keeps only the vertices, lexicographically sorted, and
-    _hrep_from_vertices' record of the body: the H-representation with the
-    frame and the facet masks that volume reads.
+    _hrep_from_vertices' record of the body: the integer H-representation,
+    the integer vertices, and the frame and facet masks that volume reads.
     """
 
     ambient_dim: int
     vertices: tuple[Vec, ...]
     meta: dict = field(default_factory=dict, compare=False)
-    _core: tuple = field(init=False, repr=False, compare=False)
+    _core: _Record = field(init=False, repr=False, compare=False)
+    _halfs = None  # halfspaces(), once read
 
     def __post_init__(self):
-        q, ints = _integer_points(self.vertices, self.ambient_dim)
-        self._core, is_vertex = _hrep_from_vertices(q, ints, self.ambient_dim)
+        n, pts = self.ambient_dim, []
+        for p in self.vertices:
+            v = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                 for x in p]
+            if len(v) != n:
+                raise ValueError(
+                    f"point of length {len(v)} in ambient dimension {n}")
+            pts.append(v)
+        # q p for the lcm q of the denominators sorts as the points p do.
+        q = lcm(*(x.denominator for p in pts for x in p))
+        self._build(q, sorted({tuple(x.numerator * (q // x.denominator)
+                                     for x in p) for p in pts}))
+
+    @classmethod
+    def _of(cls, n, points):
+        """The body the constructor builds from the points p / t of R^n,
+        pairs (p, t) of an integer tuple and t > 0, without Fractions."""
+        points = list(points)
+        s = lcm(*(t for _, t in points))
+        pts = {p if t == s else tuple(x * (s // t) for x in p)
+               for p, t in points}
+        g = gcd(s, *chain.from_iterable(pts))
+        P = cls.__new__(cls)
+        P.ambient_dim, P.meta = n, {}
+        P._build(s // g, sorted({tuple(x // g for x in p) for p in pts}
+                                if g > 1 else pts))
+        return P
+
+    def _build(self, q, ints):
+        self._core = _hrep_from_vertices(q, ints, self.ambient_dim)
         self.vertices = tuple(tuple(Fraction(x, q) for x in p)
-                              for p, keep in zip(ints, is_vertex) if keep)
+                              for p in self._core.points)
 
     @property
     def is_empty(self) -> bool:
@@ -80,14 +114,20 @@ class Polytope:
 
     # -- H-representation --------------------------------------------
     def halfspaces(self) -> tuple[list[Halfspace], list[Equality]]:
-        """(facet halfspaces, affine-hull equalities)."""
-        return self._core[0]
+        """(facet halfspaces, affine-hull equalities), built from the
+        integer rows on first read."""
+        if self._halfs is None:
+            c = self._core
+            self._halfs = tuple(
+                [(tuple(map(Fraction, a)), Fraction(b, c.q)) for a, b in rows]
+                for rows in (c.facets, c.eqs))
+        return self._halfs
 
     def dim(self) -> int:
         """Dimension of the affine span (-1 for empty)."""
         if self.is_empty:
             return -1
-        return self.ambient_dim - len(self.halfspaces()[1])
+        return self.ambient_dim - len(self._core.eqs)
 
     def to_json(self) -> dict:
         return {
@@ -110,17 +150,18 @@ def hull(points, ambient_dim: int) -> Polytope:
 def cone_base(graded_points) -> Polytope:
     """Level-1 slice of the cone over graded points: hull of {p / level}."""
     pts = []
-    dim = None
     for p, level in graded_points:
         level = int(level)
         if level <= 0:
             raise ValueError("levels must be positive")
-        v = tuple(Fraction(x, level) for x in p)
-        dim = len(v) if dim is None else dim
-        pts.append(v)
-    if dim is None:
+        v, q = linalg.scaled(p)
+        pts.append((v, q * level))
+        if len(v) != len(pts[0][0]):
+            raise ValueError(f"point of length {len(v)} in ambient "
+                             f"dimension {len(pts[0][0])}")
+    if not pts:
         raise ValueError("cone_base needs at least one graded point")
-    return hull(pts, dim)
+    return Polytope._of(len(pts[0][0]), pts)
 
 
 def affine_image(P: Polytope, M, t=None) -> Polytope:
@@ -132,29 +173,39 @@ def affine_image(P: Polytope, M, t=None) -> Polytope:
     t = tuple(Fraction(x) for x in t)
     if any(len(row) != P.ambient_dim for row in rows) or len(t) != out_dim:
         raise ValueError("matrix/translation shape mismatch")
-    images = [vadd(tuple(dot(row, v) for row in rows), t) for v in P.vertices]
-    return hull(images, out_dim)
+    # With M = A / qm and t = T / qt, M (v / q) + t = (qt A v + q qm T) / s
+    # for s = q qm qt.
+    qm = lcm(*(x.denominator for row in rows for x in row))
+    A = [[x.numerator * (qm // x.denominator) for x in row] for row in rows]
+    (T, qt), q = linalg.scaled(t), P._core.q * qm
+    return Polytope._of(out_dim, ((tuple(
+        qt * sum(map(mul, row, v)) + q * y for row, y in zip(A, T)), q * qt)
+        for v in P._core.points))
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("Minkowski sum of bodies in different dimensions")
-    return hull([vadd(p, q) for p in P.vertices for q in Q.vertices],
-                P.ambient_dim)
+    a, b = P._core, Q._core
+    return Polytope._of(P.ambient_dim, ((tuple(
+        b.q * x + a.q * y for x, y in zip(u, v)), a.q * b.q)
+        for u in a.points for v in b.points))
 
 
 def contains(outer: Polytope, inner) -> bool:
     """Exact containment of a point (sequence) or another polytope."""
     if isinstance(inner, Polytope):
-        if outer.ambient_dim != inner.ambient_dim:
-            raise ValueError("containment across different ambient dimensions")
-        return all(contains(outer, v) for v in inner.vertices)
-    pt = tuple(Fraction(x) for x in inner)
-    if len(pt) != outer.ambient_dim:
+        n, s, pts = inner.ambient_dim, inner._core.q, inner._core.points
+    else:
+        p, s = linalg.scaled(tuple(map(Fraction, inner)))
+        n, pts = len(p), [p]
+    if n != outer.ambient_dim:
         raise ValueError("containment across different ambient dimensions")
-    halfs, eqs = outer.halfspaces()
-    return (all(dot(n, pt) == c for n, c in eqs)
-            and all(dot(n, pt) <= c for n, c in halfs))
+    c = outer._core
+    # a.(q x) <= b at x = p / s is q a.p <= s b.
+    return all(all(c.q * sum(map(mul, a, p)) == s * b for a, b in c.eqs)
+               and all(c.q * sum(map(mul, a, p)) <= s * b for a, b in c.facets)
+               for p in pts)
 
 
 def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
@@ -167,13 +218,17 @@ def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
     if P.ambient_dim != S.n * S.r:
         raise ValueError("slice spec does not match ambient dimension")
     scale = S.gram_scale()
-    basis = S.basis()
-    halfs, eqs = P.halfspaces()
-    # Substitute x = sum_j y_j b_j into every constraint.
-    sub_halfs = [(tuple(dot(n, b) for b in basis), c) for n, c in halfs]
-    sub_eqs = [(tuple(dot(n, b) for b in basis), c) for n, c in eqs]
-    verts = _vertices_from_constraints(sub_halfs, sub_eqs, S.n)
-    return hull(verts, S.n), scale
+    qw = linalg.scaled(S.weights)[1]
+    basis = [linalg.scaled(b)[0] for b in S.basis()]  # qw b_j
+    c = P._core
+
+    # Substitute x = sum_j y_j b_j: a.(q x) <= b is (q a.(qw b_j)).y <= qw b.
+    def sub(rows):
+        return [(qw * b, *(c.q * sum(map(mul, a, u)) for u in basis))
+                for a, b in rows]
+
+    return Polytope._of(S.n, _vertex_points(sub(c.facets), sub(c.eqs),
+                                            S.n)), scale
 
 
 def volume(P: Polytope) -> RadVal:
@@ -190,7 +245,7 @@ def volume(P: Polytope) -> RadVal:
     """
     if P.is_empty:
         return RadVal.rational(0)
-    _, q, coords, gram, masks = P._core
+    _, _, q, _, coords, gram, masks = P._core
     d = len(coords[0])
     if d == 0:
         return RadVal.rational(0)
@@ -238,24 +293,8 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 def _block_steps(xs, n) -> list[Vec]:
     """The n partial sums of the weighted block directions: the k-th puts
     xs[i] on the first k coordinates of every block i."""
-    return [tuple(x if j < k else Fraction(0) for x in xs for j in range(n))
+    return [tuple(x * (j < k) for x in xs for j in range(n))
             for k in range(1, n + 1)]
-
-
-def _integer_points(points, ambient_dim):
-    """(q, the distinct q p, sorted): q > 0 is the lcm of the denominators
-    of the points p.  q p sorts in the lexicographic order of p."""
-    pts = []
-    for p in points:
-        v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in p]
-        if len(v) != ambient_dim:
-            raise ValueError(
-                f"point of length {len(v)} in ambient dimension {ambient_dim}"
-            )
-        pts.append(v)
-    q = lcm(*(x.denominator for p in pts for x in p))
-    return q, sorted({tuple(x.numerator * (q // x.denominator) for x in p)
-                      for p in pts})
 
 
 def _frame(ints):
@@ -346,7 +385,9 @@ def _dd(rows):
 
     Motzkin's double description (Fukuda & Prodon, "Double description
     method revisited", 1996): start from the simplicial cone of the first
-    n independent rows, then add the other rows one at a time.  A new row
+    n independent rows, then add the other rows one at a time, both in
+    lexicographic order (cddlib's default; it tests far fewer pairs than
+    the input order on the surface bodies' hulls).  A new row
     keeps the rays on its side and joins each adjacent pair of rays it
     separates; two rays are adjacent when no third ray is tight at every
     row tight at both.  Returns [(ray, mask)] with each ray a primitive
@@ -354,7 +395,8 @@ def _dd(rows):
     when the rows have rank below n (the cone is not pointed).
     """
     n = len(rows[0])
-    basis, _ = _independent(rows)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    basis = [order[k] for k in _independent([rows[i] for i in order])[0]]
     if len(basis) < n:
         return None
     m = [list(rows[i]) + [int(i == j) for j in basis] for i in basis]
@@ -367,9 +409,10 @@ def _dd(rows):
         r = [row[n + j] for row in m]
         g = gcd(*r)
         rays.append((tuple(x // g for x in r), full ^ (1 << i)))
-    for i, a in enumerate(rows):
+    for i in order:
         if full >> i & 1:
             continue
+        a = rows[i]
         out, pos, neg = [], [], []
         for r, m in rays:
             v = sum(map(mul, a, r))
@@ -407,78 +450,82 @@ def _dd(rows):
 
 
 def _hrep_from_vertices(q, ints, ambient_dim):
-    """(record, vertex flags) of the hull of the points p given as the
-    distinct integer points ints = q p, q > 0.
-
-    The record is ((facet halfspaces, affine-hull equalities), q, coords,
-    gram, masks): the frame coordinates q y of the vertices and the Gram
-    determinant of _frame, and for each halfspace the bitmask of the
-    vertices on it.
+    """The _Record of the hull of the points p given as the distinct sorted
+    integer points ints = q p, q > 0.  A facet row (a, b) is a.(q x) <= b
+    and an equality row a.(q x) = b, a primitive; the facets are sorted.
+    The points are the vertices of ints, coords their frame coordinates q y
+    and gram the Gram determinant of _frame, and each facet's mask lists
+    the vertices on it.
     """
     if not ints:
-        # Canonical infeasible system.
-        zero = (Fraction(0),) * ambient_dim
-        return (([(zero, Fraction(-1))], []), q, [], 1, []), []
+        # Canonical infeasible system: 0.x <= -1.
+        return _Record([((0,) * ambient_dim, -q)], [], q, [], [], 1, [])
     coords, normals, gram, pullback = _frame(ints)
-    eqs = [(tuple(map(Fraction, nrm)),
-            Fraction(sum(map(mul, nrm, ints[0])), q)) for nrm in normals]
+    eqs = [(tuple(nrm), sum(map(mul, nrm, ints[0]))) for nrm in normals]
     if not coords[0]:
-        return (([], eqs), q, coords, gram, []), [True]
+        return _Record([], eqs, q, ints, coords, gram, [])
     # Facets h.y <= c in the frame as ((c, *h), mask), the mask listing the
     # points on the facet: the rays of {(c, h) : q c - h.(q y) >= 0 at
     # every y}.
     facets_local = _dd([(q,) + tuple(-x for x in y) for y in coords])
-    # A point is a vertex iff no other point lies on a strict superset of
-    # its facets.
-    on = [0] * len(ints)
-    for f, (_, m) in enumerate(facets_local):
-        while m:
-            low = m & -m
-            on[low.bit_length() - 1] |= 1 << f
-            m ^= low
-    is_vertex = [not any(o != mine and o & mine == mine for o in on)
-                 for mine in on]
+    # A point is a vertex iff it is the only point on every facet through
+    # it: meet[k] is the meet of the masks of the facets through point k.
+    meet = [(1 << len(ints)) - 1] * len(ints)
+    for _, m in facets_local:
+        b = m
+        while b:
+            low = b & -b
+            meet[low.bit_length() - 1] &= m
+            b ^= low
+    is_vertex = [m == 1 << k for k, m in enumerate(meet)]
     # Pull each local halfspace h.y <= c back through y = L(x - v0): its
-    # primitive normal is w / k, w = h.(g L) and k = gcd(w), and its offset
-    # is normal.p = (w.(q p)) / (q k) at any point p on it.  Distinct facets
-    # have distinct normals, which key and sort them.  With no equalities
-    # g L is the identity and w = h.
+    # primitive normal is a = w / k, w = h.(g L) and k = gcd(w), and its
+    # offset is a.(q p) at any point p on it.  Distinct facets have
+    # distinct normals, which key and sort them.  With no equalities g L is
+    # the identity and w = h.
     cols = list(zip(*pullback))
     facets = {}
     for (_, *h), mask in facets_local:
         w = [sum(map(mul, h, col)) for col in cols] if normals else h
         k = gcd(*w)
+        a = tuple(x // k for x in w)
         on_it = ints[(mask & -mask).bit_length() - 1]
-        facets[tuple(x // k for x in w)] = (
-            Fraction(sum(map(mul, w, on_it)), q * k), mask)
+        facets[a] = (sum(map(mul, a, on_it)), mask)
     ranked = sorted(facets.items())
-    halfs = [(tuple(map(Fraction, nrm)), c) for nrm, (c, _) in ranked]
     masks = [m for _, (_, m) in ranked]
     if not all(is_vertex):
         kept = [k for k, keep in enumerate(is_vertex) if keep]
+        ints = [ints[k] for k in kept]
         coords = [coords[k] for k in kept]
         masks = [sum(1 << j for j, k in enumerate(kept) if m >> k & 1)
                  for m in masks]
-    return ((halfs, eqs), q, coords, gram, masks), is_vertex
+    return _Record([(a, b) for a, (b, _) in ranked], eqs, q, ints, coords,
+                   gram, masks)
 
 
-def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:
-    """Enumerate vertices of {x : eqs hold, halfs satisfied} (bounded case).
+def _vertex_points(le, eq, dim):
+    """The vertices z / t of the bounded {x : n.x <= c for each row (c, *n)
+    of le, n.x = c for each row of eq}, integer rows, as pairs (z, t).
 
     Homogenised, x = z / t: the points (t, z) with c t = n.z for every
     equality are the combinations sum y_k u_k of the _kernel basis u_k of
     the rows (-c, n), and the vertices are z / t at the rays with t > 0 of
-    {y : t >= 0, c t - n.z >= 0 for every halfspace}.  Inconsistent
+    {y : t >= 0, c t - n.z >= 0 for every row of le}.  Inconsistent
     equalities leave only t = 0; with none the u_k are the unit basis.
     """
-    _, basis = _kernel([linalg.scaled((-c, *n))[0] for n, c in eqs], dim + 1)
+    _, basis = _kernel([(-c, *n) for c, *n in eq], dim + 1)
     rows = [tuple(u[0] for u in basis)]
-    for n, c in halfs:
-        # Scaled to integers by a positive factor, which keeps the rays.
-        c, *n = linalg.scaled((c, *n))[0]
-        rows.append(tuple(c * u[0] - sum(map(mul, n, u[1:])) for u in basis))
-    rays = _dd(rows)
-    if rays is None:
-        return []
-    homog = [[sum(map(mul, y, col)) for col in zip(*basis)] for y, _ in rays]
-    return [tuple(Fraction(x, t) for x in z) for t, *z in homog if t > 0]
+    rows += [tuple(c * u[0] - sum(map(mul, n, u[1:])) for u in basis)
+             for c, *n in le]
+    homog = [[sum(map(mul, y, col)) for col in zip(*basis)]
+             for y, _ in _dd(rows) or ()]
+    return [(tuple(z), t) for t, *z in homog if t > 0]
+
+
+def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:
+    """Enumerate vertices of {x : eqs hold, halfs satisfied} (bounded case):
+    _vertex_points of the rows scaled to integers by positive factors,
+    which keep the rays."""
+    return [tuple(Fraction(x, t) for x in z) for z, t in _vertex_points(
+        *([linalg.scaled((c, *n))[0] for n, c in cons]
+          for cons in (halfs, eqs)), dim)]

@@ -655,8 +655,8 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     # The rows of N(D)'s curves, and the multiplicity of each E_i (scale 1).
     N0 = {model.neg_curves[k]: (nb, model._rows[k])
           for k, nb in zip(support, n) if nb}
-    shift = [Fraction(N0[f][0] if f in N0 else 0, den) for f in flags]
-    x, q = sum((f.scale(-a) for f, a in zip(flags, shift)), D)._row
+    sh = [N0[f][0] if f in N0 else 0 for f in flags]  # den shift_i
+    x, q = sum((f.scale(Fraction(-a, den)) for f, a in zip(flags, sh)), D)._row
     us = [f.scale(-q)._row[0] for f in flags]  # q D_t = x + sum t_i us_i
     curves = set(model._rows[:len(model.neg_curves)])
     unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
@@ -672,10 +672,13 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
         betas = [tuple(p[i + 1] for p in ps) for i in points]
         verts = [v for v in polytope._dd(walls + unit) if v[0][0] > 0]
         for v, _ in verts:  # t = v[1:] / v[0], and P(t).E_i = P(t).m_i
-            ends = [[(sh + Fraction(tk, v[0]), y) for y in (0, Fraction(
-                sum(map(mul, b, v)), det * q * v[0]))]
-                for sh, tk, b in zip(shift, v[1:], betas)]
-            pts += (sum(e, ()) for e in itertools.product(*ends))
+            # Ends on the scale S = den det q v0, a = den shift_i: shift_i +
+            # t_i = det q (a v0 + den v_i) / S and P(t).E_i = den b.v / S.
+            S = den * det * q * v[0]
+            ends = [[(det * q * (a * v[0] + den * tk), y) for y in (
+                0, den * sum(map(mul, b, v)))]
+                for a, tk, b in zip(sh, v[1:], betas)]
+            pts += ((sum(e, ()), S) for e in itertools.product(*ends))
         groups = {}
         ons = [sum(1 << e for e, (_, m) in enumerate(verts) if m >> j & 1)
                for j in range(len(walls) + r + 1)]
@@ -688,7 +691,7 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
         new = {tuple(sorted(set(supp) ^ gs)) for gs in groups.values()} - seen
         seen |= new
         todo += sorted(new)
-    body = polytope.hull(pts, 2 * r)
+    body = Polytope._of(2 * r, pts)
     body.meta.update(outer_approx=True, grid_step=format_rat(grid_step),
                      t_max=format_rat(t_max),
                      flag_points="general on each exceptional curve")

@@ -95,7 +95,7 @@ class Fan:
             if not all(0 <= i < len(rays) for i in c):
                 raise ValueError(f"max cone {c} names a ray outside "
                                  f"0..{len(rays) - 1}")
-            d = linalg.det([rays[i] for i in c])
+            d = linalg.bareiss([list(rays[i]) for i in c], n)
             if abs(d) != 1:
                 raise ValueError(
                     f"non-smooth cone {c}: ray determinant {d} (need +-1)"
@@ -104,9 +104,9 @@ class Fan:
 
         def coord(ci, j, x):
             # Coordinate j of x in the ray basis of cone ci (Cramer's rule).
-            rows = [rays[i] for i in cones[ci]]
-            rows[j] = x
-            return linalg.det(rows) * dets[ci]
+            rows = [list(rays[i]) for i in cones[ci]]
+            rows[j] = list(x)
+            return linalg.bareiss(rows, n) * dets[ci]
 
         used = {i for c in cones for i in c}
         if used != set(range(len(rays))):
@@ -238,22 +238,16 @@ def divisor_polytope(fan: Fan, D: ToricDivisor) -> Polytope:
     """Lattice polytope {u : <u, ray> >= -a_ray for all rays}."""
     if len(D.coeffs) != len(fan.rays):
         raise ValueError("divisor coefficient count does not match ray count")
-    halfs = [
-        (tuple(-Fraction(x) for x in ray), Fraction(a))
-        for ray, a in zip(fan.rays, D.coeffs)
-    ]
-    verts = polytope._vertices_from_constraints(halfs, [], fan.dim)
-    return polytope.hull(verts, fan.dim)
+    # <u, ray> >= -a, a = c / q, is the row (c, *(-q ray)) of n.u <= c.
+    le = [(a.numerator, *(-a.denominator * x for x in ray))
+          for ray, a in zip(fan.rays, D.coeffs)]
+    return Polytope._of(fan.dim, polytope._vertex_points(le, [], fan.dim))
 
 
 def flag_matrix(fan: Fan, flags: ToricFlagSpec) -> list[list[Fraction]]:
     """(n*r) x n pairing matrix: row (i,j) is u -> <u, v_j^{(i)}>."""
     flags.validate(fan)
-    rows = []
-    for block in flags.ray_vectors(fan):
-        for v in block:
-            rows.append(list(v))
-    return rows
+    return [list(v) for block in flags.ray_vectors(fan) for v in block]
 
 
 def extended_body_toric(fan: Fan, D: ToricDivisor,
@@ -282,11 +276,9 @@ def extended_body_toric(fan: Fan, D: ToricDivisor,
 def _lattice_box(P: Polytope, m: int = 1):
     """Integer ranges of the bounding box of m * P (P nonempty) and its
     size in lattice points."""
-    ranges = []
-    for t in range(P.ambient_dim):
-        coords = [m * v[t] for v in P.vertices]
-        ranges.append(range(math.floor(min(coords)),
-                            math.ceil(max(coords)) + 1))
+    q = P._core.q
+    ranges = [range(m * min(c) // q, -(-m * max(c) // q) + 1)
+              for c in zip(*P._core.points)]  # the vertices times q
     return ranges, math.prod(map(len, ranges))
 
 
@@ -301,14 +293,12 @@ def lattice_points(P: Polytope, m: int = 1) -> list[tuple[int, ...]]:
     if size > MAX_LATTICE_BOX:
         raise ValueError(f"lattice-point scan of a {size}-point bounding box "
                          f"exceeds MAX_LATTICE_BOX = {MAX_LATTICE_BOX}")
-    halfs, eqs = P.halfspaces()
-
-    # n.x <= c on P is a.u <= m b on m P, (a, b) = q (n, c) integers, q > 0.
-    def rows(cons):
-        return [(a, m * b) for *a, b in
-                (linalg.scaled((*nrm, c))[0] for nrm, c in cons)]
-
-    eq, le = rows(eqs), rows(halfs)
+    le, eq, q = P._core.facets, P._core.eqs, P._core.q
+    # a.(q x) <= b on P is a.u <= m b / q on m P: a.u <= floor(m b / q) at a
+    # lattice point u, and a.u = m b / q only if q divides m b.
+    if any(m * b % q for _, b in eq):
+        return []
+    eq, le = ([(a, m * b // q) for a, b in rows] for rows in (eq, le))
     # product runs through the box in lexicographic order.
     return [u for u in itertools.product(*ranges)
             if all(sum(map(mul, a, u)) == b for a, b in eq)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from okounkov import cli, polytope, registry, surface, toric
+from okounkov import cli, lp, polytope, registry, surface, toric
 from okounkov.cli import main
 from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
@@ -790,3 +790,16 @@ def test_singular_chamber_support_exit_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "singular support system in chamber walk" in err
+
+
+def test_oversize_user_cone_test_exit_1(tmp_path, capsys, monkeypatch):
+    # A user curve list reaches lp.in_cone, whose work bound is an input
+    # error; 3 generators of length 2 are 6 entries.
+    monkeypatch.setattr(lp, "MAX_CONE_CELLS", 5)
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "surface-zariski",
+        "input": {"surface": {"s": 1, "mode": "user", "neg_curves": [
+            {"d": "0", "m": ["-1"]}]}, "class": {"d": "1", "m": ["0"]}},
+        "output_path": "z.json"})
+    assert code == 1 and not out.exists()
+    assert "exceeds MAX_CONE_CELLS = 5" in capsys.readouterr().err

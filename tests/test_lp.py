@@ -119,3 +119,18 @@ def test_maximize_unbounded_and_trivial():
     with pytest.raises(ValueError, match="unbounded"):
         lp.maximize([F(1)], [[F(-1)]], [F(0)])
     assert lp.maximize([F(0), F(0)], [], []) == (0, [0, 0])
+
+
+def test_in_cone_refuses_oversize_lists_before_any_pivot(monkeypatch):
+    # The size is generators x dimension, read before the tableau is built.
+    def no_lp(A, b):
+        raise AssertionError("the work bound let the LP start")
+
+    monkeypatch.setattr(lp, "feasible_nonneg", no_lp)
+    dim = 10
+    k = lp.MAX_CONE_CELLS // dim
+    row = [1] * dim
+    with pytest.raises(ValueError, match="MAX_CONE_CELLS = 100000"):
+        lp.in_cone([row] * (k + 1), row)
+    with pytest.raises(AssertionError, match="let the LP start"):
+        lp.in_cone([row] * k, row)

@@ -304,19 +304,23 @@ def _ref_frame(points):
 
 
 def _ref_dd(rows):
+    # Rows in lexicographic order, for the initial basis and after it.
     n = len(rows[0])
-    _, basis = linalg.rref([list(col) for col in zip(*rows)])
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    _, basis = linalg.rref([list(col) for col in zip(*(rows[i]
+                                                       for i in order))])
     if len(basis) < n:
         return None
+    basis = [order[k] for k in basis]
     inv, _ = linalg.rref([list(rows[i]) + [int(i == j) for j in basis]
                           for i in basis])
     full = sum(1 << i for i in basis)
     rays = [(tuple(map(int, linalg.primitive([row[n + j] for row in inv]))),
              full ^ (1 << i)) for j, i in enumerate(basis)]
-    for i, a in enumerate(rows):
+    for i in order:
         if full >> i & 1:
             continue
-        vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
+        vals = [sum(x * y for x, y in zip(rows[i], r)) for r, _ in rays]
         masks = [m for _, m in rays]
         out = [(r, m | 1 << i if v == 0 else m)
                for (r, m), v in zip(rays, vals) if v >= 0]
@@ -1126,3 +1130,85 @@ def test_nef_boundary_check_matches_fraction_form(d, m, ordered):
     want = _ref_nef_boundary_check(d, m)
     assert got == want
     assert type(got["self_intersection"]) is Fraction
+
+
+# -- integer producers against the hull of the same Fraction points ----
+
+def _same_body(P, ref):
+    assert P == ref and P.vertices == ref.vertices
+    assert P.halfspaces() == ref.halfspaces()
+    assert volume(P) == volume(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_affine_image_matches_fraction_hull(data):
+    n, pts = data.draw(core_clouds())
+    k = data.draw(st.integers(1, 4))
+    M = data.draw(st.lists(st.tuples(*[rationals] * n), min_size=k,
+                           max_size=k))
+    t = data.draw(st.none() | st.tuples(*[rationals] * k))
+    P = hull(pts, n)
+    ref = [tuple(linalg.dot(row, v) + (t[i] if t else 0)
+                 for i, row in enumerate(M)) for v in P.vertices]
+    _same_body(affine_image(P, M, t), hull(ref, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(
+    st.tuples(*[rationals] * n), st.integers(1, 6)), min_size=1,
+    max_size=7)))
+def test_cone_base_matches_fraction_hull(graded):
+    n = len(graded[0][0])
+    ref = [tuple(x / level for x in p) for p, level in graded]
+    _same_body(polytope.cone_base(graded), hull(ref, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minkowski_sum_matches_fraction_hull(data):
+    n, pts = data.draw(core_clouds())
+    qts = data.draw(st.lists(st.tuples(*[rationals] * n), min_size=1,
+                             max_size=5))
+    P, Q = hull(pts, n), hull(qts, n)
+    ref = [tuple(x + y for x, y in zip(p, q))
+           for p in P.vertices for q in Q.vertices]
+    _same_body(minkowski_sum(P, Q), hull(ref, n))
+
+
+@pytest.mark.parametrize("name", toric.fixture_names())
+def test_divisor_polytope_matches_fraction_hull(name):
+    f = toric.load_fixture(name)
+    fan = f["fan"]
+    for D in f["divisors"].values():
+        for k in (1, 3, F(1, 2), F(-2, 3)):
+            Dk = D.scale(k)
+            halfs = [(tuple(-F(x) for x in ray), a)
+                     for ray, a in zip(fan.rays, Dk.coeffs)]
+            ref = polytope._vertices_from_constraints(halfs, [], fan.dim)
+            _same_body(toric.divisor_polytope(fan, Dk), hull(ref, fan.dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_intersect_subspace_matches_fraction_substitution(data):
+    # The old route: each Fraction halfspace of P with x = sum_j y_j b_j
+    # substituted, then the vertices of the result and their hull.
+    n, r = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pts = data.draw(st.lists(st.tuples(*[coord] * (n * r)), min_size=1,
+                             max_size=8))
+    w = data.draw(st.lists(st.fractions(min_value=F(1, 3), max_value=3,
+                                        max_denominator=3),
+                           min_size=r, max_size=r))
+    P, S = hull(pts, n * r), polytope.SliceSpec(n, r, tuple(w))
+    basis = S.basis()
+
+    def sub(cons):
+        return [(tuple(linalg.dot(a, b) for b in basis), c) for a, c in cons]
+
+    halfs, eqs = P.halfspaces()
+    ref = polytope._vertices_from_constraints(sub(halfs), sub(eqs), n)
+    sl, scale = polytope.intersect_subspace(P, S)
+    _same_body(sl, hull(ref, n))
+    assert scale == S.gram_scale()

@@ -779,3 +779,33 @@ def test_class_of_wrong_s_refused(call, D):
     with pytest.raises(ValueError, match="on a model of s = 3"):
         call(D)
     assert "_support" not in D.__dict__
+
+
+def test_shifted_bodies_match_fraction_oracle():
+    # The walk hands the body its fibre points as integers on one scale;
+    # the oracle builds them in Fraction class arithmetic.  The shifts are
+    # 2, 2, (1, 1/2) and (1, 0, 1/2).
+    cases = ((1, cls(1, -2), [0]), (2, cls(1, -2, 0), [0, 1]),
+             (3, cls(2, -1, 1, F(-1, 2)), [0, 2]),
+             (3, cls(2, -1, 1, F(-1, 2)), [0, 1, 2]))
+    for s, D, points in cases:
+        model = SurfaceModel(s)
+        body = surface_body_outer(model, D, points, F(1, 2), F(1))
+        ref = _oracle_body(model, D, points)
+        assert min(v[0] for v in body.vertices) > 0
+        assert body.vertices == ref.vertices
+        assert body.halfspaces() == ref.halfspaces()
+        assert volume(body) == volume(ref)
+
+
+def test_anticanonical_bodies_keep_their_vertices():
+    # The slowest bodies the chamber walk builds here; the pins (vertex
+    # count, coordinate sum, facet count) were read off the Fraction path.
+    for s, r, count, total, facets in ((4, 3, 57, F(369, 2), 22),
+                                       (5, 4, 133, 444, 49),
+                                       (4, 4, 217, 882, 41)):
+        body = surface_body_outer(SurfaceModel(s), cls(3, *[1] * s),
+                                  list(range(r)), F(1, 2), F(1))
+        assert len(body.vertices) == count
+        assert sum(map(sum, body.vertices)) == total
+        assert len(body.halfspaces()[0]) == facets

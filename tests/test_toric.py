@@ -1,8 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from okounkov import polytope, toric
+from okounkov import invariants, polytope, toric
 from okounkov.polytope import contains, minkowski_sum
 from okounkov.toric import (
     Fan,
@@ -274,16 +275,16 @@ def test_block_depends_only_on_own_flag():
 def test_lattice_points_box_bound_refused_before_scan(monkeypatch):
     big = polytope.hull([(0, 0), (10**9, 0), (0, 10**9)], 2)
 
-    def no_scan(self):
-        raise AssertionError("the box guard ran after the H-representation")
+    def no_scan(*ranges):
+        raise AssertionError("the box guard let the scan start")
 
-    monkeypatch.setattr(polytope.Polytope, "halfspaces", no_scan)
+    monkeypatch.setattr(toric, "itertools", SimpleNamespace(product=no_scan))
     with pytest.raises(ValueError, match="MAX_LATTICE_BOX = 1000000"):
         lattice_points(big)
     n = toric.MAX_LATTICE_BOX - 1  # an n + 1 point box is just allowed
     with pytest.raises(ValueError, match="MAX_LATTICE_BOX"):
         lattice_points(polytope.hull([(0,), (n + 1,)], 1))
-    with pytest.raises(AssertionError, match="after the H-representation"):
+    with pytest.raises(AssertionError, match="let the scan start"):
         lattice_points(polytope.hull([(0,), (n,)], 1))
 
 
@@ -425,3 +426,43 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     loaded = toric.load_fixture("tiny")
     assert loaded["fan"] == src["fan"]
     assert toric.fixture_names() == ["tiny"]
+
+
+def test_integer_readers_build_no_fraction_facets(monkeypatch):
+    # dim, contains, lattice_points, toric bodies, a slice and xi read the
+    # integer facet rows; only halfspaces() builds Fractions.
+    def no_facets(self):
+        raise AssertionError("Fraction facets built")
+
+    monkeypatch.setattr(polytope.Polytope, "halfspaces", no_facets)
+    f1, f2 = fx("bl1p2"), fx("bl2p2")
+    full = extended_body_toric(f1["fan"], f1["divisors"]["2H-E"],
+                               f1["flags"]["inf"])
+    seg = extended_body_toric(f2["fan"], f2["divisors"]["H-E2"],
+                              f2["flags"]["inf2"])
+    P = divisor_polytope(f1["fan"], f1["divisors"]["2H-E"])
+    assert (full.dim(), seg.dim(), P.dim()) == (2, 1, 2)
+    assert contains(seg, seg.vertices[-1]) and contains(seg, seg)
+    assert not contains(seg, (1, 0, 0, 0)) and contains(full, (1, 2))
+    assert lattice_points(P, 2) == [
+        (0, 0), (0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, -2), (2, -1),
+        (2, 0), (3, -2), (3, -1), (4, -2)]
+    sl, _ = polytope.intersect_subspace(seg, polytope.SliceSpec(2, 2, (1, 1)))
+    assert sl.vertices == ((0, 0),)
+    assert invariants.xi_constant(full, [F(2, 3)], 2, 1) == F(3, 2)
+    assert invariants.xi_constant(seg, [1, 1], 2, 2) == 0
+    assert all(B._halfs is None for B in (full, seg, P, sl))
+
+
+def test_fan_checks_run_on_integer_determinants(monkeypatch):
+    # Smoothness and completeness take Bareiss determinants of the integer
+    # rays; no Fraction determinant is built.
+    def no_det(rows):
+        raise AssertionError("Fraction determinant")
+
+    monkeypatch.setattr(toric.linalg, "det", no_det)
+    for name in FIXTURE_NAMES:
+        fan = fx(name)["fan"]
+        assert Fan(fan.dim, fan.rays, fan.max_cones) == fan
+    with pytest.raises(ValueError, match="ray determinant 2 "):
+        Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (2, 0)))

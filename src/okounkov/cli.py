@@ -18,8 +18,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import invariants, polytope, registry, render, surface, toric
-from .numbers import RadVal, format_rat, parse_rat
+from . import invariants, registry, render, surface, toric
+from .numbers import _INT, _RAT, _RATS, _STR, RadVal, _rat, format_rat
+from .polytope import Polytope
 from .surface import PicClass, SurfaceModel
 
 class InputError(Exception):
@@ -95,8 +96,8 @@ def _run(args) -> int:
         raise InputError('job "input" must be an object')
     p = _read_input(kind, payload)
     if args.grid_step is not None:
-        p["grid_step"] = _read_rat(args.grid_step)
-        if p["grid_step"] is _BAD:
+        p["grid_step"] = _rat(args.grid_step)
+        if p["grid_step"] is None:
             raise InputError(f"--grid-step is not p/q: {args.grid_step!r}")
     if args.m_max is not None:
         p["m_max"] = args.m_max
@@ -262,93 +263,19 @@ _HANDLERS = {
     "nef-boundary": _job_nef_boundary,
 }
 
-# The reader of each kind of value, by what a message calls it: the value as
-# the handlers take it, or _BAD.  A bool is not an integer, a rational is "p/q"
-# or an integer; strings pass through unchanged, and a surface, a body, a
-# fan, a divisor or flags are built from what was read, so a constructor's
-# ValueError is an input error naming the key.
-_BAD = object()
-
-
-def _read_rat(v):
-    try:
-        return _BAD if type(v) is bool else parse_rat(v)
-    except ValueError:
-        return _BAD
-
-
-def _read_rats(v):
-    out = list(map(_read_rat, v)) if isinstance(v, list) else [_BAD]
-    return _BAD if _BAD in out else out
-
-
-def _read_class(v):
-    if not (isinstance(v, dict) and v.keys() == {"d", "m"}):
-        return _BAD
-    d, m = _read_rat(v["d"]), _read_rats(v["m"])
-    return _BAD if _BAD in (d, m) else PicClass(d, tuple(m))
-
-
-def _read_surface(v):
-    if not (isinstance(v, dict) and type(v.get("s")) is int
-            and isinstance(v.get("mode", ""), str)
-            and isinstance(v.get("neg_curves", []), list)):
-        return _BAD
-    curves = tuple(map(_read_class, v.get("neg_curves", [])))
-    return _BAD if _BAD in curves else SurfaceModel(
-        v["s"], v.get("mode", "delpezzo-general"), curves)
-
-
-def _read_body(v):
-    if not (isinstance(v, dict) and type(v.get("ambient_dim")) is int
-            and isinstance(v.get("vertices"), list)):
-        return _BAD
-    verts = list(map(_read_rats, v["vertices"]))
-    return _BAD if _BAD in verts else polytope.hull(
-        list(map(tuple, verts)), v["ambient_dim"])
-
-
-def _read_int_lists(v):
-    ok = isinstance(v, list) and all(
-        isinstance(r, list) and all(type(x) is int for x in r) for r in v)
-    return v if ok else _BAD
-
-
-def _read_fan(v):
-    if not (isinstance(v, dict) and v.keys() == {"dim", "rays", "max_cones"}
-            and type(v["dim"]) is int):
-        return _BAD
-    rays, cones = _read_int_lists(v["rays"]), _read_int_lists(v["max_cones"])
-    return _BAD if _BAD in (rays, cones) else toric.Fan(v["dim"], rays, cones)
-
-
-def _read_divisor(v):
-    if not (isinstance(v, dict) and v.keys() == {"coeffs"}):
-        return _BAD
-    coeffs = _read_rats(v["coeffs"])
-    return _BAD if coeffs is _BAD else toric.ToricDivisor(tuple(coeffs))
-
-
-def _read_flags(v):
-    if not (isinstance(v, dict) and v.keys() == {"flags"}):
-        return _BAD
-    flags = _read_int_lists(v["flags"])
-    # ToricFlagSpec.validate checks the cones against the fan.
-    return _BAD if flags is _BAD or not flags else toric.ToricFlagSpec(flags)
-
-
-_KINDS = {
-    "an integer": lambda v: v if type(v) is int else _BAD,
-    "a rational": _read_rat,
-    "a list of rationals": _read_rats,
-    "a string": lambda v: v if isinstance(v, str) else _BAD,
+# The reader of each kind of value, by what a message calls it: a scalar's
+# returns the value as the handlers take it, or None; an object's is its
+# from_json, whose ValueError names the inner key refused.  Strings pass
+# through unchanged.
+_KINDS = {what: read for read, what in (_INT, _RAT, _RATS, _STR)} | {
     "an object {dim: an integer, rays, max_cones: lists of integer lists}":
-        _read_fan,
-    "an object {coeffs: a list of rationals}": _read_divisor,
-    "an object {flags: a nonempty list of integer lists}": _read_flags,
-    "a class {d, m}": _read_class,
-    "a surface {s, mode, neg_curves}": _read_surface,
-    "a body {ambient_dim, vertices}": _read_body,
+        toric.Fan.from_json,
+    "an object {coeffs: a list of rationals}": toric.ToricDivisor.from_json,
+    "an object {flags: a nonempty list of integer lists}":
+        toric.ToricFlagSpec.from_json,
+    "a class {d, m}": PicClass.from_json,
+    "a surface {s, mode, neg_curves}": SurfaceModel.from_json,
+    "a body {ambient_dim, vertices}": Polytope.from_json,
     # surface.flag_points checks them against s, before any work.
     "flag points": lambda v: v,
 }
@@ -427,9 +354,9 @@ def _read_input(kind, payload) -> dict:
             try:
                 out[key] = _KINDS[what](payload[key])
             except ValueError as exc:
-                raise InputError(f"input key {key!r} of job kind {kind!r}: "
-                                 f"{exc}") from None
-            if out[key] is _BAD:
+                raise InputError(f"input key {key!r} of job kind {kind!r} "
+                                 f"must be {what}: {exc}") from None
+            if out[key] is None:
                 raise InputError(f"input key {key!r} of job kind {kind!r} "
                                  f"must be {what}, got {payload[key]!r}")
     for key, (what, required) in form.items():

@@ -14,7 +14,7 @@ def parse_rat(s) -> Fraction:
     """Parse a canonical "p/q" (or "p") string into a Fraction."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if type(s) is int:  # a bool is not a rational
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"not a rational literal: {s!r}")
@@ -26,6 +26,65 @@ def parse_rat(s) -> Fraction:
             raise ValueError(f"zero denominator in rational literal: {s!r}")
         return Fraction(int(num), d)
     return Fraction(int(text))
+
+
+def _rat(v):
+    try:
+        return parse_rat(v)
+    except ValueError:
+        return None
+
+
+def _rats(v):
+    try:
+        return tuple(map(parse_rat, v)) if isinstance(v, list) else None
+    except ValueError:
+        return None
+
+
+def _rat_lists(v):
+    rows = list(map(_rats, v)) if isinstance(v, list) else [None]
+    return None if None in rows else rows
+
+
+def _int_lists(v):
+    if isinstance(v, list) and all(
+            isinstance(r, list) and all(type(x) is int for x in r) for r in v):
+        return tuple(map(tuple, v))
+    return None
+
+
+# JSON value readers for _read_json: (read, what it must be); read returns
+# the value as the constructor takes it, or None.  A bool is not a number.
+_INT = (lambda v: v if type(v) is int else None, "an integer")
+_STR = (lambda v: v if isinstance(v, str) else None, "a string")
+_RAT = (_rat, "a rational")
+_RATS = (_rats, "a list of rationals")
+_RAT_LISTS = (_rat_lists, "a list of rational lists")
+_INT_LISTS = (_int_lists, "a list of integer lists")
+_FLAGS = (lambda v: _int_lists(v) or None, "a nonempty list of integer lists")
+
+
+def _read_json(obj, of, defaults={}, **readers):
+    """The values of the keys of the JSON object obj, in the order of
+    readers (key -> a reader above, or a from_json whose ValueError goes
+    through); a key left out takes its value in defaults (never written
+    to).  A ValueError names the first key refused: unknown, missing or of
+    the wrong shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{of} must be an object, got {obj!r}")
+    unknown = sorted(obj.keys() - readers.keys())
+    if unknown:
+        raise ValueError(f"{of} key {unknown[0]!r} is unknown; accepted: "
+                         f"{', '.join(readers)}")
+    out = []
+    for key, (read, what) in readers.items():
+        v = read(obj[key]) if key in obj else defaults.get(key)
+        if v is None:
+            got = repr(obj[key]) if key in obj else "no such key"
+            raise ValueError(f"{of} key {key!r} must be {what}, got {got}")
+        out.append(v)
+    return out
 
 
 def format_rat(q: Fraction) -> str:

@@ -19,7 +19,7 @@ from operator import mul
 
 from . import linalg
 from .linalg import Vec
-from .numbers import RadVal, format_rat, parse_rat
+from .numbers import _INT, _RAT_LISTS, RadVal, _read_json, format_rat
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
 Equality = tuple[Vec, Fraction]   # <normal, x> == offset
@@ -137,9 +137,11 @@ class Polytope:
 
     @staticmethod
     def from_json(obj: dict) -> "Polytope":
-        n = int(obj["ambient_dim"])
-        verts = [tuple(parse_rat(x) for x in v) for v in obj["vertices"]]
-        return hull(verts, n)
+        """The body of a to_json document, or of a CLI result with meta."""
+        return Polytope(*_read_json(
+            obj, "polytope", {"meta": {}}, ambient_dim=_INT,
+            vertices=_RAT_LISTS, meta=(
+                lambda v: v if isinstance(v, dict) else None, "an object")))
 
 
 def hull(points, ambient_dim: int) -> Polytope:

@@ -18,7 +18,8 @@ from functools import cache, cached_property
 from operator import index, mul
 
 from . import linalg, lp, polytope
-from .numbers import _fraction, format_rat, parse_rat
+from .numbers import (_INT, _RAT, _RATS, _STR, _fraction, _read_json,
+                      format_rat)
 from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
@@ -71,8 +72,7 @@ class PicClass:
 
     @staticmethod
     def from_json(obj: dict) -> "PicClass":
-        return PicClass(parse_rat(obj["d"]),
-                        tuple(parse_rat(x) for x in obj["m"]))
+        return PicClass(*_read_json(obj, "class", d=_RAT, m=_RATS))
 
 
 def H(s: int) -> PicClass:
@@ -276,6 +276,8 @@ class SurfaceModel:
 
     def __post_init__(self):
         if self.mode == "delpezzo-general":
+            if self.neg_curves:
+                raise ValueError("neg_curves are read only with mode 'user'")
             curves, rows = _builtin(index(self.s))
         elif self.mode == "user":
             curves = tuple(self.neg_curves)
@@ -301,10 +303,11 @@ class SurfaceModel:
 
     @staticmethod
     def from_json(obj: dict) -> "SurfaceModel":
-        mode = obj.get("mode", "delpezzo-general")
-        curves = tuple(PicClass.from_json(c)
-                       for c in obj.get("neg_curves", []))
-        return SurfaceModel(int(obj["s"]), mode, curves)
+        curves = (lambda v: tuple(map(PicClass.from_json, v))
+                  if isinstance(v, list) else None, "a list of classes")
+        return SurfaceModel(*_read_json(
+            obj, "surface", {"mode": "delpezzo-general", "neg_curves": ()},
+            s=_INT, mode=_STR, neg_curves=curves))
 
 
 @dataclass(frozen=True)

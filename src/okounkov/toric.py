@@ -17,52 +17,13 @@ from operator import mul
 from pathlib import Path
 
 from . import linalg, polytope
-from .linalg import Vec, dot
-from .numbers import format_rat, parse_rat
+from .linalg import dot
+from .numbers import (_FLAGS, _INT, _INT_LISTS, _RATS, _STR, _read_json,
+                      format_rat)
 from .polytope import Polytope
 
 # Largest bounding box lattice_points scans, in lattice points.
 MAX_LATTICE_BOX = 10**6
-
-
-def _int_lists(v):
-    if isinstance(v, list) and all(
-            isinstance(r, list) and all(type(x) is int for x in r) for r in v):
-        return tuple(map(tuple, v))
-    return None
-
-
-def _rats(v):
-    if not isinstance(v, list) or any(type(x) is bool for x in v):
-        return None
-    try:
-        return tuple(map(parse_rat, v))
-    except ValueError:
-        return None
-
-
-# JSON value readers for _read_json: (read, what it must be); read returns
-# the value as the constructor takes it, or None.  A bool is not a number.
-_INT = (lambda v: v if type(v) is int else None, "an integer")
-_INT_LISTS = (_int_lists, "a list of integer lists")
-_RATS = (_rats, "a list of rationals")
-_FLAGS = (lambda v: _int_lists(v) or None, "a nonempty list of integer lists")
-
-
-def _read_json(obj, of, **readers):
-    """The values of the keys of the JSON object obj, in the order of
-    readers (key -> a reader above); a ValueError names the first key
-    refused."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{of} must be an object, got {obj!r}")
-    out = []
-    for key, (read, what) in readers.items():
-        v = read(obj[key]) if key in obj else None
-        if v is None:
-            got = repr(obj[key]) if key in obj else "no such key"
-            raise ValueError(f"{of} key {key!r} must be {what}, got {got}")
-        out.append(v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -205,12 +166,6 @@ class ToricFlagSpec:
             if set(fa) & set(fb):
                 raise ValueError(f"flag cones {fa} and {fb} share a ray")
 
-    def ray_vectors(self, fan: Fan) -> list[list[Vec]]:
-        return [
-            [tuple(Fraction(x) for x in fan.rays[i]) for i in f]
-            for f in self.flags
-        ]
-
     def to_json(self) -> dict:
         return {"flags": [list(f) for f in self.flags]}
 
@@ -244,10 +199,10 @@ def divisor_polytope(fan: Fan, D: ToricDivisor) -> Polytope:
     return Polytope._of(fan.dim, polytope._vertex_points(le, [], fan.dim))
 
 
-def flag_matrix(fan: Fan, flags: ToricFlagSpec) -> list[list[Fraction]]:
+def flag_matrix(fan: Fan, flags: ToricFlagSpec) -> list[list[int]]:
     """(n*r) x n pairing matrix: row (i,j) is u -> <u, v_j^{(i)}>."""
     flags.validate(fan)
-    return [list(v) for block in flags.ray_vectors(fan) for v in block]
+    return [list(fan.rays[i]) for f in flags.flags for i in f]
 
 
 def extended_body_toric(fan: Fan, D: ToricDivisor,
@@ -367,19 +322,24 @@ def fixture_dir() -> Path:
     return Path(override) if override else _FIXTURE_DIR
 
 
+def _named(cls, what):
+    # A JSON object of named cls objects, each read by cls.from_json.
+    return (lambda v: {k: cls.from_json(x) for k, x in v.items()}
+            if isinstance(v, dict) else None, what)
+
+
 def load_fixture(name: str) -> dict:
-    """Load a shipped fixture: fan + named divisors + named flag specs."""
-    path = fixture_dir() / f"{name}.json"
-    with open(path) as fh:
+    """Load a shipped fixture: fan + named divisors + named flag specs, each
+    read by its from_json."""
+    with open(fixture_dir() / f"{name}.json") as fh:
         raw = json.load(fh)
-    return {
-        "name": raw.get("name", name),
-        "fan": Fan.from_json(raw["fan"]),
-        "divisors": {k: ToricDivisor.from_json(v)
-                     for k, v in raw.get("divisors", {}).items()},
-        "flags": {k: ToricFlagSpec.from_json(v)
-                  for k, v in raw.get("flags", {}).items()},
-    }
+    _, name, fan, divisors, flags = _read_json(
+        raw, f"fixture {name!r}", {"name": name, "divisors": {}, "flags": {}},
+        schema=(lambda v: v if type(v) is int and v == 1 else None, "1"),
+        name=_STR, fan=(Fan.from_json, "a fan"),
+        divisors=_named(ToricDivisor, "an object of named divisors"),
+        flags=_named(ToricFlagSpec, "an object of named flags"))
+    return {"name": name, "fan": fan, "divisors": divisors, "flags": flags}
 
 
 def fixture_names() -> list[str]:

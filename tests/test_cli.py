@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from okounkov import cli, lp, polytope, registry, surface, toric
+from okounkov import cli, lp, numbers, registry, surface, toric
 from okounkov.cli import main
 from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
@@ -376,8 +376,8 @@ def test_each_rational_is_read_once(tmp_path, monkeypatch):
         seen.append(v)
         return parse_rat(v)
 
-    for module in (cli, surface, polytope):
-        monkeypatch.setattr(module, "parse_rat", counting)
+    # Every JSON reader parses its rationals through numbers.parse_rat.
+    monkeypatch.setattr(numbers, "parse_rat", counting)
     for kind, payload, rationals in _READ_ONCE:
         seen.clear()
         (tmp_path / kind).mkdir()
@@ -481,6 +481,7 @@ def test_surface_body_whole_at_cli_defaults(tmp_path):
 
 
 _CLASS = {"d": "1", "m": ["0", "0"]}
+_CURVE = {"d": "0", "m": ["-1"]}  # E_1 on Bl1
 _INLINE_BODY = {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"],
                                                ["1", "1"]]}
 # The bl1p2 fixture's fan, divisor O1 and flags inf, inline.
@@ -576,6 +577,14 @@ def _fan_input(part, **fields):
     ("toric-body", _fan_input("divisor", coeffs=["0"]),
      "divisor coefficient count does not match ray count"),
     ("toric-body", _fan_input("fan", dim=3), "ray dimension mismatch"),
+    # a surface read by SurfaceModel.from_json: curves without the user mode
+    # were dropped, and a misspelt key gave a user model with no curves
+    ("nakayama", {"surface": {"s": 1, "neg_curves": [_CURVE]},
+                  "class": {"d": "1", "m": ["0"]}},
+     "neg_curves are read only with mode 'user'"),
+    ("nakayama", {"surface": {"s": 1, "mode": "user", "neg_curve": [_CURVE]},
+                  "class": {"d": "1", "m": ["0"]}},
+     "surface key 'neg_curve' is unknown; accepted: s, mode, neg_curves"),
 ])
 def test_input_contract_exit_1(tmp_path, capsys, kind, payload, message):
     code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
@@ -588,16 +597,29 @@ def test_input_contract_exit_1(tmp_path, capsys, kind, payload, message):
 @pytest.mark.parametrize("field, value, message", [
     ("rays", 5, "fan key 'rays' must be a list of integer lists, got 5"),
     ("dim", 2.5, "fan key 'dim' must be an integer, got 2.5"),
+    # a path from the top of the file: [1] and "divisors": [] were internal
+    # errors, and a stray divisor key, refused inline, was accepted
+    ((), [1], "fixture 'bl1p2' must be an object, got [1]"),
+    (("divisors",), [], "fixture 'bl1p2' key 'divisors' must be an object "
+     "of named divisors, got []"),
+    (("divisors", "O1", "name"), "O1", "divisor key 'name' is unknown; "
+     "accepted: coeffs"),
 ])
 def test_malformed_fixture_exit_1(tmp_path, monkeypatch, capsys, field,
                                   value, message):
     # A fixture under OKOUNKOV_FIXTURES is read by the same shape checks:
-    # "rays": 5 was an internal error, "dim": 2.5 read as 2.
-    raw = json.loads((toric._FIXTURE_DIR / "bl1p2.json").read_text())
-    raw["fan"][field] = value
+    # "rays": 5 was an internal error, "dim": 2.5 read as 2.  A field is a
+    # key of the fan, or a path from the top of the file.
+    # doc holds the file, so that the path () replaces all of it.
+    doc = {"": json.loads((toric._FIXTURE_DIR / "bl1p2.json").read_text())}
+    path = ("", "fan", field) if isinstance(field, str) else ("", *field)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
-    (fixtures / "bl1p2.json").write_text(json.dumps(raw))
+    (fixtures / "bl1p2.json").write_text(json.dumps(doc[""]))
     monkeypatch.setenv("OKOUNKOV_FIXTURES", str(fixtures))
     code, out = run_job(tmp_path, {"schema": 1, "kind": "toric-body",
                                    "input": {"fixture": "bl1p2",

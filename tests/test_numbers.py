@@ -9,8 +9,9 @@ def test_parse_rat():
     assert parse_rat("3/4") == Fraction(3, 4)
     assert parse_rat("-2/6") == Fraction(-1, 3)
     assert parse_rat("7") == Fraction(7)
-    with pytest.raises(ValueError):
-        parse_rat("1/0")
+    for bad in ("1/0", True, False):  # a bool is not a rational
+        with pytest.raises(ValueError):
+            parse_rat(bad)
 
 
 def test_format_rat_round_trip():

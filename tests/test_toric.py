@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import pytest
 
 from okounkov import invariants, polytope, toric
-from okounkov.polytope import contains, minkowski_sum
+from okounkov.polytope import Polytope, contains, minkowski_sum
+from okounkov.surface import PicClass, SurfaceModel
 from okounkov.toric import (
     Fan,
     ToricDivisor,
@@ -107,6 +108,21 @@ _BL1P2_FAN = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
      "list of integer lists, got []"),
     (ToricFlagSpec, {"flags": [[2, "0"]]}, "flags key 'flags' must be a "
      "nonempty list of integer lists, got [[2, '0']]"),
+    # the other readers: H on two points, Bl2, a dimension of 2 and a
+    # TypeError were built from these
+    (PicClass, {"d": True, "m": ["0", "0"]}, "class key 'd' must be a "
+     "rational, got True"),
+    (PicClass, {"d": "1", "m": "00"}, "class key 'm' must be a list of "
+     "rationals, got '00'"),
+    (PicClass, [1], "class must be an object, got [1]"),
+    (SurfaceModel, {"s": 2.7}, "surface key 's' must be an integer, got 2.7"),
+    (SurfaceModel, {"s": "3"}, "surface key 's' must be an integer, got '3'"),
+    (Polytope, {"ambient_dim": 2.9, "vertices": [["0", "0"]]},
+     "polytope key 'ambient_dim' must be an integer, got 2.9"),
+    (Polytope, {"ambient_dim": 2, "vertices": 5}, "polytope key 'vertices' "
+     "must be a list of rational lists, got 5"),
+    (ToricDivisor, {"coeffs": ["0"], "name": "O1"}, "divisor key 'name' is "
+     "unknown; accepted: coeffs"),
 ])
 def test_from_json_refuses_wrong_shapes(cls, obj, message):
     with pytest.raises(ValueError) as exc:

@@ -72,11 +72,18 @@ def main(argv=None) -> int:
         return 3
 
 
+_JOB_KEYS = ("schema", "kind", "input", "output_path", "render")
+
+
 def _run(args) -> int:
     with open(args.job) as fh:
         job = json.load(fh)
     if not isinstance(job, dict):
         raise InputError("a job file must hold a JSON object")
+    unknown = sorted(job.keys() - set(_JOB_KEYS))
+    if unknown:
+        raise InputError(f"unknown job key {unknown[0]!r}; accepted: "
+                         f"{', '.join(_JOB_KEYS)}")
     if job.get("schema") != 1:
         raise InputError(f'job "schema" must be 1, got {job.get("schema")!r}')
     kind = job.get("kind")

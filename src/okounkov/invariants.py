@@ -15,8 +15,8 @@ from math import factorial
 from operator import mul
 
 from . import linalg, polytope, surface
-from .numbers import (RadVal, _fraction, _sign_surd, format_rat,
-                      squarefree_split)
+from .numbers import (RadVal, _fraction, _surd, format_rat, squarefree_split,
+                      surd_sign)
 from .polytope import Polytope, SliceSpec
 from .surface import PicClass, SurfaceModel, E, intersect
 
@@ -115,10 +115,10 @@ def _first_root_after(A, B, C2, t) -> RadVal | None:
     (a, b, c), _ = linalg.scaled((A, B, C2))  # same roots, integer terms
     tn, td = t.numerator, t.denominator
     if c == 0:
-        if b == 0:
-            return None
-        root = Fraction(-a, b)
-        return RadVal.rational(root) if root > t else None
+        if b < 0:
+            a, b = -a, -b
+        # the root -a / b is > t = tn / td iff -a td > tn b, for b > 0
+        return _surd(-a, 0, 1, b) if b and -a * td > tn * b else None
     if c < 0:
         a, b, c = -a, -b, -c
     disc = b * b - 4 * a * c
@@ -129,8 +129,8 @@ def _first_root_after(A, B, C2, t) -> RadVal | None:
     r, f = squarefree_split(disc)
     u, v = -b * td - 2 * c * tn, r * td
     for sign in (-1, 1):
-        if _sign_surd(u, sign * v, f) > 0:
-            return RadVal(Fraction(sign * r, 2 * c), f, Fraction(-b, 2 * c))
+        if surd_sign(u, sign * v, f) > 0:
+            return _surd(-b, sign * r, f, 2 * c)
     return None
 
 
@@ -205,9 +205,7 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass) -> InvariantReport:
     first = next(walk, None)
     eps, mu = _nef_threshold(first), _volume_root(first, walk)
     L2 = intersect(L, L)
-    upper = RadVal.rational(L2) / (mu * r)
-    mu_sq = mu * mu
-    arg = mu_sq - RadVal.rational(Fraction(L2, r))
+    upper, arg = L2 / (mu * r), mu * mu - Fraction(L2, r)
     if not arg.is_rational:
         raise ValueError(
             "lower bound needs a nested radical; not representable exactly"

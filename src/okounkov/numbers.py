@@ -6,8 +6,8 @@ Anything of higher algebraic degree is a hard error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 def parse_rat(s) -> Fraction:
@@ -63,6 +63,9 @@ _RATS = (_rats, "a list of rationals")
 _RAT_LISTS = (_rat_lists, "a list of rational lists")
 _INT_LISTS = (_int_lists, "a list of integer lists")
 _FLAGS = (lambda v: _int_lists(v) or None, "a nonempty list of integer lists")
+_RADICAND = (lambda v: int(v) if isinstance(v, str) and v.isascii()
+             and v.isdigit() else (v if type(v) is int and v >= 0 else None),
+             "a non-negative integer")
 
 
 def _read_json(obj, of, defaults={}, **readers):
@@ -89,35 +92,22 @@ def _read_json(obj, of, defaults={}, **readers):
 
 def format_rat(q: Fraction) -> str:
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio(q.numerator, q.denominator)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s^2 * f with f square-free; return (s, f).  n must be >= 0."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n in (0, 1):
-        return (1, n)
-    s, f = 1, 1
-    m = n
-    p = 2
+    s, f, m, p = 1, 1, n, 2
     while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
-        p += 1 if p == 2 else 2
-    f *= m
-    return (s, f)
-
-
-_ZERO = Fraction(0)
+        if m % p:
+            p += 1 if p == 2 else 2
+        elif m % (p * p):
+            m, f = m // p, f * p
+        else:
+            m, s = m // (p * p), s * p
+    return (s, f * m)
 
 
 def _fraction(x) -> Fraction:
@@ -125,176 +115,180 @@ def _fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _ratio(p: int, q: int) -> str:
+    """format_rat(Fraction(p, q)) for q > 0, with no Fraction built."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-def _sign_surd(s: Fraction, a: Fraction, k: int) -> int:
-    """Exact sign of s + a*sqrt(k) for k >= 0."""
-    if a == 0 or k == 0:
-        return _sign(s)
-    t = _sign(a)  # sign of the radical part (sqrt(k) > 0 here)
-    if s == 0:
-        return t
-    u = _sign(s)
-    if u == t:
+def surd_sign(s: int, a: int, k: int) -> int:
+    """Exact sign of s + a*sqrt(k) for integers s, a and k >= 0."""
+    u = (s > 0) - (s < 0)
+    if not a or not k:
         return u
+    t = 1 if a > 0 else -1  # the sign of the radical part
+    if u != -t:
+        return t
     # Opposite signs: compare s^2 against a^2*k; larger magnitude wins.
-    return u if s * s > a * a * k else (t if s * s < a * a * k else 0)
+    c = s * s - a * a * k
+    return u if c > 0 else (t if c < 0 else 0)
 
 
-@dataclass(frozen=True)
+def _surd(n: int, a: int, k: int, d: int) -> "RadVal":
+    """The RadVal (n + a*sqrt(k)) / d of integers, k square-free or 0 and
+    d != 0, in lowest terms."""
+    if k < 2 or not a:  # rational: sqrt(1) = 1 and sqrt(0) = 0
+        n, a, k = n + a * k, 0, 1
+    g = gcd(n, a, d) if d > 0 else -gcd(n, a, d)
+    v = object.__new__(RadVal)
+    _SET_V(v, (n // g, a // g, k, d // g))
+    return v
+
+
+def _ints(x) -> tuple[int, int, int, int]:
+    """The integers (n, a, k, d) of a RadVal, an int or a Fraction."""
+    if type(x) is RadVal:
+        return x._v
+    if isinstance(x, (int, Fraction)):
+        return (x.numerator, 0, 1, x.denominator)
+    raise TypeError(f"cannot coerce {x!r} to RadVal")
+
+
 class RadVal:
     """Exact value shift + coeff*sqrt(radicand), radicand square-free.
 
-    Pure volumes and thresholds have shift == 0; rational values are
-    normalized to radicand == 1 (so radicand == 1 iff the value is
-    rational, matching the serialization contract).  A radicand that
-    is not an int is refused.
+    Held as integers (n + a*sqrt(k)) / d with d > 0, gcd(n, a, d) = 1, k
+    square-free, and a = 0 exactly when k = 1: a rational value has
+    radicand 1 (matching the serialization contract), coeff its value and
+    shift 0.  Pure volumes and thresholds have shift == 0.  A radicand
+    that is not an int is refused.  Immutable.
     """
 
-    coeff: Fraction
-    radicand: int
-    shift: Fraction = _ZERO
+    __slots__ = ("_v",)
 
-    def __post_init__(self):
-        k = self.radicand
-        if type(k) is not int:
-            raise ValueError(f"radicand must be an int, got {k!r}")
-        coeff, shift = _fraction(self.coeff), _fraction(self.shift)
-        if k != 1:
-            s, k = squarefree_split(k)  # a negative radicand raises
-            if k == 0 or coeff == 0:
-                coeff, k = _ZERO, 1
-            elif s != 1:
-                coeff *= s
-        if k == 1 and shift:
-            # rational value: keep it entirely in coeff, shift = 0
-            coeff, shift = shift + coeff, _ZERO
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", k)
-        object.__setattr__(self, "shift", shift)
+    def __new__(cls, coeff, radicand, shift=0):
+        if type(radicand) is not int:
+            raise ValueError(f"radicand must be an int, got {radicand!r}")
+        c, t = _fraction(coeff), _fraction(shift)
+        r, k = squarefree_split(radicand)  # a negative radicand raises
+        # t + c r sqrt(k), over the product of the denominators
+        return _surd(t.numerator * c.denominator,
+                     c.numerator * r * t.denominator, k,
+                     t.denominator * c.denominator)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"RadVal is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # __setattr__ refuses, so pickle and copy rebuild through _surd.
+        return _surd, self._v
+
+    # -- the public fields -------------------------------------------
+    @property
+    def coeff(self) -> Fraction:
+        n, a, _, d = self._v
+        return Fraction(a or n, d)
+
+    @property
+    def radicand(self) -> int:
+        return self._v[2]
+
+    @property
+    def shift(self) -> Fraction:
+        n, a, _, d = self._v
+        return Fraction(n if a else 0, d)
 
     # -- constructors ------------------------------------------------
     @staticmethod
     def rational(q) -> "RadVal":
-        return RadVal(q, 1)
+        return _surd(*_ints(_fraction(q)))
 
     @staticmethod
     def sqrt(q) -> "RadVal":
         """sqrt of a nonnegative rational, as coeff*sqrt(k)."""
-        q = Fraction(q)
+        q = _fraction(q)
         if q < 0:
             raise ValueError("sqrt of negative rational")
         # sqrt(p/q) = sqrt(p*q)/q
-        return RadVal(Fraction(1, q.denominator), q.numerator * q.denominator)
+        r, k = squarefree_split(q.numerator * q.denominator)
+        return _surd(0, r, k, q.denominator)
 
     # -- predicates --------------------------------------------------
     @property
     def is_rational(self) -> bool:
-        return self.radicand == 1
+        return not self._v[1]
 
     def as_rational(self) -> Fraction:
-        if not self.is_rational:
+        n, a, _, d = self._v
+        if a:
             raise ValueError(f"{self} is irrational")
-        return self.coeff
+        return Fraction(n, d)
 
     def squared(self) -> Fraction:
         """Exact square; defined only when shift == 0."""
-        if self.shift != 0:
+        n, a, k, d = self._v
+        if n and a:
             raise ValueError("squared() requires a pure surd")
-        return self.coeff * self.coeff * self.radicand
+        return Fraction(n * n + a * a * k, d * d)
 
     # -- arithmetic (closed only within one radicand) ----------------
-    def _parts(self) -> tuple[Fraction, Fraction, int]:
-        if self.is_rational:
-            return (self.coeff, _ZERO, 1)
-        return (self.shift, self.coeff, self.radicand)
-
     def __add__(self, other) -> "RadVal":
-        other = _coerce(other)
-        s1, a1, k1 = self._parts()
-        s2, a2, k2 = other._parts()
-        if k1 == 1 or a1 == 0:
-            return RadVal(a2, k2, s1 + s2)
-        if k2 == 1 or a2 == 0:
-            return RadVal(a1, k1, s1 + s2)
-        if k1 != k2:
+        n1, a1, k1, d1 = self._v
+        n2, a2, k2, d2 = _ints(other)
+        if a1 and a2 and k1 != k2:
             raise ValueError(f"cannot add surds over sqrt({k1}) and sqrt({k2})")
-        return RadVal(a1 + a2, k1, s1 + s2)
+        return _surd(n1 * d2 + n2 * d1, a1 * d2 + a2 * d1, k1 if a1 else k2,
+                     d1 * d2)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "RadVal":
-        s, a, k = self._parts()
-        return RadVal(-a, k, -s)
+        return self * -1
 
     def __sub__(self, other) -> "RadVal":
-        return self + (-_coerce(other))
+        return -(-self + other)
 
     def __mul__(self, other) -> "RadVal":
-        other = _coerce(other)
-        s1, a1, k1 = self._parts()
-        s2, a2, k2 = other._parts()
-        if a1 == 0:
-            return RadVal(s1 * a2, k2, s1 * s2)
-        if a2 == 0:
-            return RadVal(s2 * a1, k1, s1 * s2)
-        if k1 != k2:
+        n1, a1, k1, d1 = self._v
+        n2, a2, k2, d2 = _ints(other)
+        if a1 and a2 and k1 != k2:
             raise ValueError(f"cannot multiply surds over sqrt({k1}) and sqrt({k2})")
-        return RadVal(s1 * a2 + s2 * a1, k1, s1 * s2 + a1 * a2 * k1)
+        k = k1 if a1 else k2
+        return _surd(n1 * n2 + a1 * a2 * k, n1 * a2 + n2 * a1, k, d1 * d2)
 
     __rmul__ = __mul__
 
-    def __radd__(self, other):
-        return self + other
-
     def reciprocal(self) -> "RadVal":
-        s, a, k = self._parts()
-        if a == 0:
-            if s == 0:
-                raise ZeroDivisionError("reciprocal of zero")
-            return RadVal.rational(1 / s)
-        if s == 0:
-            return RadVal(Fraction(1) / (a * k), k)
-        # 1/(s + a*sqrt(k)) = (s - a*sqrt(k)) / (s^2 - a^2 k)
-        denom = s * s - a * a * k
-        if denom == 0:
+        n, a, k, d = self._v
+        if not (n or a):
             raise ZeroDivisionError("reciprocal of zero")
-        return RadVal(-a / denom, k, s / denom)
+        # d/(n + a*sqrt(k)) = d (n - a*sqrt(k)) / (n^2 - a^2 k), and with k
+        # square-free and a != 0 the denominator is not 0.
+        return _surd(d * n, -d * a, k, n * n - a * a * k)
 
     def __truediv__(self, other) -> "RadVal":
-        return self * _coerce(other).reciprocal()
+        return self * _surd(*_ints(other)).reciprocal()
 
     def __rtruediv__(self, other) -> "RadVal":
-        return _coerce(other) * self.reciprocal()
+        return self.reciprocal() * other
 
     # -- exact ordering ----------------------------------------------
     def _cmp(self, other) -> int:
-        other = _coerce(other)
-        s1, a1, k1 = self._parts()
-        s2, a2, k2 = other._parts()
-        # sign of (s1 - s2) + a1*sqrt(k1) - a2*sqrt(k2)
-        s = s1 - s2
-        if a1 == 0 or k1 == 1:
-            return _sign_surd(s, -a2, k2)
-        if a2 == 0 or k2 == 1:
-            return _sign_surd(s, a1, k1)
-        if k1 == k2:
-            return _sign_surd(s, a1 - a2, k1)
-        # Compare (s + a1*sqrt(k1)) against a2*sqrt(k2).
-        left = _sign_surd(s, a1, k1)
-        right = _sign(a2)
-        if left != right:
-            if left == 0:
-                return -right
-            if right == 0:
-                return left
+        n1, a1, k1, d1 = self._v
+        n2, a2, k2, d2 = _ints(other)
+        # d1 d2 (self - other) = s + a sqrt(k1) - b sqrt(k2)
+        s, a, b = n1 * d2 - n2 * d1, a1 * d2, a2 * d1
+        if not (a and b) or k1 == k2:
+            return surd_sign(s, a - b, k1 if a else k2)
+        # Compare s + a*sqrt(k1), which is not 0, against b*sqrt(k2).
+        left = surd_sign(s, a, k1)
+        if (left > 0) != (b > 0):
             return left
-        if left == 0:
-            return 0
-        # Same nonzero sign: square both sides and recurse one level.
-        # (s + a1*sqrt(k1))^2 = s^2 + a1^2*k1 + 2*s*a1*sqrt(k1)
-        inner = _sign_surd(s * s + a1 * a1 * k1 - a2 * a2 * k2, 2 * s * a1, k1)
-        return left * inner
+        # Same sign: square both sides.
+        # (s + a*sqrt(k1))^2 = s^2 + a^2*k1 + 2*s*a*sqrt(k1)
+        return left * surd_sign(s * s + a * a * k1 - b * b * k2, 2 * s * a, k1)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -311,39 +305,34 @@ class RadVal:
     def __eq__(self, other):
         try:
             return self._cmp(other) == 0
-        except (ValueError, TypeError):
+        except TypeError:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.shift, self.coeff, self.radicand))
+        # A rational value hashes as the Fraction it equals.
+        n, a, _, d = self._v
+        return hash(self._v) if a else hash(Fraction(n, d))
 
     def __repr__(self):
-        if self.is_rational:
-            return f"RadVal({format_rat(self.coeff)})"
-        if self.shift == 0:
-            return f"RadVal({format_rat(self.coeff)}*sqrt({self.radicand}))"
-        return (f"RadVal({format_rat(self.shift)} + "
-                f"{format_rat(self.coeff)}*sqrt({self.radicand}))")
+        n, a, k, d = self._v
+        if not a:
+            return f"RadVal({_ratio(n, d)})"
+        if not n:
+            return f"RadVal({_ratio(a, d)}*sqrt({k}))"
+        return f"RadVal({_ratio(n, d)} + {_ratio(a, d)}*sqrt({k}))"
 
     # -- serialization -----------------------------------------------
     def to_json(self) -> dict:
-        out = {"coeff": format_rat(self.coeff), "radicand": str(self.radicand)}
-        if self.shift != 0:
-            out["shift"] = format_rat(self.shift)
+        n, a, k, d = self._v
+        out = {"coeff": _ratio(a or n, d), "radicand": str(k)}
+        if n and a:
+            out["shift"] = _ratio(n, d)
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "RadVal":
-        return RadVal(
-            parse_rat(obj["coeff"]),
-            int(obj["radicand"]),
-            parse_rat(obj.get("shift", "0")),
-        )
+        return RadVal(*_read_json(obj, "RadVal", {"shift": 0}, coeff=_RAT,
+                                  radicand=_RADICAND, shift=_RAT))
 
 
-def _coerce(x) -> RadVal:
-    if isinstance(x, RadVal):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RadVal.rational(x)
-    raise TypeError(f"cannot coerce {x!r} to RadVal")
+_SET_V = RadVal._v.__set__  # sets the slot past RadVal.__setattr__

@@ -377,19 +377,18 @@ def _solve(support, *xs):
     k = len(support)
     if k >= len(xs[0]):  # a row has s + 1 entries
         return None
-    m = [[_dot(a, b) for b in support] + [_dot(x, a) for x in xs]
-         for a in support]
+    m = []  # G is symmetric: row i copies its first i entries from above
+    for i, a in enumerate(support):
+        m.append([r[i] for r in m] + [_dot(a, b) for b in support[i:]]
+                 + [_dot(x, a) for x in xs])
     det = _negative_definite(m, k, jordan=True)
     if not det:
         return None
-    out = []
-    for j, x in enumerate(xs):
-        n = [row[k + j] for row in m]
-        p = [det * v for v in x]
-        for nb, b in zip(n, support):
-            p = [v - nb * w for v, w in zip(p, b)]
-        out.append((p, n))
-    return det, out
+    # p_i = det x_i - sum_b n_b b_i, by column i of the support rows
+    cols = list(zip(*support)) if k else [()] * len(xs[0])
+    ns = [[row[k + j] for row in m] for j in range(len(xs))]
+    return det, [([det * v - sum(map(mul, n, c)) for v, c in zip(x, cols)], n)
+                 for x, n in zip(xs, ns)]
 
 
 def _support(model: SurfaceModel, D: PicClass):
@@ -511,29 +510,36 @@ def _walk(model: SurfaceModel, L: PicClass, minus_w: PicClass):
         if ch is None:
             raise RuntimeError("singular support system in chamber walk")
         _, (p0, p1), cols = ch
-        # Walls t = a / b, b > 0, by wall row j: support curve j leaves where
-        # its multiplicity vanishes, model row j - k enters where P.g does.
+        # Wall row j, (a, b) with b < 0, has the wall t = a / -b: support
+        # curve j leaves where its multiplicity vanishes, model row j - k
+        # enters where P.g does.  One pass finds the nearest wall t1 = a1 / b1
+        # (b1 = 0: none yet), comparing a / -b with it by the sign of
+        # a b1 + a1 b, and the rows now on it.
         k = len(supp)
-        ts = [(a, -b, j) for j, (a, b) in enumerate(zip(*cols)) if b < 0]
+        a1, b1, now = 1, 0, []
+        for j, a, b in zip(itertools.count(), *cols):
+            if b < 0:
+                c = a * b1 + a1 * b
+                if c < 0:
+                    a1, b1, now = a, -b, [j]
+                elif c == 0:
+                    now.append(j)
+        if b1 and a1 * td <= tn * b1:  # then the chamber is the point t0,
+            a1, b1 = tn, td  # and every wall at or before t0 is crossed there
+            now = [j for j, a, b in zip(itertools.count(), *cols)
+                   if b < 0 and a * td <= tn * -b]
         quad = (_dot(p0, p0), 2 * _dot(p0, p1), _dot(p1, p1))  # (det q P)^2
         g = math.gcd(*quad) or 1
-        t1 = None  # the nearest wall, compared by cross-multiplication
-        for a, b, _ in ts:
-            if t1 is None or a * t1[1] < t1[0] * b:
-                t1 = (a, b)
-        if t1 is not None and t1[0] * td <= tn * t1[1]:
-            t1 = (tn, td)  # a wall at t0: the chamber is the point t0
         A, B, C = (v // g for v in quad)
-        yield (Fraction(tn, td), None if t1 is None else Fraction(*t1),
-               k, (A, B, C))
-        if t1 is None:
+        yield (Fraction(tn, td), Fraction(a1, b1) if b1 else None, k,
+               (A, B, C))
+        if not b1:
             return
-        tn, td = t1  # the walls at t1 change the support, unless vol is 0
+        tn, td = a1, b1  # the walls at t1 change the support, unless vol is 0
         if A * td * td + B * tn * td + C * tn * tn <= 0:
             return  # there the ray leaves the big cone, which chambers tile
-        now = {j for a, b, j in ts if a * td <= tn * b}
         supp = ([c for j, c in enumerate(supp) if j not in now]
-                + [model._rows[j - k] for j in sorted(now) if j >= k])
+                + [model._rows[j - k] for j in now if j >= k])
         ch = _chamber(model, supp, x, u)
     raise RuntimeError("chamber walk did not terminate")
 

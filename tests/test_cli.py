@@ -311,6 +311,25 @@ def test_job_must_be_an_object(tmp_path, capsys):
         "input error: a job file must hold a JSON object\n")
 
 
+@pytest.mark.parametrize("key", ["outputpath", "inputs", "Render", "seed"])
+def test_unknown_job_key_exit_1(tmp_path, capsys, key):
+    # A misspelt output_path is refused, not dropped for the default name.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "nagata", key: "x.json",
+        "input": {"r": 9, "d": "3", "m": ["1"] * 9},
+    })
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"input error: unknown job key {key!r}; accepted: schema, kind, "
+        f"input, output_path, render\n")
+
+
+def test_bundled_jobs_use_only_accepted_keys():
+    root = Path(__file__).resolve().parents[1]
+    for job in sorted((root / "jobs").glob("*.json")):
+        assert set(json.loads(job.read_text())) <= set(cli._JOB_KEYS), job
+
+
 @pytest.mark.parametrize("name", [5, None, "../x.json", "sub/x.json", "",
                                   "..", "ABSOLUTE"])
 def test_output_path_must_be_a_file_name(tmp_path, capsys, name):

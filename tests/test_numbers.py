@@ -1,6 +1,13 @@
+import copy
+import math
+import operator
+import pickle
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from okounkov.numbers import RadVal, format_rat, parse_rat, squarefree_split
 
@@ -102,3 +109,349 @@ def test_radval_json_round_trip():
               RadVal(Fraction(-2, 3), 5, Fraction(1, 2))]:
         assert RadVal.from_json(v.to_json()) == v
     assert RadVal.sqrt(2).to_json() == {"coeff": "1", "radicand": "2"}
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"coeff": "1", "radicand": 2.9}, "radicand"),
+    ({"coeff": "1", "radicand": "2.9"}, "radicand"),
+    ({"coeff": "1", "radicand": "-3"}, "radicand"),
+    ({"coeff": "1", "radicand": -3}, "radicand"),
+    ({"coeff": "1", "radicand": True}, "radicand"),
+    ({"coeff": "1", "radicand": "2", "bogus": 1}, "bogus"),
+    ({"coeff": "1/0", "radicand": "2"}, "coeff"),
+    ({"coeff": 0.5, "radicand": "2"}, "coeff"),
+    ({"coeff": "1", "radicand": "2", "shift": None}, "shift"),
+    ({"radicand": "2"}, "coeff"),
+    ({"coeff": "1"}, "radicand"),
+])
+def test_radval_from_json_refuses_wrong_shapes(obj, key):
+    with pytest.raises(ValueError, match=f"RadVal key '{key}'"):
+        RadVal.from_json(obj)
+
+
+def test_radval_from_json_refuses_a_non_object():
+    with pytest.raises(ValueError, match="RadVal must be an object"):
+        RadVal.from_json(["1", "2"])
+
+
+def test_radval_from_json_reads_integer_radicands():
+    assert RadVal.from_json({"coeff": "1", "radicand": 8}) == RadVal(2, 2)
+    assert RadVal.from_json({"coeff": 3, "radicand": "1"}) == 3
+    assert RadVal.from_json({"coeff": "1", "radicand": "0",
+                             "shift": "1/2"}) == Fraction(1, 2)
+
+
+def test_equal_values_hash_equal():
+    for q in (Fraction(3), Fraction(-1, 2), Fraction(0)):
+        assert RadVal.rational(q) == q
+        assert len({RadVal.rational(q), q}) == 1
+    assert len({RadVal.rational(3), Fraction(3), 3}) == 1
+    assert {RadVal.sqrt(9): "x"}[3] == "x"
+    assert hash(RadVal(Fraction(1), 12)) == hash(RadVal(Fraction(2), 3))
+    assert len({RadVal.sqrt(2), RadVal(Fraction(1), 8) / 2}) == 1
+
+
+def test_radval_survives_pickle_and_copy():
+    for v in [RadVal.rational(Fraction(3, 4)), RadVal.sqrt(10),
+              RadVal(Fraction(-2, 3), 5, Fraction(1, 2))]:
+        for w in (pickle.loads(pickle.dumps(v)), copy.copy(v),
+                  copy.deepcopy(v)):
+            assert type(w) is RadVal and w == v and hash(w) == hash(v)
+            assert repr(w) == repr(v)
+
+
+def test_radval_is_immutable():
+    v = RadVal.sqrt(2)
+    for name in ("coeff", "_v", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    with pytest.raises(AttributeError):
+        del v._v
+    assert v == RadVal.sqrt(2)
+
+
+def test_radval_fields_are_fractions():
+    v = RadVal(Fraction(2, 4), 8, Fraction(-3, 6))  # -1/2 + sqrt(2)
+    assert (v.shift, v.coeff, v.radicand) == (Fraction(-1, 2), 1, 2)
+    assert type(v.coeff) is Fraction and type(v.shift) is Fraction
+    r = RadVal.rational(Fraction(6, 4))
+    assert (r.shift, r.coeff, r.radicand) == (0, Fraction(3, 2), 1)
+    assert type(r.coeff) is Fraction and type(r.shift) is Fraction
+
+
+# -- the integer RadVal against the Fraction implementation it replaced --
+
+def _sign(q):
+    return (q > 0) - (q < 0)
+
+
+def _sign_surd(s, a, k):
+    """Exact sign of s + a*sqrt(k) for k >= 0, on Fractions."""
+    if a == 0 or k == 0:
+        return _sign(s)
+    t = _sign(a)
+    if s == 0:
+        return t
+    u = _sign(s)
+    if u == t:
+        return u
+    return u if s * s > a * a * k else (t if s * s < a * a * k else 0)
+
+
+@dataclass(frozen=True)
+class FracRadVal:
+    """shift + coeff*sqrt(radicand) on Fractions: the representation RadVal
+    had before it was held as integers, kept as an oracle."""
+
+    coeff: Fraction
+    radicand: int
+    shift: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        coeff, shift, k = Fraction(self.coeff), Fraction(self.shift), \
+            self.radicand
+        if k != 1:
+            s, k = squarefree_split(k)
+            if k == 0 or coeff == 0:
+                coeff, k = Fraction(0), 1
+            elif s != 1:
+                coeff *= s
+        if k == 1 and shift:
+            coeff, shift = shift + coeff, Fraction(0)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", k)
+        object.__setattr__(self, "shift", shift)
+
+    @staticmethod
+    def sqrt(q):
+        q = Fraction(q)
+        if q < 0:
+            raise ValueError("sqrt of negative rational")
+        return FracRadVal(Fraction(1, q.denominator),
+                          q.numerator * q.denominator)
+
+    @property
+    def is_rational(self):
+        return self.radicand == 1
+
+    def as_rational(self):
+        if not self.is_rational:
+            raise ValueError(f"{self} is irrational")
+        return self.coeff
+
+    def squared(self):
+        if self.shift != 0:
+            raise ValueError("squared() requires a pure surd")
+        return self.coeff * self.coeff * self.radicand
+
+    def _parts(self):
+        if self.is_rational:
+            return (self.coeff, Fraction(0), 1)
+        return (self.shift, self.coeff, self.radicand)
+
+    def __add__(self, other):
+        other = _frac_coerce(other)
+        s1, a1, k1 = self._parts()
+        s2, a2, k2 = other._parts()
+        if k1 == 1 or a1 == 0:
+            return FracRadVal(a2, k2, s1 + s2)
+        if k2 == 1 or a2 == 0:
+            return FracRadVal(a1, k1, s1 + s2)
+        if k1 != k2:
+            raise ValueError(f"cannot add surds over sqrt({k1}) and sqrt({k2})")
+        return FracRadVal(a1 + a2, k1, s1 + s2)
+
+    def __neg__(self):
+        s, a, k = self._parts()
+        return FracRadVal(-a, k, -s)
+
+    def __sub__(self, other):
+        return self + (-_frac_coerce(other))
+
+    def __mul__(self, other):
+        other = _frac_coerce(other)
+        s1, a1, k1 = self._parts()
+        s2, a2, k2 = other._parts()
+        if a1 == 0:
+            return FracRadVal(s1 * a2, k2, s1 * s2)
+        if a2 == 0:
+            return FracRadVal(s2 * a1, k1, s1 * s2)
+        if k1 != k2:
+            raise ValueError(
+                f"cannot multiply surds over sqrt({k1}) and sqrt({k2})")
+        return FracRadVal(s1 * a2 + s2 * a1, k1, s1 * s2 + a1 * a2 * k1)
+
+    __rmul__ = __mul__
+
+    def __radd__(self, other):
+        return self + other
+
+    def reciprocal(self):
+        s, a, k = self._parts()
+        if a == 0:
+            if s == 0:
+                raise ZeroDivisionError("reciprocal of zero")
+            return FracRadVal(1 / s, 1)
+        if s == 0:
+            return FracRadVal(Fraction(1) / (a * k), k)
+        denom = s * s - a * a * k
+        return FracRadVal(-a / denom, k, s / denom)
+
+    def __truediv__(self, other):
+        return self * _frac_coerce(other).reciprocal()
+
+    def __rtruediv__(self, other):
+        return _frac_coerce(other) * self.reciprocal()
+
+    def _cmp(self, other):
+        other = _frac_coerce(other)
+        s1, a1, k1 = self._parts()
+        s2, a2, k2 = other._parts()
+        s = s1 - s2
+        if a1 == 0 or k1 == 1:
+            return _sign_surd(s, -a2, k2)
+        if a2 == 0 or k2 == 1:
+            return _sign_surd(s, a1, k1)
+        if k1 == k2:
+            return _sign_surd(s, a1 - a2, k1)
+        left, right = _sign_surd(s, a1, k1), _sign(a2)
+        if left != right:
+            return left if left else -right
+        if left == 0:
+            return 0
+        return left * _sign_surd(s * s + a1 * a1 * k1 - a2 * a2 * k2,
+                                 2 * s * a1, k1)
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0
+
+    def __hash__(self):
+        # The hash contract of RadVal: a rational value hashes as its
+        # Fraction, an irrational one as its integers (n, a, k, d), which
+        # over d = lcm of the two denominators are in lowest terms.
+        if self.is_rational:
+            return hash(self.coeff)
+        d = math.lcm(self.shift.denominator, self.coeff.denominator)
+        return hash((int(self.shift * d), int(self.coeff * d),
+                     self.radicand, d))
+
+    def __repr__(self):
+        if self.is_rational:
+            return f"RadVal({format_rat(self.coeff)})"
+        if self.shift == 0:
+            return f"RadVal({format_rat(self.coeff)}*sqrt({self.radicand}))"
+        return (f"RadVal({format_rat(self.shift)} + "
+                f"{format_rat(self.coeff)}*sqrt({self.radicand}))")
+
+    def to_json(self):
+        out = {"coeff": format_rat(self.coeff), "radicand": str(self.radicand)}
+        if self.shift != 0:
+            out["shift"] = format_rat(self.shift)
+        return out
+
+
+def _frac_coerce(x):
+    if isinstance(x, FracRadVal):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FracRadVal(x, 1)
+    raise TypeError(f"cannot coerce {x!r} to RadVal")
+
+
+_RATS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# Square-free, square, zero and non-square-free radicands, so that the
+# constructor's split and both rational normalizations are drawn.
+_RADICANDS = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 12, 18, 45, 50])
+
+
+def _pair(c, k, s):
+    return RadVal(c, k, s), FracRadVal(c, k, s)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(new, old):
+    if not isinstance(old, FracRadVal):
+        assert new == old  # an error, a Fraction or a bool
+        return
+    assert type(new) is RadVal
+    assert repr(new) == repr(old)
+    assert new.to_json() == old.to_json()
+    assert (new.coeff, new.radicand, new.shift) == \
+        (old.coeff, old.radicand, old.shift)
+    assert hash(new) == hash(old)
+    assert new.is_rational == old.is_rational
+    assert RadVal.from_json(new.to_json()) == new
+
+
+@settings(deadline=None, max_examples=300)
+@given(_RATS, _RADICANDS, _RATS)
+def test_radval_matches_fraction_oracle_on_one_value(c, k, s):
+    x, X = _pair(c, k, s)
+    _assert_same(x, X)
+    for f in (operator.neg, lambda v: v.reciprocal(), lambda v: v.squared(),
+              lambda v: v.as_rational(), lambda v: v * v, lambda v: v - v,
+              lambda v: v / 3, lambda v: Fraction(-2, 3) / v,
+              lambda v: 2 + v, lambda v: v - Fraction(1, 2)):
+        _assert_same(_outcome(f, x), _outcome(f, X))
+    if s >= 0:
+        _assert_same(RadVal.sqrt(s), FracRadVal.sqrt(s))
+
+
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+          operator.ne)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_RATS, _RATS, _RADICANDS, _RATS, _RATS)
+def test_radval_matches_fraction_oracle_on_a_shared_radicand(c1, s1, k, c2,
+                                                             s2):
+    (x, X), (y, Y) = _pair(c1, k, s1), _pair(c2, k, s2)
+    for f in _BINARY + _ORDER:
+        _assert_same(_outcome(f, x, y), _outcome(f, X, Y))
+        # against a rational on either side
+        _assert_same(_outcome(f, x, c2), _outcome(f, X, c2))
+    for f in (operator.add, operator.mul, operator.truediv, *_ORDER):
+        _assert_same(_outcome(f, c1, y), _outcome(f, c1, Y))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_RATS, _RADICANDS, _RATS, _RATS, _RADICANDS, _RATS)
+def test_radval_matches_fraction_oracle_on_mixed_radicands(c1, k1, s1, c2, k2,
+                                                           s2):
+    (x, X), (y, Y) = _pair(c1, k1, s1), _pair(c2, k2, s2)
+    for f in _ORDER:
+        assert f(x, y) == f(X, Y)
+    for f in _BINARY:
+        _assert_same(_outcome(f, x, y), _outcome(f, X, Y))
+
+
+@pytest.mark.parametrize("op, verb", [(operator.add, "add"),
+                                      (operator.sub, "add"),
+                                      (operator.mul, "multiply")])
+def test_radval_refuses_mixed_radicands_like_the_oracle(op, verb):
+    message = f"cannot {verb} surds over sqrt(2) and sqrt(3)"
+    x, X = _pair(1, 2, 1)
+    y, Y = _pair(-1, 3, 0)
+    for left, right in ((x, y), (X, Y)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            op(left, right)

@@ -1,6 +1,7 @@
 import copy as copy_module
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -809,3 +810,94 @@ def test_anticanonical_bodies_keep_their_vertices():
         assert len(body.vertices) == count
         assert sum(map(sum, body.vertices)) == total
         assert len(body.halfspaces()[0]) == facets
+
+
+# -- the one-pass wall scan of the chamber walk against three passes -----
+
+def _ref_walk(model, L, w):
+    """surface.chambers with each chamber's walls read in three passes: the
+    rows that have a wall, the nearest wall, then the rows on it."""
+    n = len(L.m) + 1
+    row, _ = linalg.scaled((L.d, *L.m, 0, *map(F, w)))  # u = q (-W)
+    x, u, supp, tn, td = row[:n], row[n:], [], 0, 1
+    ch = surface._chamber(model, supp, x, u)
+    if ch and min(ch[2][0]) < 0:
+        sup = surface._support(model, L)
+        if sup is None:
+            return
+        supp = [model._rows[c] for c, nb in zip(sup[0], sup[2]) if nb]
+        ch = surface._chamber(model, supp, x, u)
+    while True:
+        _, (p0, p1), cols = ch
+        k = len(supp)
+        ts = [(a, -b, j) for j, (a, b) in enumerate(zip(*cols)) if b < 0]
+        quad = (surface._dot(p0, p0), 2 * surface._dot(p0, p1),
+                surface._dot(p1, p1))
+        g = math.gcd(*quad) or 1
+        t1 = None
+        for a, b, _ in ts:
+            if t1 is None or F(a, b) < F(*t1):
+                t1 = (a, b)
+        if t1 is not None and F(*t1) <= F(tn, td):
+            t1 = (tn, td)
+        A, B, C = (v // g for v in quad)
+        yield (F(tn, td), None if t1 is None else F(*t1), k, (A, B, C))
+        if t1 is None:
+            return
+        tn, td = t1
+        if A * td * td + B * tn * td + C * tn * tn <= 0:
+            return
+        now = {j for a, b, j in ts if F(a, b) <= F(tn, td)}
+        supp = ([c for j, c in enumerate(supp) if j not in now]
+                + [model._rows[j - k] for j in sorted(now) if j >= k])
+        ch = surface._chamber(model, supp, x, u)
+
+
+def test_one_pass_wall_scan_matches_three_passes():
+    rng = random.Random(24)
+    cases = [(SurfaceModel(3), cls(2, 1, 1, 1), [1, 1, 1]),
+             (SurfaceModel(3), cls(2, -1, 0, 0), [0, 1, 1])]
+    cases += [(SurfaceModel(s), H(s).scale(d), [1] * s)
+              for s in range(5, 9) for d in (1, 2, 3)]
+    for s in range(2, 9):
+        model = SurfaceModel(s)
+        for _ in range(15):
+            D = cls(rng.randrange(1, 7), *(rng.randrange(-1, 4)
+                                           for _ in range(s)))
+            w = [rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(s)]
+            cases.append((model, D, w))
+    kinds, points = set(), 0
+    for model, D, w in cases:
+        walk = list(surface.chambers(model, D, w))
+        assert walk == list(_ref_walk(model, D, w)), (model.s, D, w)
+        kinds.add((model.s, is_nef(model, D), 0 in w))
+        points += sum(t1 == t0 for t0, t1, _, _ in walk)
+    # nef and non-nef classes at every s, weights with and without zeros,
+    # and chambers that are a single point
+    assert {(s, nef) for s, nef, _ in kinds} == {
+        (s, nef) for s in range(2, 9) for nef in (True, False)}
+    assert {zero for _, _, zero in kinds} == {True, False}
+    assert points > 0
+
+
+def test_support_gram_matrix_is_computed_once_per_pair(monkeypatch):
+    # The Gram matrix is symmetric: 8 support rows and 2 columns cost
+    # 8 * 9 / 2 + 8 * 2 = 52 dot products, not 8 * 8 + 8 * 2 = 80.
+    model = SurfaceModel(8)
+    support = [model._rows[i] for i in range(8)]  # E_1, ..., E_8
+    x, u = (3, *[1] * 8), (0, *[-1] * 8)
+    dots = _count(monkeypatch, surface, "_dot")
+    det, out = surface._solve(support, x, u)
+    assert len(dots) == 52 and det == 1
+    assert out == [([3, *[0] * 8], [-1] * 8), ([0] * 9, [1] * 8)]
+    # An A_3 chain of (-2)-classes, where the Gram entries off the diagonal
+    # differ: n solves G n = det (x.b)_b.
+    chain = [(0, 1, -1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1)]
+    x = (3, 2, 1, 0, -1)
+    det, [(p, n)] = surface._solve(chain, x)
+    assert det == 4
+    for c in chain:
+        assert sum(nb * surface._dot(b, c) for nb, b in zip(n, chain)) == \
+            det * surface._dot(x, c)
+    assert p == [det * v - sum(nb * b[i] for nb, b in zip(n, chain))
+                 for i, v in enumerate(x)]

@@ -19,12 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import invariants, registry, render, surface, toric
-from .numbers import _INT, _RAT, _RATS, _STR, RadVal, _rat, format_rat
+from .numbers import (_INT, _OBJECT, _RAT, _RATS, _SCHEMA, _STR, RadVal,
+                      _rat, _read_json, format_rat)
 from .polytope import Polytope
 from .surface import PicClass, SurfaceModel
-
-class InputError(Exception):
-    pass
 
 
 class CheckFailure(Exception):
@@ -32,11 +30,11 @@ class CheckFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with a usage error raised as an InputError (exit 1), not
+    """argparse with a usage error raised as a ValueError (exit 1), not
     argparse's exit 2, which this CLI keeps for a failed check."""
 
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -63,8 +61,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
@@ -72,50 +69,26 @@ def main(argv=None) -> int:
         return 3
 
 
-_JOB_KEYS = ("schema", "kind", "input", "output_path", "render")
-
-
 def _run(args) -> int:
     with open(args.job) as fh:
         job = json.load(fh)
-    if not isinstance(job, dict):
-        raise InputError("a job file must hold a JSON object")
-    unknown = sorted(job.keys() - set(_JOB_KEYS))
-    if unknown:
-        raise InputError(f"unknown job key {unknown[0]!r}; accepted: "
-                         f"{', '.join(_JOB_KEYS)}")
-    if job.get("schema") != 1:
-        raise InputError(f'job "schema" must be 1, got {job.get("schema")!r}')
-    kind = job.get("kind")
-    if kind not in _HANDLERS:
-        raise InputError(f"unknown job kind {kind!r}; expected one of "
-                         f"{', '.join(_HANDLERS)}")
-    name = job.get("output_path", f"{kind}.json")
-    if not (isinstance(name, str) and name not in ("", "..")
-            and Path(name).name == name):
-        raise InputError(f'job "output_path" must be a file name, written in '
-                         f'--out, got {name!r}')
-    draw = job.get("render", False)
-    if not isinstance(draw, bool):
-        raise InputError(f'job "render" must be true or false, got {draw!r}')
-    payload = job.get("input", {})
-    if not isinstance(payload, dict):
-        raise InputError('job "input" must be an object')
+    _, kind, payload, name, draw = _read_json(
+        job, "job", {"input": {}, "output_path": "", "render": False}, **_JOB)
     p = _read_input(kind, payload)
     if args.grid_step is not None:
         p["grid_step"] = _rat(args.grid_step)
         if p["grid_step"] is None:
-            raise InputError(f"--grid-step is not p/q: {args.grid_step!r}")
+            raise ValueError(f"--grid-step is not p/q: {args.grid_step!r}")
     if args.m_max is not None:
         p["m_max"] = args.m_max
     result, poly, failed = _HANDLERS[kind](p)
     draw = draw or args.render
     if draw and (poly is None or poly.ambient_dim > 2):
-        raise InputError(f"job kind {kind!r} has no renderable polytope")
+        raise ValueError(f"job kind {kind!r} has no renderable polytope")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / name
+    out_path = out_dir / (name or f"{kind}.json")  # "", refused in a job
     doc = {"schema": 1, "kind": kind, "result": result}
     with open(out_path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -135,7 +108,7 @@ def _model(p) -> SurfaceModel:
 
 def _known(names, key, p, of=""):
     if p[key] not in names:
-        raise InputError(f"input key {key!r} names no {key}{of}: {p[key]!r}; "
+        raise ValueError(f"input key {key!r} names no {key}{of}: {p[key]!r}; "
                          f"accepted: {', '.join(sorted(names))}")
 
 
@@ -270,43 +243,44 @@ _HANDLERS = {
     "nef-boundary": _job_nef_boundary,
 }
 
-# The reader of each kind of value, by what a message calls it: a scalar's
-# returns the value as the handlers take it, or None; an object's is its
-# from_json, whose ValueError names the inner key refused.  Strings pass
-# through unchanged.
-_KINDS = {what: read for read, what in (_INT, _RAT, _RATS, _STR)} | {
-    "an object {dim: an integer, rays, max_cones: lists of integer lists}":
-        toric.Fan.from_json,
-    "an object {coeffs: a list of rationals}": toric.ToricDivisor.from_json,
-    "an object {flags: a nonempty list of integer lists}":
-        toric.ToricFlagSpec.from_json,
-    "a class {d, m}": PicClass.from_json,
-    "a surface {s, mode, neg_curves}": SurfaceModel.from_json,
-    "a body {ambient_dim, vertices}": Polytope.from_json,
-    # surface.flag_points checks them against s, before any work.
-    "flag points": lambda v: v,
+# The job object's readers, as numbers._read_json takes them.
+_JOB = {
+    "schema": _SCHEMA,
+    "kind": (lambda v: v if isinstance(v, str) and v in _HANDLERS else None,
+             f"one of {', '.join(_HANDLERS)}"),
+    "input": _OBJECT,
+    "output_path": (lambda v: v if isinstance(v, str) and v not in ("", "..")
+                    and Path(v).name == v else None,
+                    "a file name, written in --out"),
+    "render": (lambda v: v if type(v) is bool else None, "true or false"),
 }
 
-# The input forms of each kind: key -> (kind of value, required).  A job
-# takes the first form whose first key it gives, else the last form.  Kept
-# apart from _HANDLERS so that a handler can be swapped without redeclaring
-# them; _read_input reads the input by them before any work.
-_SURFACE = {"surface": ("a surface {s, mode, neg_curves}", True),
-            "class": ("a class {d, m}", True)}
-_S = {"s": ("an integer", True), "class": ("a class {d, m}", True)}
-_FIXTURE = {"fixture": ("a string", True), "divisor": ("a string", True),
-            "flags": ("a string", True)}
-_FAN = {"fan": ("an object {dim: an integer, rays, max_cones: lists of "
-                "integer lists}", True),
-        "divisor": ("an object {coeffs: a list of rationals}", True),
-        "flags": ("an object {flags: a nonempty list of integer lists}",
-                  True)}
-_BODY = {"body": ("a body {ambient_dim, vertices}", True),
-         "n": ("an integer", True), "r": ("an integer", True)}
-_NAME = {"fixture": ("a string", True)}
-_WEIGHTS = {"weights": ("a list of rationals", True)}
-_D_M = {"d": ("a rational", True), "m": ("a list of rationals", True)}
-_POINTS = {"points": ("flag points", False)}
+# The input forms of each kind: key -> the (read, what) of its value, as
+# numbers._read_json takes them; an object's read is its from_json, whose
+# ValueError names the inner key refused.  A job takes the first form whose
+# first key it gives, else the last form.  Kept apart from _HANDLERS so that
+# a handler can be swapped without redeclaring them; _read_input reads the
+# input by them before any work.
+_CLASS = (PicClass.from_json, "a class {d, m}")
+_SURFACE = {"surface": (SurfaceModel.from_json,
+                        "a surface {s, mode, neg_curves}"), "class": _CLASS}
+_S = {"s": _INT, "class": _CLASS}
+_FIXTURE = {"fixture": _STR, "divisor": _STR, "flags": _STR}
+_FAN = {"fan": (toric.Fan.from_json, "an object {dim: an integer, rays, "
+                "max_cones: lists of integer lists}"),
+        "divisor": (toric.ToricDivisor.from_json,
+                    "an object {coeffs: a list of rationals}"),
+        "flags": (toric.ToricFlagSpec.from_json,
+                  "an object {flags: a nonempty list of integer lists}")}
+_BODY = {"body": (Polytope.from_json, "a body {ambient_dim, vertices}"),
+         "n": _INT, "r": _INT}
+_NAME = {"fixture": _STR}
+_WEIGHTS = {"weights": _RATS}
+_D_M = {"d": _RAT, "m": _RATS}
+# surface.flag_points checks them against s, before any work.
+_POINTS = {"points": (lambda v: v, "flag points")}
+# The keys a job may leave out; every other key of its form is required.
+_OPTIONAL = {"points", "m_max", "grid_step", "t_max"}
 
 
 def _each(forms, extra):
@@ -315,23 +289,19 @@ def _each(forms, extra):
 
 _INPUT_FORMS = {
     "toric-body": (_FIXTURE, _FAN),
-    "semigroup-sample": _each((_FIXTURE, _FAN),
-                              {"m_max": ("an integer", False)}),
+    "semigroup-sample": _each((_FIXTURE, _FAN), {"m_max": _INT}),
     "surface-zariski": (_SURFACE, _S),
     "surface-body": _each((_SURFACE, _S), {
-        **_POINTS, "grid_step": ("a rational", False),
-        "t_max": ("a rational", False)}),
+        **_POINTS, "grid_step": _RAT, "t_max": _RAT}),
     "seshadri": _each((_SURFACE, _S), _WEIGHTS),
     "nakayama": _each((_SURFACE, _S), _POINTS),
     "xi": _each((_NAME, _BODY), _WEIGHTS),
     "eps-xi-check": ({**_NAME, **_WEIGHTS},),
-    "slice-volume": _each(
-        (_NAME, {**_BODY, "vol_x": ("a rational", True)}), _WEIGHTS),
-    "nagata": ({"r": ("an integer", True), **_D_M},),
+    "slice-volume": _each((_NAME, {**_BODY, "vol_x": _RAT}), _WEIGHTS),
+    "nagata": ({"r": _INT, **_D_M},),
     "standard-form": (_D_M,),
-    "irrationality": ({"s": ("an integer", True), **_D_M},),
-    "homogeneous": ({"s": ("an integer", True), "d": ("a rational", True),
-                     "c": ("a rational", True)},),
+    "irrationality": ({"s": _INT, **_D_M},),
+    "homogeneous": ({"s": _INT, "d": _RAT, "c": _RAT},),
     "nef-boundary": (_D_M,),
 }
 # The input keys each kind reads; any other key is refused.
@@ -340,37 +310,38 @@ _INPUT_KEYS = {kind: set().union(*forms)
 
 
 def _read_input(kind, payload) -> dict:
-    """The payload read by the declared kind of each value, in the form's
-    order; an InputError names the first key refused: unknown, of another
+    """The payload read by the declared reader of each value, in the form's
+    order; a ValueError names the first key refused: unknown, of another
     form or kind, missing."""
     unknown = sorted(set(payload) - _INPUT_KEYS[kind])
     if unknown:
-        raise InputError(
+        raise ValueError(
             f"unknown input key {unknown[0]!r} for job kind {kind!r}; "
             f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
     forms = _INPUT_FORMS[kind]
     form = next((f for f in forms if next(iter(f)) in payload), forms[-1])
     stray = sorted(set(payload) - form.keys())
     if stray:
-        raise InputError(f"input key {stray[0]!r} does not go with "
+        raise ValueError(f"input key {stray[0]!r} does not go with "
                          f"{next(iter(form))!r} in job kind {kind!r}")
     # The key that chose the form is read first.
     out = {}
-    for key, (what, _) in form.items():
+    for key, (read, what) in form.items():
         if key in payload:
             try:
-                out[key] = _KINDS[what](payload[key])
+                out[key] = read(payload[key])
             except ValueError as exc:
-                raise InputError(f"input key {key!r} of job kind {kind!r} "
+                raise ValueError(f"input key {key!r} of job kind {kind!r} "
                                  f"must be {what}: {exc}") from None
             if out[key] is None:
-                raise InputError(f"input key {key!r} of job kind {kind!r} "
+                raise ValueError(f"input key {key!r} of job kind {kind!r} "
                                  f"must be {what}, got {payload[key]!r}")
-    for key, (what, required) in form.items():
-        if required and key not in payload:
-            raise InputError(f"missing input key {key!r} ({what}) for job "
+    for key, (_, what) in form.items():
+        if key not in payload and key not in _OPTIONAL:
+            raise ValueError(f"missing input key {key!r} ({what}) for job "
                              f"kind {kind!r}")
     return out
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -266,9 +266,13 @@ def positive_xi_criterion(model: SurfaceModel, D: PicClass, points) -> bool:
 # -- exact arithmetic certificates -----------------------------------
 
 def nagata_check(r: int, d, m) -> bool:
-    """d >= (1/sqrt(r)) * sum(m), tested as r d^2 >= (sum m)^2."""
+    """d >= (1/sqrt(r)) * sum(m), tested as r d^2 >= (sum m)^2, for r >= 1
+    points and at most r multiplicities."""
     d = Fraction(d)
     ms = [Fraction(x) for x in m]
+    if r < 1 or len(ms) > r:
+        raise ValueError(f"the Nagata bound needs r >= 1 points and at most r "
+                         f"multiplicities, got r = {r} and {len(ms)}")
     if any(x < 0 for x in ms):
         raise ValueError("multiplicities must be nonnegative")
     if d < 0:
@@ -346,6 +350,8 @@ def homogeneous_eps(s: int, d, c) -> dict:
     c = Fraction(c)
     if d <= 0:
         raise ValueError("degree must be positive")
+    if c < 0:
+        raise ValueError("multiplicity c must be nonnegative")
     if c * (s + 4) >= 4 * d:
         L2 = d * d - s * c * c
         if L2 < 0:

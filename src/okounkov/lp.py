@@ -1,6 +1,6 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-The input is scaled to integers by one common denominator, and the simplex
+Each input row is scaled to integers by its own denominators, and the simplex
 runs on an integer tableau M over one denominator den > 0, the last pivot:
 M / den is the rational tableau.  Each pivot is linalg's fraction-free row
 update, whose divisions are exact, so there is no floating point and no
@@ -11,23 +11,12 @@ and maximization of c.x over {A x <= b}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 
 # Largest cone test in_cone sets up, in generator entries (generators x
 # dimension): the built-in curves at s = 8 as a user list have 2,241.
 MAX_CONE_CELLS = 100_000
-
-
-def _scaled(rows) -> list[list[int]]:
-    """The rational rows times one common lcm q > 0 of their denominators,
-    as integers.  One q for every row keeps the signs of the column sums,
-    the phase-one reduced costs."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r]
-            for r in rows]
-    q = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (q // x.denominator) for x in r] for r in rows]
 
 
 def _simplex(tableau: list[list[int]], basis: list[int], ncols: int,
@@ -71,10 +60,11 @@ def _pivot(tableau, basis, leave: int, enter: int, den: int) -> int:
 
 
 def _phase_one(A, b):
-    """Phase-one simplex on {A x = b, x >= 0}, [A | b] scaled to integers:
-    the optimal tableau (one artificial column per row, before the
-    right-hand side), its basis and den, or None when infeasible."""
-    rows = _scaled([*r, bi] for r, bi in zip(A, b, strict=True))
+    """Phase-one simplex on {A x = b, x >= 0}, each row of [A | b] scaled to
+    integers (a positive row scale keeps the set): the optimal tableau (one
+    artificial column per row, before the right-hand side), its basis and
+    den, or None when infeasible."""
+    rows = [linalg.scaled((*r, bi))[0] for r, bi in zip(A, b, strict=True)]
     m = len(rows)
     n = len(rows[0]) - 1 if m else 0
     tableau = [[-x if row[-1] < 0 else x for x in row[:-1]]
@@ -100,8 +90,12 @@ def feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
 
 
 def in_cone(generators: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """Is target a nonnegative combination of the generator vectors?  Past
-    MAX_CONE_CELLS generator entries the test is refused before any pivot."""
+    """Is target a nonnegative combination of the generator vectors?  A
+    generator of another length than target, or past MAX_CONE_CELLS
+    generator entries, is refused before any pivot."""
+    if any(len(g) != len(target) for g in generators):
+        raise ValueError(f"cone generators must have the target's length "
+                         f"{len(target)}")
     if (size := len(generators) * len(target)) > MAX_CONE_CELLS:
         raise ValueError(f"cone test of {size} generator entries exceeds "
                          f"MAX_CONE_CELLS = {MAX_CONE_CELLS}")
@@ -151,7 +145,7 @@ def maximize(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> t
     # Phase two objective: c scaled to integers on the split variables,
     # reduced against the basis.  A row is 0 at the other basic columns, so
     # its multiple is c's own coefficient.
-    cs = [sg * x for x in _scaled([c])[0] for sg in (1, -1)] + [0] * m
+    cs = [sg * x for x in linalg.scaled(c)[0] for sg in (1, -1)] + [0] * m
     obj = [den * x for x in cs] + [0]
     for row, bj in zip(tableau, basis):
         if cs[bj]:

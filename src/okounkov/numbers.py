@@ -63,6 +63,8 @@ _RATS = (_rats, "a list of rationals")
 _RAT_LISTS = (_rat_lists, "a list of rational lists")
 _INT_LISTS = (_int_lists, "a list of integer lists")
 _FLAGS = (lambda v: _int_lists(v) or None, "a nonempty list of integer lists")
+_OBJECT = (lambda v: v if isinstance(v, dict) else None, "an object")
+_SCHEMA = (lambda v: v if type(v) is int and v == 1 else None, "1")
 _RADICAND = (lambda v: int(v) if isinstance(v, str) and v.isascii()
              and v.isdigit() else (v if type(v) is int and v >= 0 else None),
              "a non-negative integer")
@@ -273,6 +275,9 @@ class RadVal:
 
     def __rtruediv__(self, other) -> "RadVal":
         return self.reciprocal() * other
+
+    def __bool__(self) -> bool:
+        return bool(self._v[0] or self._v[1])
 
     # -- exact ordering ----------------------------------------------
     def _cmp(self, other) -> int:

@@ -19,7 +19,8 @@ from operator import mul
 
 from . import linalg
 from .linalg import Vec
-from .numbers import _INT, _RAT_LISTS, RadVal, _read_json, format_rat
+from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _read_json,
+                      format_rat)
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
 Equality = tuple[Vec, Fraction]   # <normal, x> == offset
@@ -85,25 +86,27 @@ class Polytope:
             pts.append(v)
         # q p for the lcm q of the denominators sorts as the points p do.
         q = lcm(*(x.denominator for p in pts for x in p))
-        self._build(q, sorted({tuple(x.numerator * (q // x.denominator)
-                                     for x in p) for p in pts}))
+        self._build([(tuple(x.numerator * (q // x.denominator) for x in p), q)
+                     for p in pts])
 
     @classmethod
     def _of(cls, n, points):
         """The body the constructor builds from the points p / t of R^n,
         pairs (p, t) of an integer tuple and t > 0, without Fractions."""
+        P = cls.__new__(cls)
+        P.ambient_dim, P.meta = n, {}
+        P._build(points)
+        return P
+
+    def _build(self, points):
+        # The record of the pairs (p, t) of _of, on their lowest scale.
         points = list(points)
         s = lcm(*(t for _, t in points))
         pts = {p if t == s else tuple(x * (s // t) for x in p)
                for p, t in points}
         g = gcd(s, *chain.from_iterable(pts))
-        P = cls.__new__(cls)
-        P.ambient_dim, P.meta = n, {}
-        P._build(s // g, sorted({tuple(x // g for x in p) for p in pts}
-                                if g > 1 else pts))
-        return P
-
-    def _build(self, q, ints):
+        q, ints = s // g, sorted({tuple(x // g for x in p) for p in pts}
+                                 if g > 1 else pts)
         self._core = _hrep_from_vertices(q, ints, self.ambient_dim)
         self.vertices = tuple(tuple(Fraction(x, q) for x in p)
                               for p in self._core.points)
@@ -140,8 +143,7 @@ class Polytope:
         """The body of a to_json document, or of a CLI result with meta."""
         return Polytope(*_read_json(
             obj, "polytope", {"meta": {}}, ambient_dim=_INT,
-            vertices=_RAT_LISTS, meta=(
-                lambda v: v if isinstance(v, dict) else None, "an object")))
+            vertices=_RAT_LISTS, meta=_OBJECT))
 
 
 def hull(points, ambient_dim: int) -> Polytope:

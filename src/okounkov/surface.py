@@ -340,8 +340,7 @@ def is_psef(model: SurfaceModel, D: PicClass) -> bool:
     user curve list may be incomplete, so there cone membership decides."""
     if model.mode == "user":
         _check_s(model, D)
-        cols = [[g.d] + [-x for x in g.m] for g in model.psef_generators()]
-        return lp.in_cone(cols, [D.d] + [-x for x in D.m])
+        return lp.in_cone(model._rows, D._row[0])
     return _support(model, D) is not None
 
 
@@ -487,17 +486,17 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     s, or a w of other than s entries or with a negative one, is refused
     before the walk."""
     _check_s(model, L)
-    minus_w = PicClass(0, tuple(w))
-    if minus_w.s != model.s or any(x < 0 for x in minus_w.m):
+    w = tuple(w)
+    if len(w) != model.s or any(x < 0 for x in w):
         raise ValueError(f"weights must be {model.s} nonnegative rationals, "
                          f"got {list(w)!r}")
-    return _walk(model, L, minus_w)
+    return _walk(model, L, w)
 
 
-def _walk(model: SurfaceModel, L: PicClass, minus_w: PicClass):
-    """The generator of chambers(model, L, w), minus_w = -W."""
+def _walk(model: SurfaceModel, L: PicClass, w):
+    """The generator of chambers(model, L, w)."""
     n = len(L.m) + 1  # x = q L and u = q (-W) on one scale q
-    row, _ = linalg.scaled((L.d, *L.m, 0, *minus_w.m))
+    row, _ = linalg.scaled((L.d, *L.m, 0, *w))
     x, u, supp, tn, td = row[:n], row[n:], [], 0, 1
     ch = _chamber(model, supp, x, u)
     if ch and min(ch[2][0]) < 0:  # not nef: start from L's Zariski support

@@ -17,9 +17,8 @@ from operator import mul
 from pathlib import Path
 
 from . import linalg, polytope
-from .linalg import dot
-from .numbers import (_FLAGS, _INT, _INT_LISTS, _RATS, _STR, _read_json,
-                      format_rat)
+from .numbers import (_FLAGS, _INT, _INT_LISTS, _RATS, _SCHEMA, _STR,
+                      _read_json, format_rat)
 from .polytope import Polytope
 
 # Largest bounding box lattice_points scans, in lattice points.
@@ -262,21 +261,28 @@ def lattice_points(P: Polytope, m: int = 1) -> list[tuple[int, ...]]:
 
 def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
                        u, level: int = 1) -> ValuationVector:
-    """Valuation vector of the section monomial at lattice point u.
-
-    Block (i, j) entry is a_{v_j^{(i)}} + <u, v_j^{(i)}>.
-    """
+    """Valuation vector of the section of level * D at the lattice point u
+    of level * P, P the divisor polytope: the sampler's graded point."""
     flags.validate(fan)
-    uu = tuple(Fraction(x) for x in u)
+    # divisor_polytope first checks the coefficient count against the rays.
     P = divisor_polytope(fan, D)
-    if not polytope.contains(P, uu):
-        raise ValueError(f"lattice point {u} outside the divisor polytope")
-    entries = []
-    for f in flags.flags:
-        for i in f:
-            v = tuple(Fraction(x) for x in fan.rays[i])
-            entries.append(D.coeffs[i] + dot(uu, v))
-    return ValuationVector(tuple(entries), level)
+    val = ValuationVector(_valuations(fan, D, flags, level, [u])[0], level)
+    if not polytope.contains(P, [Fraction(x, level) for x in u]):
+        raise ValueError(f"lattice point {u} outside m P for m = {level}, "
+                         f"P the divisor polytope")
+    return val
+
+
+def _valuations(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec, m: int,
+                points) -> list[tuple]:
+    """The valuation vectors of the sections of m D at the lattice points
+    u of m P: block (i, j) entry m a_v + <u, v> at the flag ray
+    v = v_j^{(i)}, in integer dots."""
+    rays = [i for f in flags.flags for i in f]
+    a = [m * D.coeffs[i] for i in rays]
+    vecs = [fan.rays[i] for i in rays]
+    return [tuple(ai + sum(map(mul, u, v)) for ai, v in zip(a, vecs))
+            for u in points]
 
 
 def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
@@ -296,16 +302,9 @@ def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
         raise ValueError(f"semigroup sampling up to level {m_max} scans up to "
                          f"{size} lattice points, above MAX_LATTICE_BOX = "
                          f"{MAX_LATTICE_BOX}; lower m_max")
-    # monomial_valuation of every lattice point, validating the flags once;
-    # level m reads the lattice points of m P, the polytope of m D.
-    rays = [i for f in flags.flags for i in f]
-    vecs = [fan.rays[i] for i in rays]
-    graded = []
-    for m in range(1, m_max + 1):
-        a = [m * D.coeffs[i] for i in rays]
-        for u in lattice_points(P, m):
-            graded.append((tuple(ai + sum(map(mul, u, v))
-                                 for ai, v in zip(a, vecs)), m))
+    # Level m reads the lattice points of m P, the polytope of m D.
+    graded = [(v, m) for m in range(1, m_max + 1)
+              for v in _valuations(fan, D, flags, m, lattice_points(P, m))]
     if not graded:
         nr = fan.dim * flags.r
         return Polytope(nr, ())
@@ -335,8 +334,7 @@ def load_fixture(name: str) -> dict:
         raw = json.load(fh)
     _, name, fan, divisors, flags = _read_json(
         raw, f"fixture {name!r}", {"name": name, "divisors": {}, "flags": {}},
-        schema=(lambda v: v if type(v) is int and v == 1 else None, "1"),
-        name=_STR, fan=(Fan.from_json, "a fan"),
+        schema=_SCHEMA, name=_STR, fan=(Fan.from_json, "a fan"),
         divisors=_named(ToricDivisor, "an object of named divisors"),
         flags=_named(ToricFlagSpec, "an object of named flags"))
     return {"name": name, "fan": fan, "divisors": divisors, "flags": flags}

@@ -249,16 +249,50 @@ def test_conditional_results_carry_assumption_tag(tmp_path):
         assert doc["result"]["assumption"].startswith("conditional")
 
 
+def test_bundled_jobs_reproduce_the_golden_artifacts(tmp_path):
+    # The goldens are only read: every job's artifacts, byte for byte, one
+    # result file per job and no file on either side without its pair.
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "perfbench" / "golden" / "cli"
+    out = tmp_path / "results"
+    jobs = sorted((root / "jobs").glob("*.json"))
+    for job in jobs:
+        assert main(["run", "--job", str(job), "--out", str(out)]) == 0, job
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert len([n for n in names if n.endswith(".json")]) == len(jobs)
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 # -- error handling ---------------------------------------------------
 
+@pytest.mark.parametrize("kind, payload, message", [
+    # Nagata's bound needs r >= 1 points and at most r multiplicities.
+    ("nagata", {"r": 0, "d": "1", "m": ["0"]}, "r >= 1 points"),
+    ("nagata", {"r": -4, "d": "1", "m": []}, "r >= 1 points"),
+    ("nagata", {"r": 2, "d": "3", "m": ["1"] * 3}, "at most r multiplicities"),
+    # L.E_i = c < 0: the class is not nef, and d - 2c is no lower bound.
+    ("homogeneous", {"s": 10, "d": "4", "c": "-1"},
+     "multiplicity c must be nonnegative"),
+])
+def test_arithmetic_input_range_exit_1(tmp_path, capsys, kind, payload,
+                                       message):
+    code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
+                                   "input": payload})
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
 def test_unknown_kind_exit_1(tmp_path, capsys):
-    code, _ = run_job(tmp_path, {"schema": 1, "kind": "nope", "input": {}})
-    assert code == 1
+    code, out = run_job(tmp_path, {"schema": 1, "kind": "nope", "input": {}})
+    assert code == 1 and not out.exists()
     assert capsys.readouterr().err == (
-        "input error: unknown job kind 'nope'; expected one of toric-body, "
+        "input error: job key 'kind' must be one of toric-body, "
         "semigroup-sample, surface-zariski, surface-body, seshadri, "
         "nakayama, xi, eps-xi-check, slice-volume, nagata, standard-form, "
-        "irrationality, homogeneous, nef-boundary\n")
+        "irrationality, homogeneous, nef-boundary, got 'nope'\n")
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -300,7 +334,9 @@ def test_input_must_be_an_object(tmp_path, capsys):
     code, out = run_job(tmp_path, {"schema": 1, "kind": "nagata",
                                    "input": ["r", "d", "m"]})
     assert code == 1 and not out.exists()
-    assert 'job "input" must be an object' in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "input error: job key 'input' must be an object, got "
+        "['r', 'd', 'm']\n")
 
 
 def test_job_must_be_an_object(tmp_path, capsys):
@@ -308,7 +344,8 @@ def test_job_must_be_an_object(tmp_path, capsys):
     code, out = run_job(tmp_path, [{"schema": 1, "kind": "nagata"}])
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == (
-        "input error: a job file must hold a JSON object\n")
+        "input error: job must be an object, got "
+        "[{'schema': 1, 'kind': 'nagata'}]\n")
 
 
 @pytest.mark.parametrize("key", ["outputpath", "inputs", "Render", "seed"])
@@ -320,14 +357,14 @@ def test_unknown_job_key_exit_1(tmp_path, capsys, key):
     })
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == (
-        f"input error: unknown job key {key!r}; accepted: schema, kind, "
+        f"input error: job key {key!r} is unknown; accepted: schema, kind, "
         f"input, output_path, render\n")
 
 
 def test_bundled_jobs_use_only_accepted_keys():
     root = Path(__file__).resolve().parents[1]
     for job in sorted((root / "jobs").glob("*.json")):
-        assert set(json.loads(job.read_text())) <= set(cli._JOB_KEYS), job
+        assert set(json.loads(job.read_text())) <= set(cli._JOB), job
 
 
 @pytest.mark.parametrize("name", [5, None, "../x.json", "sub/x.json", "",
@@ -343,8 +380,8 @@ def test_output_path_must_be_a_file_name(tmp_path, capsys, name):
     assert code == 1 and not out.exists()
     assert not (tmp_path / "x.json").exists()
     assert capsys.readouterr().err == (
-        f'input error: job "output_path" must be a file name, written in '
-        f'--out, got {name!r}\n')
+        f"input error: job key 'output_path' must be a file name, written "
+        f"in --out, got {name!r}\n")
 
 
 def test_override_flags_are_not_input_keys(tmp_path):
@@ -652,8 +689,9 @@ def test_every_input_key_has_a_declared_kind():
     for kind, forms in cli._INPUT_FORMS.items():
         assert kind in cli._HANDLERS and forms
         for form in forms:
-            assert all(what in cli._KINDS and required in (True, False)
-                       for what, required in form.values())
+            assert all(callable(read) and isinstance(what, str)
+                       for read, what in form.values())
+    assert cli._OPTIONAL <= set().union(*cli._INPUT_KEYS.values())
 
 
 def test_missing_job_file_exit_1(tmp_path):
@@ -726,7 +764,8 @@ def test_render_key_must_be_a_boolean(tmp_path, capsys):
     })
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == (
-        "input error: job \"render\" must be true or false, got 'false'\n")
+        "input error: job key 'render' must be true or false, got "
+        "'false'\n")
 
 
 def test_render_key_without_polytope_exit_1(tmp_path, capsys):
@@ -817,6 +856,20 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "chamber walk did not terminate" in err
+
+
+def test_internal_key_error_exit_3(tmp_path, monkeypatch, capsys):
+    # The readers check every key first, so a KeyError is okounkov's fault.
+    def broken(payload):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli._HANDLERS, "nagata", broken)
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "nagata",
+        "input": {"r": 2, "d": "1", "m": ["1", "1"]},
+    })
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == "internal error: KeyError('missing')\n"
 
 
 def test_singular_chamber_support_exit_3(tmp_path, monkeypatch, capsys):

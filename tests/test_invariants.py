@@ -449,10 +449,10 @@ def test_simplex_vertices_realized_by_monomial_valuations():
     for a, m_max in [(F(1, 2), 2), (F(1, 3), 3), (1, 1)]:
         simplex = inverted_slice_simplex([a], 2)
         realized = set()
+        P = toric.divisor_polytope(fan, D)
         for m in range(1, m_max + 1):
-            Dm = D.scale(m)
-            for u in toric.lattice_points(toric.divisor_polytope(fan, Dm)):
-                val = toric.monomial_valuation(fan, Dm, flags, u, level=m)
+            for u in toric.lattice_points(P, m):
+                val = toric.monomial_valuation(fan, D, flags, u, level=m)
                 realized.add(tuple(x / m for x in val.entries))
         for v in simplex.vertices:
             assert v in realized, (a, v)

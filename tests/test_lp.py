@@ -134,3 +134,14 @@ def test_in_cone_refuses_oversize_lists_before_any_pivot(monkeypatch):
         lp.in_cone([row] * (k + 1), row)
     with pytest.raises(AssertionError, match="let the LP start"):
         lp.in_cone([row] * k, row)
+
+
+def test_in_cone_refuses_generators_of_another_length(monkeypatch):
+    # [1, 0, 5] was truncated to [1, 0], and a short generator was a bare
+    # IndexError.
+    monkeypatch.setattr(lp, "feasible_nonneg", None)  # no pivot is reached
+    for gens in ([[1, 0, 5]], [[1]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="target's length 2"):
+            lp.in_cone(gens, [1, 0])
+    with pytest.raises(ValueError, match="target's length 2"):
+        lp.in_cone([[0]], [0, 0])

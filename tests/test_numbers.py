@@ -151,6 +151,14 @@ def test_equal_values_hash_equal():
     assert len({RadVal.sqrt(2), RadVal(Fraction(1), 8) / 2}) == 1
 
 
+def test_radval_truth_value_is_nonzero():
+    # A zero RadVal equals 0 and hashes as Fraction(0): it is false, as 0 is.
+    assert not RadVal.rational(0) and not RadVal(Fraction(0), 7)
+    assert RadVal.rational(Fraction(-1, 2)) and RadVal.sqrt(2)
+    assert RadVal(Fraction(1), 2, Fraction(-1))
+    assert not RadVal.sqrt(2) - RadVal.sqrt(2)
+
+
 def test_radval_survives_pickle_and_copy():
     for v in [RadVal.rational(Fraction(3, 4)), RadVal.sqrt(10),
               RadVal(Fraction(-2, 3), 5, Fraction(1, 2))]:

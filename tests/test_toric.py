@@ -276,6 +276,26 @@ def test_monomial_valuation_examples():
         monomial_valuation(f["fan"], D, flags, (5, 5))
 
 
+def test_monomial_valuation_is_the_samplers_graded_point(monkeypatch):
+    # Level m means a section of m D at a lattice point of m P: the sampler's
+    # graded point, with a divisor nonzero on the flag rays so that m a_v
+    # shows.  A point of 2 P outside P is refused at level 1 only.
+    f = fx("bl1p2")
+    D, flags = f["divisors"]["4H-E"], ToricFlagSpec(((1, 3),))
+    graded = []
+    monkeypatch.setattr(polytope, "cone_base",
+                        lambda pts: graded.extend(pts) or Polytope(2, ()))
+    semigroup_body_approx(f["fan"], D, flags, 3)
+    P = divisor_polytope(f["fan"], D)
+    want = [(monomial_valuation(f["fan"], D, flags, u, level=m).entries, m)
+            for m in (1, 2, 3) for u in lattice_points(P, m)]
+    assert graded == want and len(want) > 3
+    u = max(lattice_points(P, 2))
+    assert monomial_valuation(f["fan"], D, flags, u, level=2).level == 2
+    with pytest.raises(ValueError, match="outside m P for m = 1"):
+        monomial_valuation(f["fan"], D, flags, u)
+
+
 def test_block_depends_only_on_own_flag():
     # Block i of the valuation vector is a function of (u, sigma_i) alone.
     f = fx("bl2p2")

@@ -308,7 +308,8 @@ def conditional_non_effectivity(d, m) -> dict:
 
 def irrationality_certificate(s: int, d, m) -> dict:
     """Certified Seshadri value sqrt(d^2 - sum m_i^2) at a general point,
-    conditional on the non-effectivity hypothesis for s+1 points."""
+    conditional on the non-effectivity hypothesis for s+1 points; below
+    d^2 = sum m_i^2 the class is not ample, and ok is False."""
     if s < 9:
         raise ValueError("certificate applies to s >= 9 points")
     d = Fraction(d)
@@ -328,6 +329,9 @@ def irrationality_certificate(s: int, d, m) -> dict:
         return {"ok": False,
                 "failed": f"d = {d} not below the bound {upper}"}
     L2 = d * d - sum(x * x for x in ms)
+    if L2 < 0:
+        return {"ok": False,
+                "failed": "negative self-intersection; class not ample"}
     eps = RadVal.sqrt(L2)
     return {
         "ok": True,

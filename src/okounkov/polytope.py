@@ -4,9 +4,12 @@ A body is the convex hull of the points it is built from: the constructor
 keeps the sorted vertices and the H-representation (facet halfspaces plus
 affine-hull equalities) it computes on the way, as integer rows.  The
 producers below hand it integer points on one common scale, and the rows
-become Fractions only when halfspaces() is read.  Volumes are measured
-in the Euclidean metric induced from the ambient space, so lower-dimensional
-bodies get the honest surface measure (a diagonal segment has length sqrt(2)).
+become Fractions only when halfspaces() is read.  Both conversions are
+_cone of a homogenised system: the vertices of {c + a.x >= 0} are the rays
+(t, z), t > 0, of its cone, and a hull's facets the rays (c, a) of its
+polar cone.  Volumes are measured in the Euclidean metric induced from the
+ambient space, so lower-dimensional bodies get the honest surface measure
+(a diagonal segment has length sqrt(2)).
 """
 from __future__ import annotations
 
@@ -46,13 +49,9 @@ class SliceSpec:
         object.__setattr__(self, "weights", ws)
 
     def basis(self) -> list[Vec]:
-        out = []
-        for j in range(self.n):
-            b = [Fraction(0)] * (self.n * self.r)
-            for i in range(self.r):
-                b[i * self.n + j] = self.weights[i]
-            out.append(tuple(b))
-        return out
+        n = self.n
+        return [tuple(w * (k == j) for w in self.weights for k in range(n))
+                for j in range(n)]
 
     def gram_scale(self) -> RadVal:
         """sqrt(det Gram(basis)) = (sum m_i^2)^{n/2}."""
@@ -66,7 +65,7 @@ class Polytope:
 
     The constructor keeps only the vertices, lexicographically sorted, and
     _hrep_from_vertices' record of the body: the integer H-representation,
-    the integer vertices, and the frame and facet masks that volume reads.
+    the integer vertices, and the coordinates and facet masks volume reads.
     """
 
     ambient_dim: int
@@ -76,18 +75,12 @@ class Polytope:
     _halfs = None  # halfspaces(), once read
 
     def __post_init__(self):
-        n, pts = self.ambient_dim, []
-        for p in self.vertices:
-            v = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-                 for x in p]
-            if len(v) != n:
-                raise ValueError(
-                    f"point of length {len(v)} in ambient dimension {n}")
-            pts.append(v)
-        # q p for the lcm q of the denominators sorts as the points p do.
-        q = lcm(*(x.denominator for p in pts for x in p))
-        self._build([(tuple(x.numerator * (q // x.denominator) for x in p), q)
-                     for p in pts])
+        n = self.ambient_dim
+        pts = [linalg.scaled([_exact(x) for x in p]) for p in self.vertices]
+        if bad := [len(v) for v, _ in pts if len(v) != n]:
+            raise ValueError(
+                f"point of length {bad[0]} in ambient dimension {n}")
+        self._build(pts)
 
     @classmethod
     def _of(cls, n, points):
@@ -226,9 +219,9 @@ def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
     basis = [linalg.scaled(b)[0] for b in S.basis()]  # qw b_j
     c = P._core
 
-    # Substitute x = sum_j y_j b_j: a.(q x) <= b is (q a.(qw b_j)).y <= qw b.
+    # x = sum_j y_j b_j turns a.(q x) <= b into qw b - (q a.(qw b_j)).y >= 0.
     def sub(rows):
-        return [(qw * b, *(c.q * sum(map(mul, a, u)) for u in basis))
+        return [(qw * b, *(-c.q * sum(map(mul, a, u)) for u in basis))
                 for a, b in rows]
 
     return Polytope._of(S.n, _vertex_points(sub(c.facets), sub(c.eqs),
@@ -294,42 +287,18 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 
 # -- internal helpers ------------------------------------------------
 
+def _exact(x):
+    """x as an int or a Fraction; a float, a binary fraction, is refused."""
+    if isinstance(x, float):
+        raise ValueError(f"float coordinate {x!r}; give an exact rational")
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _block_steps(xs, n) -> list[Vec]:
     """The n partial sums of the weighted block directions: the k-th puts
     xs[i] on the first k coordinates of every block i."""
     return [tuple(x * (j < k) for x in xs for j in range(n))
             for k in range(1, n + 1)]
-
-
-def _frame(ints):
-    """The integer frame of the affine span of integer points about ints[0]:
-    (coords, normals, gram, pullback).
-
-    Let B be the RREF basis of the span of the differences p - ints[0] and
-    P its pivot columns.  A difference is the sum of the rows of B weighted
-    by its entries at P, so those entries, coords, are its coordinates y.
-    The normals N, _kernel's basis of the nullspace of B, cut out the affine
-    hull.  Scaled to 1 at their own columns they have Gram determinant
-    gram = det(B B^T) (Sylvester's determinant identity).  The rows at P of
-    the projection I - N^T (N N^T)^{-1} N onto the span are
-    L = (B B^T)^{-1} B, the map from x - ints[0] to y; a second pass over
-    [N N^T | N] gives pullback = g L, g = det(N N^T).  A full-dimensional
-    body has no normals, g = 1 and L = I.
-    """
-    diffs = [[x - y for x, y in zip(p, ints[0])] for p in ints]
-    n = len(ints[0])
-    pivots, normals = _kernel(diffs, n)
-    free = [c for c in range(n) if c not in pivots]
-    scale = prod(nrm[f] for nrm, f in zip(normals, free)) ** 2
-    e = len(normals)
-    # N N^T is positive definite: its pivots are positive and never swapped.
-    nn = [[sum(map(mul, a, b)) for b in normals] + a for a in normals]
-    g = linalg.bareiss(nn, e, jordan=True)
-    pullback = [[g * (c == t) - sum(a[c] * row[e + t]
-                                    for a, row in zip(normals, nn))
-                 for t in range(n)] for c in pivots]
-    return ([tuple(p[c] for c in pivots) for p in diffs], normals,
-            Fraction(g, scale), pullback)
 
 
 def _independent(rows) -> tuple[list[int], list[int]]:
@@ -453,83 +422,98 @@ def _dd(rows):
     return rays
 
 
+def _cone(le, eq, n):
+    """The extreme rays of {x in R^n : row . x >= 0 for each row of le, row
+    . x = 0 for each row of eq}, integer rows, as _dd's pairs (ray, mask),
+    the mask over the rows of le; None when the cone is not pointed.
+
+    With equalities, x = sum y_k u_k over the _kernel basis u_k of eq: _dd
+    runs on the rows (row . u_k)_k, and each ray y maps back to the
+    primitive x.  With none, _dd runs on le itself.
+    """
+    if not eq:
+        return _dd(le)
+    _, basis = _kernel(eq, n)
+    rays = _dd([tuple(sum(map(mul, a, u)) for u in basis) for a in le])
+    cols = list(zip(*basis))
+    out = []
+    for y, mask in rays or ():
+        x = [sum(map(mul, y, col)) for col in cols]
+        g = gcd(*x)
+        out.append((tuple(v // g for v in x), mask))
+    return None if rays is None else out
+
+
 def _hrep_from_vertices(q, ints, ambient_dim):
     """The _Record of the hull of the points p given as the distinct sorted
     integer points ints = q p, q > 0.  A facet row (a, b) is a.(q x) <= b
     and an equality row a.(q x) = b, a primitive; the facets are sorted.
-    The points are the vertices of ints, coords their frame coordinates q y
-    and gram the Gram determinant of _frame, and each facet's mask lists
-    the vertices on it.
+    The points are the vertices of ints and each facet's mask lists the
+    vertices on it.  A difference d = p - ints[0] is the sum of the rows of
+    the RREF B of the differences weighted by its entries at the pivot
+    columns, so those entries are its coordinates q y, coords.  The
+    equality normals N are _kernel's basis of {a : a.d = 0}; scaled to 1
+    at their own free columns they have Gram determinant gram = det(B B^T)
+    (Sylvester's determinant identity).
     """
     if not ints:
         # Canonical infeasible system: 0.x <= -1.
         return _Record([((0,) * ambient_dim, -q)], [], q, [], [], 1, [])
-    coords, normals, gram, pullback = _frame(ints)
-    eqs = [(tuple(nrm), sum(map(mul, nrm, ints[0]))) for nrm in normals]
-    if not coords[0]:
+    v0 = ints[0]
+    diffs = [[x - y for x, y in zip(p, v0)] for p in ints]
+    pivots, normals = _kernel(diffs, ambient_dim)
+    coords = [tuple(d[c] for c in pivots) for d in diffs]
+    free = [c for c in range(ambient_dim) if c not in pivots]
+    # N N^T is positive definite: its pivots are positive and never swapped.
+    gram = Fraction(linalg.bareiss([[sum(map(mul, a, b)) for b in normals]
+                                    for a in normals], len(normals)),
+                    prod(nrm[f] for nrm, f in zip(normals, free)) ** 2)
+    eqs = [(tuple(nrm), sum(map(mul, nrm, v0))) for nrm in normals]
+    if not pivots:
         return _Record([], eqs, q, ints, coords, gram, [])
-    # Facets h.y <= c in the frame as ((c, *h), mask), the mask listing the
-    # points on the facet: the rays of {(c, h) : q c - h.(q y) >= 0 at
-    # every y}.
-    facets_local = _dd([(q,) + tuple(-x for x in y) for y in coords])
+    # The facets a.(x - v0) <= c, the mask listing the points on each, are
+    # the rays (c, a) of the polar cone {c - a.d >= 0 at every difference
+    # d, a.N = 0 at every normal N}.  A ray is primitive and c = a.d at a
+    # point on the facet, so a is primitive and in the span; c + a.v0 is
+    # the offset.  Distinct facets have distinct normals, which sort them.
+    ranked = sorted((tuple(a), c + sum(map(mul, a, v0)), mask)
+                    for (c, *a), mask in _cone(
+                        [(1, *(-x for x in d)) for d in diffs],
+                        [(0, *nrm) for nrm in normals], ambient_dim + 1))
+    masks = [m for _, _, m in ranked]
     # A point is a vertex iff it is the only point on every facet through
     # it: meet[k] is the meet of the masks of the facets through point k.
     meet = [(1 << len(ints)) - 1] * len(ints)
-    for _, m in facets_local:
+    for m in masks:
         b = m
         while b:
             low = b & -b
             meet[low.bit_length() - 1] &= m
             b ^= low
-    is_vertex = [m == 1 << k for k, m in enumerate(meet)]
-    # Pull each local halfspace h.y <= c back through y = L(x - v0): its
-    # primitive normal is a = w / k, w = h.(g L) and k = gcd(w), and its
-    # offset is a.(q p) at any point p on it.  Distinct facets have
-    # distinct normals, which key and sort them.  With no equalities g L is
-    # the identity and w = h.
-    cols = list(zip(*pullback))
-    facets = {}
-    for (_, *h), mask in facets_local:
-        w = [sum(map(mul, h, col)) for col in cols] if normals else h
-        k = gcd(*w)
-        a = tuple(x // k for x in w)
-        on_it = ints[(mask & -mask).bit_length() - 1]
-        facets[a] = (sum(map(mul, a, on_it)), mask)
-    ranked = sorted(facets.items())
-    masks = [m for _, (_, m) in ranked]
-    if not all(is_vertex):
-        kept = [k for k, keep in enumerate(is_vertex) if keep]
+    kept = [k for k, m in enumerate(meet) if m == 1 << k]
+    if len(kept) < len(ints):
         ints = [ints[k] for k in kept]
         coords = [coords[k] for k in kept]
         masks = [sum(1 << j for j, k in enumerate(kept) if m >> k & 1)
                  for m in masks]
-    return _Record([(a, b) for a, (b, _) in ranked], eqs, q, ints, coords,
+    return _Record([(a, b) for a, b, _ in ranked], eqs, q, ints, coords,
                    gram, masks)
 
 
 def _vertex_points(le, eq, dim):
-    """The vertices z / t of the bounded {x : n.x <= c for each row (c, *n)
-    of le, n.x = c for each row of eq}, integer rows, as pairs (z, t).
-
-    Homogenised, x = z / t: the points (t, z) with c t = n.z for every
-    equality are the combinations sum y_k u_k of the _kernel basis u_k of
-    the rows (-c, n), and the vertices are z / t at the rays with t > 0 of
-    {y : t >= 0, c t - n.z >= 0 for every row of le}.  Inconsistent
-    equalities leave only t = 0; with none the u_k are the unit basis.
-    """
-    _, basis = _kernel([(-c, *n) for c, *n in eq], dim + 1)
-    rows = [tuple(u[0] for u in basis)]
-    rows += [tuple(c * u[0] - sum(map(mul, n, u[1:])) for u in basis)
-             for c, *n in le]
-    homog = [[sum(map(mul, y, col)) for col in zip(*basis)]
-             for y, _ in _dd(rows) or ()]
-    return [(tuple(z), t) for t, *z in homog if t > 0]
+    """The vertices z / t of the bounded {x : c + a.x >= 0 for each row
+    (c, *a) of le, c + a.x = 0 for each row of eq}, integer rows, as pairs
+    (z, t): homogenised, x = z / t, the rows are those of the _cone on
+    (t, z), with t >= 0, and the vertices its rays with t > 0.  Inconsistent
+    equalities leave only t = 0."""
+    rays = _cone([(1,) + (0,) * dim, *le], eq, dim + 1)
+    return [(tuple(z), t) for (t, *z), _ in rays or () if t > 0]
 
 
 def _vertices_from_constraints(halfs, eqs, dim) -> list[Vec]:
     """Enumerate vertices of {x : eqs hold, halfs satisfied} (bounded case):
-    _vertex_points of the rows scaled to integers by positive factors,
-    which keep the rays."""
+    _vertex_points of the rows (c, -n) of n.x <= c and n.x = c, scaled to
+    integers by positive factors, which keep the rays."""
     return [tuple(Fraction(x, t) for x in z) for z, t in _vertex_points(
-        *([linalg.scaled((c, *n))[0] for n, c in cons]
+        *([linalg.scaled((c, *(-x for x in n)))[0] for n, c in cons]
           for cons in (halfs, eqs)), dim)]

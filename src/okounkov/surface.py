@@ -26,6 +26,8 @@ from .polytope import Polytope
 _NEG_CURVE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 # Most steps of a Zariski-chamber walk: chambers and surface_body_outer.
 MAX_CHAMBERS = 10_000
+# Most fibre points surface_body_outer hands to the final hull.
+MAX_FIBRE_POINTS = 50_000
 # The exceptional classes besides the E_i, one type per degree d: d and the
 # nonzero multiplicities (Manin, Cubic Forms, Ch. IV).
 _CURVE_TYPES = (
@@ -649,8 +651,8 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     costs no elimination), and on them P nef and N >= 0 is the Zariski
     decomposition, so the body is the hull of all fibre ends.  grid_step >
     0 and t_max >= 0 are checked and echoed in meta only; a D of the wrong
-    s is refused, by _support; past MAX_CHAMBERS supports the walk is
-    refused."""
+    s is refused, by _support; past MAX_CHAMBERS supports or
+    MAX_FIBRE_POINTS fibre points the walk is refused."""
     points = flag_points(model, points)
     grid_step, t_max = Fraction(grid_step), Fraction(t_max)
     if grid_step <= 0:
@@ -687,6 +689,10 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
                 0, den * sum(map(mul, b, v)))]
                 for a, tk, b in zip(sh, v[1:], betas)]
             pts += ((sum(e, ()), S) for e in itertools.product(*ends))
+        if len(pts) > MAX_FIBRE_POINTS:
+            raise ValueError(f"surface body exceeds MAX_FIBRE_POINTS = "
+                             f"{MAX_FIBRE_POINTS} fibre points; give fewer "
+                             f"points")
         groups = {}
         ons = [sum(1 << e for e, (_, m) in enumerate(verts) if m >> j & 1)
                for j in range(len(walls) + r + 1)]

@@ -192,8 +192,8 @@ def divisor_polytope(fan: Fan, D: ToricDivisor) -> Polytope:
     """Lattice polytope {u : <u, ray> >= -a_ray for all rays}."""
     if len(D.coeffs) != len(fan.rays):
         raise ValueError("divisor coefficient count does not match ray count")
-    # <u, ray> >= -a, a = c / q, is the row (c, *(-q ray)) of n.u <= c.
-    le = [(a.numerator, *(-a.denominator * x for x in ray))
+    # <u, ray> >= -a, a = c / q, is c + (q ray).u >= 0: the row (c, *q ray).
+    le = [(a.numerator, *(a.denominator * x for x in ray))
           for ray, a in zip(fan.rays, D.coeffs)]
     return Polytope._of(fan.dim, polytope._vertex_points(le, [], fan.dim))
 
@@ -262,7 +262,11 @@ def lattice_points(P: Polytope, m: int = 1) -> list[tuple[int, ...]]:
 def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
                        u, level: int = 1) -> ValuationVector:
     """Valuation vector of the section of level * D at the lattice point u
-    of level * P, P the divisor polytope: the sampler's graded point."""
+    of level * P, P the divisor polytope: the sampler's graded point.  A u
+    with an entry that is no integer is refused first."""
+    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1
+               for x in u):
+        raise ValueError(f"u = {u!r} is not a lattice point")
     flags.validate(fan)
     # divisor_polytope first checks the coefficient count against the rays.
     P = divisor_polytope(fan, D)

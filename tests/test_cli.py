@@ -522,6 +522,29 @@ def test_chamber_cap_exit_1(tmp_path, capsys, monkeypatch):
     assert "MAX_CHAMBERS = 3" in capsys.readouterr().err
 
 
+def test_surface_body_fibre_point_cap_exit_1(tmp_path, capsys):
+    # -K on Bl8 at its default points, all eight: the walk passes
+    # MAX_FIBRE_POINTS long before the final hull would start.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "surface-body",
+        "input": {"s": 8, "class": {"d": "3", "m": ["1"] * 8}},
+    })
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert "MAX_FIBRE_POINTS = 50000" in err and "points" in err
+
+
+def test_irrationality_of_a_negative_square_is_not_ok(tmp_path):
+    # d^2 < sum m_i^2: no Seshadri value, the same answer as homogeneous.
+    code, out = run_job(tmp_path, {
+        "schema": 1, "kind": "irrationality",
+        "input": {"s": 10, "d": "3", "m": ["1"] * 10},
+    })
+    assert code == 0
+    assert read_result(out, "irrationality.json")["result"] == {
+        "ok": False, "failed": "negative self-intersection; class not ample"}
+
+
 def test_surface_body_whole_at_cli_defaults(tmp_path):
     # Bl1 2H at the defaults (step 1/2, t_max 1): the whole body, not the
     # part over t <= 1; a huge t_max costs nothing and is echoed.

@@ -46,6 +46,26 @@ def test_hull_dimension_mismatch():
         hull([(0, 0, 0)], 2)
 
 
+def test_hull_refuses_float_coordinates():
+    # 0.1 is a binary fraction, not 1/10: the body would silently differ.
+    with pytest.raises(ValueError, match="float coordinate 0.1"):
+        Polytope(1, [(0.1,), (0,)])
+    assert Polytope(1, [(F(1, 10),), (0,)]).vertices == ((0,), (F(1, 10),))
+
+
+def test_cone_maps_rays_back_from_the_equalities_basis():
+    # {x >= 0, y >= 0, z = x + y}: the rays (1, 0, 1) and (0, 1, 1), tight
+    # at y >= 0 and at x >= 0; without the equality the cone is not pointed.
+    le = [(1, 0, 0), (0, 1, 0)]
+    assert sorted(polytope._cone(le, [(1, 1, -1)], 3)) == [
+        ((0, 1, 1), 0b01), ((1, 0, 1), 0b10)]
+    assert polytope._cone(le, [], 3) is None
+    # On the basis (-1, 2, 0), (-1, 0, 2) of 2x + y + z = 0 the ray (1, 1)
+    # is (-2, 2, 2): it maps back primitive.
+    assert sorted(polytope._cone([(-1, 0, 0), (0, 1, -1)], [(2, 1, 1)],
+                                 3)) == [((-1, 1, 1), 0b10), ((0, 1, -1), 0b01)]
+
+
 def test_cone_base_rescaling():
     P = cone_base([((1, 0), 1), ((0, 2), 2)])
     assert verts(P) == {(1, 0), (0, 1)}
@@ -258,7 +278,7 @@ def test_volume_runs_no_double_description(monkeypatch):
 
 
 def test_volume_reuses_hull_record(monkeypatch):
-    # After hull, volume reads the frame and the facet masks hull kept.  The
+    # After hull, volume reads the coordinates and facet masks hull kept.  The
     # body is simplicial, so each facet that misses the first vertex is a
     # simplex leaf: one determinant each.
     moment = [tuple(5 * t ** e for e in range(1, 5))
@@ -275,7 +295,7 @@ def test_volume_reuses_hull_record(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(
             name) or real(*args, **kw))
 
-    for owner, name in ((polytope, "_frame"), (Polytope, "halfspaces"),
+    for owner, name in ((polytope, "_kernel"), (Polytope, "halfspaces"),
                         (linalg, "bareiss")):
         count(owner, name)
     assert volume(P) == RadVal.rational(164820000)

@@ -276,6 +276,17 @@ def test_monomial_valuation_examples():
         monomial_valuation(f["fan"], D, flags, (5, 5))
 
 
+@pytest.mark.parametrize("u", [(Fraction(1, 2), 0), (0.5, 0), (1.0, 0)])
+def test_monomial_valuation_refuses_a_non_lattice_point(u, monkeypatch):
+    # Refused before any work: (1/2, 0) lies in P but is the exponent of no
+    # section, and a float is no exact entry at all.
+    f = fx("bl1p2")
+    monkeypatch.setattr(toric, "divisor_polytope", None)
+    with pytest.raises(ValueError, match="not a lattice point"):
+        monomial_valuation(f["fan"], f["divisors"]["O1"], f["flags"]["inf"],
+                           u)
+
+
 def test_monomial_valuation_is_the_samplers_graded_point(monkeypatch):
     # Level m means a section of m D at a lattice point of m P: the sampler's
     # graded point, with a divisor nonzero on the flag rays so that m a_v

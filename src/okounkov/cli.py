@@ -1,14 +1,14 @@
 """Batch command-line front end.
 
-Usage: okounkov run --job job.json --out results/ [--render]
-                    [--grid-step p/q] [--m-max k]
+Usage: okounkov run --job job.json --out results/
 
-A job file is `{"schema": 1, "kind": <kind>, "input": {...},
-"output_path": "name.json"}`; output_path is a file name, written in the
---out directory.  Output JSON is deterministic
-(sorted keys, fixed formatting): identical inputs give byte-identical
-artifacts.  Exit codes: 0 success, 1 input error (a usage error too),
-2 check failure, 3 internal error.
+A job file, `{"schema": 1, "kind": <kind>, "input": {...},
+"output_path": "name.json", "render": false}`, is the whole job:
+output_path is a file name, written in the --out directory, and render
+also writes an SVG of a 2-D body.  Output JSON is deterministic (sorted
+keys, fixed formatting): identical inputs give byte-identical artifacts.
+Exit codes: 0 success, 1 input error (a usage error too), 2 check
+failure, 3 internal error.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import invariants, registry, render, surface, toric
 from .numbers import (_INT, _OBJECT, _RAT, _RATS, _SCHEMA, _STR, RadVal,
-                      _rat, _read_json, format_rat)
+                      _read_json, format_rat)
 from .polytope import Polytope
 from .surface import PicClass, SurfaceModel
 
@@ -43,12 +43,6 @@ def _parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute a JSON job file")
     runp.add_argument("--job", required=True, help="job description file")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--render", action="store_true",
-                      help="also emit an SVG for 2-D polytope results")
-    runp.add_argument("--grid-step", default=None, help="a rational p/q, "
-                      "echoed in surface-body meta; the body is exact")
-    runp.add_argument("--m-max", type=int, default=None,
-                      help="sampling level cap (semigroup-sample jobs)")
     return parser
 
 
@@ -74,15 +68,7 @@ def _run(args) -> int:
         job = json.load(fh)
     _, kind, payload, name, draw = _read_json(
         job, "job", {"input": {}, "output_path": "", "render": False}, **_JOB)
-    p = _read_input(kind, payload)
-    if args.grid_step is not None:
-        p["grid_step"] = _rat(args.grid_step)
-        if p["grid_step"] is None:
-            raise ValueError(f"--grid-step is not p/q: {args.grid_step!r}")
-    if args.m_max is not None:
-        p["m_max"] = args.m_max
-    result, poly, failed = _HANDLERS[kind](p)
-    draw = draw or args.render
+    result, poly, failed = _HANDLERS[kind](_read_input(kind, payload))
     if draw and (poly is None or poly.ambient_dim > 2):
         raise ValueError(f"job kind {kind!r} has no renderable polytope")
 

@@ -8,10 +8,6 @@ Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = [list(map(Fraction, r)) for r in rows]

@@ -288,9 +288,11 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 # -- internal helpers ------------------------------------------------
 
 def _exact(x):
-    """x as an int or a Fraction; a float, a binary fraction, is refused."""
-    if isinstance(x, float):
-        raise ValueError(f"float coordinate {x!r}; give an exact rational")
+    """x as an int or a Fraction; a float, a binary fraction, and a bool are
+    refused."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{type(x).__name__} coordinate {x!r}; give an "
+                         f"exact rational")
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 

@@ -8,6 +8,7 @@ timestamps: identical input gives byte-identical output.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .numbers import format_rat
@@ -94,12 +95,10 @@ def _boundary_order(verts):
     cx = sum((v[0] for v in verts), Fraction(0)) / len(verts)
     cy = sum((v[1] for v in verts), Fraction(0)) / len(verts)
 
-    def half_and_slope(v):
-        dx, dy = v[0] - cx, v[1] - cy
-        import math
-        return math.atan2(float(dy), float(dx))
+    def angle(v):
+        return math.atan2(float(v[1] - cy), float(v[0] - cx))
 
-    return sorted(verts, key=half_and_slope)
+    return sorted(verts, key=angle)
 
 
 def _write(path, parts) -> None:

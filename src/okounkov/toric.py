@@ -25,6 +25,16 @@ from .polytope import Polytope
 MAX_LATTICE_BOX = 10**6
 
 
+def _int_rows(rows, what) -> tuple[tuple[int, ...], ...]:
+    """rows as integer tuples; an entry that is no int (a float, a bool) is
+    refused, not truncated."""
+    rows = tuple(map(tuple, rows))
+    for x in itertools.chain.from_iterable(rows):
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not an integer")
+    return rows
+
+
 @dataclass(frozen=True)
 class Fan:
     """Smooth complete fan: primitive rays plus maximal cones (ray index sets).
@@ -40,8 +50,8 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
-        cones = tuple(tuple(int(i) for i in c) for c in self.max_cones)
+        rays = _int_rows(self.rays, "ray entry")
+        cones = _int_rows(self.max_cones, "cone index")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         n = self.dim
@@ -145,9 +155,7 @@ class ToricFlagSpec:
     flags: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "flags", tuple(tuple(int(i) for i in f) for f in self.flags)
-        )
+        object.__setattr__(self, "flags", _int_rows(self.flags, "flag index"))
 
     @property
     def r(self) -> int:
@@ -263,9 +271,9 @@ def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
                        u, level: int = 1) -> ValuationVector:
     """Valuation vector of the section of level * D at the lattice point u
     of level * P, P the divisor polytope: the sampler's graded point.  A u
-    with an entry that is no integer is refused first."""
-    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1
-               for x in u):
+    with an entry that is no integer (a bool included) is refused first."""
+    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+               and x.denominator == 1 for x in u):
         raise ValueError(f"u = {u!r} is not a lattice point")
     flags.validate(fan)
     # divisor_polytope first checks the coefficient count against the rays.

@@ -26,6 +26,7 @@ from okounkov.numbers import RadVal
 from okounkov.polytope import contains, hull
 from okounkov.surface import H, PicClass, SurfaceModel
 from okounkov.toric import extended_body_toric, semigroup_body_approx
+from reference import dot
 
 F = Fraction
 
@@ -163,7 +164,7 @@ def _assert_slice_cut_matches_twist(fixture, divname, flagname, a):
     rows = [list(map(F, fan.rays[i])) for i in flag]
     rhs = [-base[i] for i in flag]
     u = linalg.solve(rows, rhs)
-    twisted = tuple(c + linalg.dot(u, tuple(map(F, ray)))
+    twisted = tuple(c + dot(u, tuple(map(F, ray)))
                     for c, ray in zip(base, fan.rays))
     big = extended_body_toric(fan, toric.ToricDivisor(twisted), flags)
 

@@ -41,10 +41,12 @@ def test_toric_body_job(tmp_path):
 
 
 def test_semigroup_sample_m_max_override(tmp_path):
+    # The job key m_max overrides the default level cap, 3.
     code, out = run_job(tmp_path, {
         "schema": 1, "kind": "semigroup-sample",
-        "input": {"fixture": "bl1p2", "divisor": "O1", "flags": "inf"},
-    }, extra=["--m-max", "2"])
+        "input": {"fixture": "bl1p2", "divisor": "O1", "flags": "inf",
+                  "m_max": 2},
+    })
     assert code == 0
     doc = read_result(out, "semigroup-sample.json")
     assert doc["result"]["m_max"] == 2
@@ -72,10 +74,12 @@ def test_surface_zariski_job_refuses_class_of_wrong_s(tmp_path, capsys):
 
 
 def test_surface_body_grid_step_override(tmp_path):
+    # The job key grid_step overrides the default, 1/2, in the meta.
     code, out = run_job(tmp_path, {
         "schema": 1, "kind": "surface-body",
-        "input": {"s": 1, "class": {"d": "1", "m": ["0"]}, "points": [0]},
-    }, extra=["--grid-step", "1/4"])
+        "input": {"s": 1, "class": {"d": "1", "m": ["0"]}, "points": [0],
+                  "grid_step": "1/4"},
+    })
     assert code == 0
     doc = read_result(out, "surface-body.json")
     assert doc["result"]["meta"]["grid_step"] == "1/4"
@@ -384,13 +388,20 @@ def test_output_path_must_be_a_file_name(tmp_path, capsys, name):
         f"in --out, got {name!r}\n")
 
 
-def test_override_flags_are_not_input_keys(tmp_path):
-    # --grid-step and --m-max merge after the key check, whatever the kind.
-    code, out = run_job(tmp_path, {
-        "schema": 1, "kind": "nagata",
-        "input": {"r": 9, "d": "3", "m": ["1"] * 9},
-    }, extra=["--grid-step", "1/4", "--m-max", "2"])
-    assert code == 0
+def test_override_flags_are_refused(tmp_path, capsys):
+    # The job file is the whole job: render, m_max and grid_step are job
+    # keys, and no flag sets them past the key check.  A job that runs
+    # without a flag is refused with it, and nothing is written.
+    job = write_job(tmp_path, {"schema": 1, "kind": "nagata",
+                               "input": {"r": 9, "d": "3", "m": ["1"] * 9}})
+    assert main(["run", "--job", job, "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "results"
+    for flag in (["--render"], ["--m-max", "2"], ["--grid-step", "1/4"]):
+        assert main(["run", "--job", job, "--out", str(out), *flag]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"input error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 # A bundled job of each kind.
@@ -400,13 +411,14 @@ _JOB_OF_KIND = {json.loads(p.read_text())["kind"]: p for p in sorted(
 
 @pytest.mark.parametrize("kind", cli._HANDLERS)
 def test_malformed_grid_step_exit_1_for_every_kind(tmp_path, capsys, kind):
-    # The flag is read as a rational before any work, whatever the kind.
+    # --grid-step is no option: the parser refuses it, whatever the kind,
+    # before the job is read.
     out = tmp_path / "results"
     code = main(["run", "--job", str(_JOB_OF_KIND[kind]), "--out", str(out),
                  "--grid-step", "x"])
     assert code == 1 and not out.exists()
-    assert capsys.readouterr().err == "input error: --grid-step is not " \
-        "p/q: 'x'\n"
+    assert capsys.readouterr().err == (
+        "input error: unrecognized arguments: --grid-step x\n")
 
 
 _READ_ONCE = [
@@ -736,8 +748,8 @@ def test_invalid_json_exit_1(tmp_path):
     ([], "the following arguments are required: command"),
     (["run", "--job", "job.json", "--out", "o", "--bogus"],
      "unrecognized arguments: --bogus"),
-    (["run", "--job", "job.json", "--out", "o", "--m-max", "x"],
-     "argument --m-max: invalid int value: 'x'"),
+    (["run", "--job", "job.json", "--out", "o", "--m-max", "2"],
+     "unrecognized arguments: --m-max 2"),
     (["walk"], "invalid choice: 'walk'"),
 ])
 def test_usage_error_exit_1(tmp_path, capsys, argv, message):
@@ -755,17 +767,17 @@ def test_usage_error_exit_1(tmp_path, capsys, argv, message):
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
-    assert exc.value.code == 0 and "--m-max" in capsys.readouterr().out
+    assert exc.value.code == 0 and "--job" in capsys.readouterr().out
 
 
 # -- rendering and determinism ----------------------------------------
 
 def test_render_flag_writes_svg(tmp_path):
     code, out = run_job(tmp_path, {
-        "schema": 1, "kind": "toric-body",
+        "schema": 1, "kind": "toric-body", "render": True,
         "input": {"fixture": "bl1p2", "divisor": "O1", "flags": "inf"},
         "output_path": "body.json",
-    }, extra=["--render"])
+    })
     assert code == 0
     svg = (out / "body.svg").read_text()
     assert svg.startswith("<svg") and "polygon" in svg
@@ -773,9 +785,9 @@ def test_render_flag_writes_svg(tmp_path):
 
 def test_render_without_polytope_exit_1(tmp_path):
     code, out = run_job(tmp_path, {
-        "schema": 1, "kind": "seshadri",
-        "input": {"s": 1, "class": {"d": "1", "m": ["0"]}, "weights": ["1"]},
-    }, extra=["--render"])
+        "schema": 1, "kind": "surface-zariski", "render": True,
+        "input": {"s": 1, "class": {"d": "1", "m": ["0"]}},
+    })
     assert code == 1 and not out.exists()
 
 
@@ -792,7 +804,7 @@ def test_render_key_must_be_a_boolean(tmp_path, capsys):
 
 
 def test_render_key_without_polytope_exit_1(tmp_path, capsys):
-    # "render": true in the job is refused like --render, before the
+    # "render": true in a job of a kind with no body is refused before the
     # result file is written.
     code, out = run_job(tmp_path, {
         "schema": 1, "kind": "seshadri", "render": True,
@@ -805,22 +817,20 @@ def test_render_key_without_polytope_exit_1(tmp_path, capsys):
 
 def test_render_high_dimension_exit_1(tmp_path):
     code, out = run_job(tmp_path, {
-        "schema": 1, "kind": "surface-body",
+        "schema": 1, "kind": "surface-body", "render": True,
         "input": {"s": 2, "class": {"d": "1", "m": ["0", "0"]},
                   "points": [0, 1]},
-    }, extra=["--render"])
+    })
     assert code == 1 and not out.exists()
 
 
-@pytest.mark.parametrize("flag, key", [(["--render"], {}),
-                                       ([], {"render": True})])
-def test_render_body_above_dimension_2_exit_1(tmp_path, flag, key):
+def test_render_body_above_dimension_2_exit_1(tmp_path):
     # Two flags on a toric surface give a 4-D body: refused before the
     # result file is written, like a kind with no body.
     code, out = run_job(tmp_path, {
-        "schema": 1, "kind": "toric-body", **key,
+        "schema": 1, "kind": "toric-body", "render": True,
         "input": {"fixture": "bl2p2", "divisor": "H-E2", "flags": "inf2"},
-    }, extra=flag)
+    })
     assert code == 1 and not out.exists()
 
 

@@ -17,6 +17,7 @@ from okounkov.polytope import (
     minkowski_sum,
     volume,
 )
+from reference import dot
 
 F = Fraction
 
@@ -51,6 +52,12 @@ def test_hull_refuses_float_coordinates():
     with pytest.raises(ValueError, match="float coordinate 0.1"):
         Polytope(1, [(0.1,), (0,)])
     assert Polytope(1, [(F(1, 10),), (0,)]).vertices == ((0,), (F(1, 10),))
+
+
+def test_hull_refuses_bool_coordinates():
+    # A bool is no coordinate: True is not read as 1.
+    with pytest.raises(ValueError, match="bool coordinate True"):
+        Polytope(1, [(True,), (0,)])
 
 
 def test_cone_maps_rays_back_from_the_equalities_basis():
@@ -286,7 +293,7 @@ def test_volume_reuses_hull_record(monkeypatch):
     centroid = tuple(sum(p[j] for p in moment[:5]) // 5 for j in range(4))
     P = hull(moment + [centroid], 4)
     halfs, _ = P.halfspaces()
-    on = [[linalg.dot(n, v) == c for v in P.vertices] for n, c in halfs]
+    on = [[dot(n, v) == c for v in P.vertices] for n, c in halfs]
     assert all(sum(row) == 4 for row in on)
     calls = []
 

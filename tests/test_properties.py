@@ -18,6 +18,7 @@ from okounkov.polytope import (
 )
 from okounkov.surface import E, H, PicClass, SurfaceModel
 from okounkov.toric import Fan
+from reference import dot
 
 F = Fraction
 
@@ -345,7 +346,7 @@ def _ref_hrep(points, n):
     v0 = points[0]
     basis, coords = _ref_frame(points)
     normals = [linalg.primitive(x) for x in linalg.nullspace(basis, n)]
-    eqs = [(x, linalg.dot(x, v0)) for x in normals]
+    eqs = [(x, dot(x, v0)) for x in normals]
     if not basis:
         return [], eqs, [True], None
     rows = [_ref_int_row((F(1),) + tuple(-x for x in y)) for y in coords]
@@ -355,7 +356,7 @@ def _ref_hrep(points, n):
     flags = [not any(o != mine and o & mine == mine for o in on)
              for mine in on]
     d = len(basis)
-    red, _ = linalg.rref([[linalg.dot(a, b) for b in basis] + list(a)
+    red, _ = linalg.rref([[dot(a, b) for b in basis] + list(a)
                           for a in basis])
     L = [row[d:] for row in red]
     halfs = set()
@@ -364,7 +365,7 @@ def _ref_hrep(points, n):
                   for t in range(n))
         normal = linalg.primitive(w)
         k = next(t for t, x in enumerate(w) if x)
-        halfs.add((normal, (c + linalg.dot(w, v0)) * normal[k] / w[k]))
+        halfs.add((normal, (c + dot(w, v0)) * normal[k] / w[k]))
     return sorted(halfs), eqs, flags, rows
 
 
@@ -388,7 +389,7 @@ def _ref_volume(vertices, halfs):
                     if not f & low
                     and not any(f != g and f & g == f for g in subs)), F(0))
 
-    gram = [[linalg.dot(a, b) for b in basis] for a in basis]
+    gram = [[dot(a, b) for b in basis] for a in basis]
     return (RadVal.sqrt(_cofactor_det(gram))
             * (pull((1 << len(coords)) - 1, []) / math.factorial(d)))
 
@@ -480,8 +481,8 @@ def _ref_vertices_from_constraints(halfs, eqs, dim):
     dirs = linalg.nullspace(eq_rows, dim)
     rows = [(1,) + (0,) * len(dirs)]
     for n, c in halfs:
-        rows.append(_ref_int_row((c - linalg.dot(n, x0),)
-                                 + tuple(-linalg.dot(n, u) for u in dirs)))
+        rows.append(_ref_int_row((c - dot(n, x0),)
+                                 + tuple(-dot(n, u) for u in dirs)))
     rays = _ref_dd(rows)
     if rays is None:
         return []
@@ -502,9 +503,9 @@ def constrained_boxes(draw):
     unit = [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
     halfs = [(u, F(3)) for u in unit] + [(tuple(-x for x in u), F(3))
                                           for u in unit]
-    halfs += [(n, linalg.dot(n, p) + slack) for n, slack in draw(
+    halfs += [(n, dot(n, p) + slack) for n, slack in draw(
         st.lists(st.tuples(row, st.fractions(0, 2)), max_size=3))]
-    eqs = [(n, linalg.dot(n, p)) for n in draw(st.lists(row, max_size=dim))]
+    eqs = [(n, dot(n, p)) for n in draw(st.lists(row, max_size=dim))]
     kind = draw(st.sampled_from(
         ["plain", "inconsistent", "point", "zero", "redundant"]))
     zero = (F(0),) * dim
@@ -532,8 +533,8 @@ def test_vertices_from_constraints_matches_fraction_path(case):
         halfs, eqs, dim))
     assert len(set(got)) == len(got)
     for v in got:
-        assert all(linalg.dot(n, v) == c for n, c in eqs)
-        assert all(linalg.dot(n, v) <= c for n, c in halfs)
+        assert all(dot(n, v) == c for n, c in eqs)
+        assert all(dot(n, v) <= c for n, c in halfs)
 
 
 # -- integer lattice scan against the Fraction box scan ----------------
@@ -549,8 +550,8 @@ def _ref_lattice_points(P, m):
     out = []
     for pt in itertools.product(*ranges):
         v = tuple(F(x) for x in pt)
-        if all(linalg.dot(n, v) == c for n, c in eqs) and \
-           all(linalg.dot(n, v) <= c for n, c in halfs):
+        if all(dot(n, v) == c for n, c in eqs) and \
+           all(dot(n, v) <= c for n, c in halfs):
             out.append(pt)
     return sorted(out)
 
@@ -1149,7 +1150,7 @@ def test_affine_image_matches_fraction_hull(data):
                            max_size=k))
     t = data.draw(st.none() | st.tuples(*[rationals] * k))
     P = hull(pts, n)
-    ref = [tuple(linalg.dot(row, v) + (t[i] if t else 0)
+    ref = [tuple(dot(row, v) + (t[i] if t else 0)
                  for i, row in enumerate(M)) for v in P.vertices]
     _same_body(affine_image(P, M, t), hull(ref, k))
 
@@ -1205,7 +1206,7 @@ def test_intersect_subspace_matches_fraction_substitution(data):
     basis = S.basis()
 
     def sub(cons):
-        return [(tuple(linalg.dot(a, b) for b in basis), c) for a, c in cons]
+        return [(tuple(dot(a, b) for b in basis), c) for a, c in cons]
 
     halfs, eqs = P.halfspaces()
     ref = polytope._vertices_from_constraints(sub(halfs), sub(eqs), n)

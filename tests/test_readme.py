@@ -1,7 +1,11 @@
 """The Python block under README's "## Examples" runs, and every statement
-there that ends in a comment evaluates to the value the comment states."""
+there that ends in a comment evaluates to the value the comment states; the
+CLI usage line names the options the parser takes."""
+import argparse
 import ast
 from pathlib import Path
+
+from okounkov import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +40,17 @@ def test_readme_examples_give_their_stated_values():
             checked.append(stated.strip())
     assert checked == ["((0,0), (1,0), (1,1))", "RadVal(1/3)",
                        "Fraction(1, 3)"]
+
+
+def test_readme_cli_usage_names_the_run_options():
+    # Each option of `okounkov run`, bracketed exactly when it is optional.
+    usage, = (line for line in README.read_text().splitlines()
+              if line.startswith("okounkov run "))
+    named = {w.strip("[]"): not w.startswith("[") for w in usage.split()
+             if w.strip("[").startswith("--")}
+    sub, = (a for a in cli._PARSER._actions
+            if isinstance(a, argparse._SubParsersAction))
+    options = {a.option_strings[-1]: a.required
+               for a in sub.choices["run"]._actions
+               if not isinstance(a, argparse._HelpAction)}
+    assert named == options

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from okounkov.toric import (
     monomial_valuation,
     semigroup_body_approx,
 )
+from reference import dot
 
 F = Fraction
 
@@ -80,6 +82,30 @@ def test_cone_index_outside_rays_rejected():
                   ((0, 9), (2, 1), (1, 3), (3, 0))):
         with pytest.raises(ValueError, match=r"names a ray outside 0\.\.3"):
             Fan(2, rays, cones)
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    (((1.5, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)),
+     "ray entry 1.5 is not an integer"),
+    (((True, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)),
+     "ray entry True is not an integer"),
+    (((1, 0), (0, 1), (-1, -1)), ((0, 1.0), (1, 2), (2, 0)),
+     "cone index 1.0 is not an integer"),
+])
+def test_fan_refuses_a_non_integer_entry(rays, cones, message):
+    # Read as 1, the ray entry 1.5 would give the plane's fan.
+    with pytest.raises(ValueError, match=message):
+        Fan(2, rays, cones)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (((0.9, True),), "flag index 0.9 is not an integer"),
+    (((0, True),), "flag index True is not an integer"),
+])
+def test_flags_refuse_a_non_integer_index(flags, message):
+    # Read as integers, (0.9, True) would be the cone (0, 1).
+    with pytest.raises(ValueError, match=message):
+        ToricFlagSpec(flags)
 
 
 _BL1P2_FAN = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
@@ -276,13 +302,15 @@ def test_monomial_valuation_examples():
         monomial_valuation(f["fan"], D, flags, (5, 5))
 
 
-@pytest.mark.parametrize("u", [(Fraction(1, 2), 0), (0.5, 0), (1.0, 0)])
+@pytest.mark.parametrize("u", [(Fraction(1, 2), 0), (0.5, 0), (1.0, 0),
+                               (True, False)])
 def test_monomial_valuation_refuses_a_non_lattice_point(u, monkeypatch):
     # Refused before any work: (1/2, 0) lies in P but is the exponent of no
-    # section, and a float is no exact entry at all.
+    # section, a float is no exact entry at all, and a bool is no integer.
     f = fx("bl1p2")
     monkeypatch.setattr(toric, "divisor_polytope", None)
-    with pytest.raises(ValueError, match="not a lattice point"):
+    message = re.escape(f"u = {u!r} is not a lattice point")
+    with pytest.raises(ValueError, match=message):
         monomial_valuation(f["fan"], f["divisors"]["O1"], f["flags"]["inf"],
                            u)
 
@@ -443,7 +471,7 @@ def test_slice_lemma_bl3():
         rows = [list(map(F, fan.rays[i])) for i in flag]
         rhs = [-base[i] for i in flag]
         u = linalg.solve(rows, rhs)
-        twisted = [c + linalg.dot(u, tuple(map(F, ray)))
+        twisted = [c + dot(u, tuple(map(F, ray)))
                    for c, ray in zip(base, fan.rays)]
         D2 = toric.ToricDivisor(tuple(twisted))
         big = extended_body_toric(fan, D2, f["flags"]["inf"])

@@ -112,9 +112,17 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return (s, f * m)
 
 
-def _fraction(x) -> Fraction:
+def _fraction(x, what="value") -> Fraction:
+    """x as a Fraction.  A float, a binary fraction and not the rational it
+    was written as, and a bool are refused with a ValueError naming x as a
+    what."""
     # A Fraction is immutable, so one passed in is shared, not copied.
-    return x if type(x) is Fraction else Fraction(x)
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{type(x).__name__} {what} {x!r}; give an exact "
+                         f"rational")
+    return Fraction(x)
 
 
 def _ratio(p: int, q: int) -> str:

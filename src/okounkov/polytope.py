@@ -22,8 +22,8 @@ from operator import mul
 
 from . import linalg
 from .linalg import Vec
-from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _read_json,
-                      format_rat)
+from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _fraction,
+                      _read_json, format_rat)
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
 Equality = tuple[Vec, Fraction]   # <normal, x> == offset
@@ -76,7 +76,10 @@ class Polytope:
 
     def __post_init__(self):
         n = self.ambient_dim
-        pts = [linalg.scaled([_exact(x) for x in p]) for p in self.vertices]
+        # A float or a bool is refused: 0.1 is a binary fraction, not 1/10.
+        pts = [(p, 1) if all(type(x) is int for x in p)
+               else linalg.scaled([_fraction(x, "coordinate") for x in p])
+               for p in map(tuple, self.vertices)]
         if bad := [len(v) for v, _ in pts if len(v) != n]:
             raise ValueError(
                 f"point of length {bad[0]} in ambient dimension {n}")
@@ -101,8 +104,9 @@ class Polytope:
         q, ints = s // g, sorted({tuple(x // g for x in p) for p in pts}
                                  if g > 1 else pts)
         self._core = _hrep_from_vertices(q, ints, self.ambient_dim)
-        self.vertices = tuple(tuple(Fraction(x, q) for x in p)
-                              for p in self._core.points)
+        self.vertices = tuple(
+            tuple(map(Fraction, p) if q == 1 else (Fraction(x, q) for x in p))
+            for p in self._core.points)
 
     @property
     def is_empty(self) -> bool:
@@ -113,9 +117,10 @@ class Polytope:
         """(facet halfspaces, affine-hull equalities), built from the
         integer rows on first read."""
         if self._halfs is None:
-            c = self._core
+            c, q = self._core, self._core.q
             self._halfs = tuple(
-                [(tuple(map(Fraction, a)), Fraction(b, c.q)) for a, b in rows]
+                [(tuple(map(Fraction, a)),
+                  Fraction(b) if q == 1 else Fraction(b, q)) for a, b in rows]
                 for rows in (c.facets, c.eqs))
         return self._halfs
 
@@ -231,13 +236,20 @@ def intersect_subspace(P: Polytope, S: SliceSpec) -> tuple[Polytope, RadVal]:
 def volume(P: Polytope) -> RadVal:
     """Volume of P inside its affine span, induced Euclidean metric.
 
-    A pulling triangulation (De Loera, Rambau & Santos, "Triangulations",
-    2010) read off the cached facet masks: each face is coned from its first
-    vertex over its facets that miss that vertex, down to faces that are
-    simplices.  A simplex face with vertices v_0, ..., v_k below a chain of
-    apexes v_d, ..., v_{k+1} spans a simplex of volume |det(v_i - v_0)| / d!
-    in the coordinates of the affine span.  The determinants are taken on
-    the integer frame coordinates q y, so their sum is divided once by
+    Lasserre's cone decomposition (Lasserre, "An analytical expression and
+    an algorithm for the volume of a convex polyhedron in R^n", JOTA 1983),
+    read off the cached facet masks, with determinants in place of heights:
+    a face F is coned from its first vertex v0 over its facets that miss v0,
+    down to faces that are simplices.  A simplex face with vertices v_0,
+    ..., v_k below a chain A of apexes v_d, ..., v_{k+1} spans a simplex of
+    volume |det(v_i - v_0)| / d! in the coordinates of the affine span.  So
+    F's sum below A is |det[A, tau_F]| ratio(F) for one fixed simplex tau_F
+    of F, and ratio(F) = vol(F) / vol(tau_F) does not depend on A.  The
+    first visit of F sums its facets G_1, G_2, ... and takes tau_F = v0 and
+    tau_{G_1}, whose determinant G_1 returns, so ratio(F) costs nothing more;
+    it is kept by F's vertex mask, and each later visit costs one
+    determinant.  The determinants are integers taken on the frame
+    coordinates q y, and so is every sum, so the total is divided once by
     q^d d!.
     """
     if P.is_empty:
@@ -246,27 +258,53 @@ def volume(P: Polytope) -> RadVal:
     d = len(coords[0])
     if d == 0:
         return RadVal.rational(0)
+    seen = {}  # face mask -> (tau mask, sum, |det| on the first visit)
 
-    def pull(face, apexes):
-        # The facets of a face F are the inclusion-maximal proper nonempty
-        # sets F & m over the facet masks m, so a face below k apexes has
-        # dimension d - k, and with d - k + 1 vertices it is a simplex: its
-        # own pulling triangulation.
+    def det(apexes, face):
+        # |det| of the simplex on the apexes and the vertices of face.
         low = face & -face
         v0 = coords[low.bit_length() - 1]
+        rows = [[x - y for x, y in zip(a, v0)] for a in apexes]
+        face ^= low
+        while face:
+            low = face & -face
+            rows.append([x - y for x, y in
+                         zip(coords[low.bit_length() - 1], v0)])
+            face ^= low
+        return abs(linalg.bareiss(rows, d))
+
+    def measure(face, apexes):
+        # (the sum of face below the apexes, |det[apexes, tau_face]|).  The
+        # facets of a face F are the inclusion-maximal proper nonempty sets
+        # F & m over the facet masks m, so a face below k apexes has
+        # dimension d - k, and with d - k + 1 vertices it is a simplex.
         if face.bit_count() + len(apexes) == d + 1:
-            rest = [y for j, y in enumerate(coords) if (face ^ low) >> j & 1]
-            return abs(linalg.bareiss([[x - y for x, y in zip(a, v0)]
-                                       for a in apexes + rest], d))
+            x = det(apexes, face)
+            return x, x
+        if face in seen:
+            tau, total, first = seen[face]
+            x = det(apexes, tau)
+            return x * total // first, x
+        low = face & -face
+        below = apexes + [coords[low.bit_length() - 1]]
         subs = {face & m for m in masks} - {0, face}
+        total = g1 = None
         # Skipping the facets through v0 only prunes flat simplices.
-        return sum(pull(f, apexes + [v0]) for f in subs
-                   if not f & low
-                   and not any(f != g and f & g == f for g in subs))
+        for f in subs:
+            if f & low or any(f != g and f & g == f for g in subs):
+                continue
+            c, x = measure(f, below)
+            if g1 is None:
+                g1, total, first = f, c, x
+            else:
+                total += c
+        tau = g1 if g1.bit_count() + len(below) == d + 1 else seen[g1][0]
+        seen[face] = low | tau, total, first
+        return total, first
 
     # The body's own faces are its facet masks, already maximal: cone those
     # that miss vertex 0 from it.
-    total = sum(pull(m, [coords[0]]) for m in masks if not m & 1)
+    total = sum(measure(m, [coords[0]])[0] for m in masks if not m & 1)
     return RadVal.sqrt(gram) * Fraction(total, q ** d * factorial(d))
 
 
@@ -286,15 +324,6 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
 
 
 # -- internal helpers ------------------------------------------------
-
-def _exact(x):
-    """x as an int or a Fraction; a float, a binary fraction, and a bool are
-    refused."""
-    if isinstance(x, (float, bool)):
-        raise ValueError(f"{type(x).__name__} coordinate {x!r}; give an "
-                         f"exact rational")
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
 
 def _block_steps(xs, n) -> list[Vec]:
     """The n partial sums of the weighted block directions: the k-th puts
@@ -371,11 +400,18 @@ def _dd(rows):
     """
     n = len(rows[0])
     order = sorted(range(len(rows)), key=rows.__getitem__)
-    basis = [order[k] for k in _independent([rows[i] for i in order])[0]]
-    if len(basis) < n:
-        return None
-    m = [list(rows[i]) + [int(i == j) for j in basis] for i in basis]
-    linalg.bareiss(m, n, jordan=True)
+
+    def start(basis):
+        # [B | I] eliminated, for the rows B of the basis; None when singular.
+        m = [list(rows[i]) + [int(i == j) for j in basis] for i in basis]
+        return m if len(m) == n and linalg.bareiss(m, n, jordan=True) else None
+
+    # The first n rows are _independent's pick whenever they are independent.
+    basis = order[:n]
+    if (m := start(basis)) is None:
+        basis = [order[k] for k in _independent(rows[i] for i in order)[0]]
+        if (m := start(basis)) is None:
+            return None
     # Column j of the inverse, |det| times it in m, is tight at every basis
     # row but the j-th and positive on that one.
     full = sum(1 << i for i in basis)
@@ -494,10 +530,15 @@ def _hrep_from_vertices(q, ints, ambient_dim):
             b ^= low
     kept = [k for k, m in enumerate(meet) if m == 1 << k]
     if len(kept) < len(ints):
+        # Delete the other points' bits from every mask, one run a..b - 1 of
+        # them between two vertices at a time, the highest run first.
+        ends = [-1, *kept, len(ints)]
+        for a, b in reversed(list(zip(ends, ends[1:]))):
+            if b > a + 1:
+                low = (1 << a + 1) - 1
+                masks = [m & low | m >> b - a - 1 & ~low for m in masks]
         ints = [ints[k] for k in kept]
         coords = [coords[k] for k in kept]
-        masks = [sum(1 << j for j, k in enumerate(kept) if m >> k & 1)
-                 for m in masks]
     return _Record([(a, b) for a, b, _ in ranked], eqs, q, ints, coords,
                    gram, masks)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import linalg, polytope
 from .numbers import (_FLAGS, _INT, _INT_LISTS, _RATS, _SCHEMA, _STR,
-                      _read_json, format_rat)
+                      _fraction, _read_json, format_rat)
 from .polytope import Polytope
 
 # Largest bounding box lattice_points scans, in lattice points.
@@ -50,6 +50,8 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"fan dim {self.dim!r} must be an integer >= 1")
         rays = _int_rows(self.rays, "ray entry")
         cones = _int_rows(self.max_cones, "cone index")
         object.__setattr__(self, "rays", rays)
@@ -128,12 +130,11 @@ class ToricDivisor:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(
+            _fraction(c, "coefficient") for c in self.coeffs))
 
     def scale(self, k) -> "ToricDivisor":
-        k = Fraction(k)
+        k = _fraction(k, "scale")
         return ToricDivisor(tuple(k * c for c in self.coeffs))
 
     def to_json(self) -> dict:

@@ -396,20 +396,29 @@ def _ref_volume(vertices, halfs):
 
 @st.composite
 def core_clouds(draw, full=None):
-    """Clouds in R^n, n = 1..4, with denominators up to 6: full-dimensional
-    draws, or points on a random rational affine k-plane, k < n; full=True
-    or False draws only the first or only the second kind."""
+    """Clouds in R^n, n = 1..4, of plain ints or of Fractions with
+    denominators up to 6: full-dimensional draws, or points on a random
+    rational affine k-plane, k < n; full=True or False draws only the first
+    or only the second kind.  Some draws add the midpoints of neighbouring
+    points, which are never vertices, to the doubled points, so that an
+    int cloud stays one."""
     n = draw(st.integers(1, 4))
     k = n if full else draw(st.integers(0, n - (full is False)))
-    coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    coord = (st.integers(-4, 4) if draw(st.booleans())
+             else st.fractions(min_value=-4, max_value=4, max_denominator=6))
     vec = st.tuples(*[coord] * n)
     if k == n:
-        return n, draw(st.lists(vec, min_size=1, max_size=7))
-    x0 = draw(vec)
-    dirs = draw(st.lists(vec, min_size=k, max_size=k))
-    cs = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=7))
-    return n, [tuple(x0[i] + sum(c * u[i] for c, u in zip(cc, dirs))
+        pts = draw(st.lists(vec, min_size=1, max_size=7))
+    else:
+        x0 = draw(vec)
+        dirs = draw(st.lists(vec, min_size=k, max_size=k))
+        cs = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=7))
+        pts = [tuple(x0[i] + sum(c * u[i] for c, u in zip(cc, dirs))
                      for i in range(n)) for cc in cs]
+    if draw(st.booleans()):
+        pts = [tuple(2 * x for x in p) for p in pts] + [
+            tuple(x + y for x, y in zip(p, r)) for p, r in zip(pts, pts[1:])]
+    return n, pts
 
 
 @settings(max_examples=120, deadline=None)
@@ -432,6 +441,19 @@ def test_integer_core_matches_fraction_reference(case):
     assert sorted(back) == list(P.vertices)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=8),
+    st.tuples(*[st.integers(-3, 3)] * (n - 1)), st.integers(2, 3))))
+def test_dd_from_dependent_first_rows_matches_fraction_reference(case):
+    # The rows (-4, a) and (-4 k, k a) come first in lexicographic order and
+    # are proportional, so the first n rows are dependent and _dd starts
+    # from the independent rows _independent picks.
+    rows, a, k = case
+    rows = [(-4, *a), (-4 * k, *(k * x for x in a)), *rows]
+    assert polytope._dd(rows) == _ref_dd(rows)
+
+
 @pytest.mark.parametrize("full", [True, False])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -440,7 +462,7 @@ def test_direct_polytope_matches_hull(full, data):
     # points that are not vertices, is hull's body: same vertices, facets
     # and volume.
     n, pts = data.draw(core_clouds(full))
-    mids = [tuple((x + y) / 2 for x, y in zip(p, r))
+    mids = [tuple(F(x + y, 2) for x, y in zip(p, r))
             for p, r in zip(pts, pts[1:])]
     pts = data.draw(st.permutations(pts + mids + pts[:2]))
     P = hull(pts, n)

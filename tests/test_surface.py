@@ -47,6 +47,17 @@ def test_intersection_form():
     assert intersect(cls(1, 1, 1), cls(1, 1, 1)) == -1
 
 
+def test_class_refuses_a_float_coefficient():
+    # 0.5 and 0.1 are binary fractions; 0.1 is not 1/10.
+    with pytest.raises(ValueError, match="float value 0.5"):
+        PicClass(0.5, (0.1,))
+    with pytest.raises(ValueError, match="float value 0.1"):
+        PicClass(F(1, 2), (0.1,))
+    with pytest.raises(ValueError, match="bool value True"):
+        PicClass(1, (True,))
+    assert PicClass(F(1, 2), (F(1, 10),)).m == (F(1, 10),)
+
+
 @pytest.mark.parametrize("i", [-1, 3])
 def test_exceptional_index_outside_range_is_refused(i):
     # -1 used to wrap round to E_3, and 3 raised a bare IndexError.

@@ -98,6 +98,24 @@ def test_fan_refuses_a_non_integer_entry(rays, cones, message):
         Fan(2, rays, cones)
 
 
+@pytest.mark.parametrize("dim", [2.0, True])
+def test_fan_refuses_a_dim_that_is_no_integer(dim):
+    # Refused by name before the cone determinants: 2.0 raised a bare
+    # TypeError there, and True would be read as 1.
+    with pytest.raises(ValueError, match=f"fan dim {dim!r} must be an "
+                                         f"integer >= 1"):
+        Fan(dim, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+
+
+def test_divisor_refuses_a_float_coefficient():
+    # 0.1 is a binary fraction, not 1/10: the divisor would silently differ.
+    with pytest.raises(ValueError, match="float coefficient 0.1"):
+        ToricDivisor((0.1, 0, 0))
+    with pytest.raises(ValueError, match="float scale 0.1"):
+        ToricDivisor((1, 0, 0)).scale(0.1)
+    assert ToricDivisor((1, 0, 0)).scale(F(1, 10)).coeffs == (F(1, 10), 0, 0)
+
+
 @pytest.mark.parametrize("flags, message", [
     (((0.9, True),), "flag index 0.9 is not an integer"),
     (((0, True),), "flag index True is not an integer"),

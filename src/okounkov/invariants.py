@@ -15,8 +15,8 @@ from math import factorial
 from operator import mul
 
 from . import linalg, polytope, surface
-from .numbers import (RadVal, _fraction, _surd, format_rat, squarefree_split,
-                      surd_sign)
+from .numbers import (RadVal, _integer, _surd, format_rat, parse_rat,
+                      squarefree_split, surd_sign)
 from .polytope import Polytope, SliceSpec
 from .surface import PicClass, SurfaceModel, E, intersect
 
@@ -25,6 +25,8 @@ TAG_NONEFF = "conditional: standard-form non-effectivity hypothesis"
 TAG_NONEFF_QH = (
     "conditional: standard-form non-effectivity hypothesis (quasi-homogeneous)"
 )
+# The tail of each quasi-homogeneous verdict.
+_QH = {"assumption": TAG_NONEFF_QH, "note": "ampleness caller-asserted"}
 
 
 @dataclass
@@ -59,6 +61,11 @@ class InvariantReport:
         return out
 
 
+def _class_numbers(d, m) -> list[Fraction]:
+    """[d, *m]: the degree and multiplicities of d*H - sum(m_i E_i)."""
+    return [parse_rat(d, "degree"), *(parse_rat(x, "multiplicity") for x in m)]
+
+
 def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     """Weighted Seshadri constant of a nef class: the nef threshold of
     L - a * sum(w_i E_i) over the model curve list, where the first
@@ -67,7 +74,7 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     Model-exact, not variety-general: the value is the threshold over the
     built-in curve list of the blown-up model.
     """
-    w = [Fraction(x) for x in w]
+    w = [parse_rat(x, "weight") for x in w]
     if len(w) != model.s or any(x <= 0 for x in w):
         raise ValueError("weights must be s positive rationals")
     return _nef_threshold(next(surface.chambers(model, L, w), None))
@@ -137,7 +144,8 @@ def _first_root_after(A, B, C2, t) -> RadVal | None:
 def xi_constant(body: Polytope, w, n: int, r: int) -> Fraction:
     """Largest a with the inverted slice simplex of size (w_1 a, ..., w_r a)
     inside the body; 0 when the body misses the origin."""
-    w = [Fraction(x) for x in w]
+    w = [parse_rat(x, "weight") for x in w]
+    n, r = _integer(n, "n", 1), _integer(r, "r", 1)
     if len(w) != r or any(x <= 0 for x in w):
         raise ValueError("weights must be r positive rationals")
     if body.ambient_dim != n * r:
@@ -174,19 +182,20 @@ def slice_volume_check(body: Polytope, w, n: int, r: int,
     """Induced volume of the weighted diagonal slice against the
     sqrt(r)^(n-2)/n! * vol identity (equal weights) or the 1/2 * vol
     upper bound (general weights, surfaces)."""
-    w = [Fraction(x) for x in w]
+    w = [parse_rat(x, "weight") for x in w]
+    vol_x = parse_rat(vol_x, "vol_x")
     spec = SliceSpec(n, r, tuple(w))
     sl, scale = polytope.intersect_subspace(body, spec)
     v = polytope.volume(sl) * scale
     rep = InvariantReport()
     if all(x == w[0] for x in w) and w[0] == 1:
         target = (RadVal.sqrt(Fraction(r) ** (n - 2))
-                  * Fraction(vol_x, factorial(n)))
+                  * vol_x / factorial(n))
         rep.check("slice-volume-identity", v == target,
                   f"slice volume {v!r}, target {target!r}",
                   slice_volume=v.to_json())
     else:
-        bound = RadVal.rational(Fraction(vol_x) / 2)
+        bound = RadVal.rational(vol_x / 2)
         rep.check("slice-volume-upper-bound", v <= bound,
                   f"slice volume {v!r} vs bound {bound!r}",
                   slice_volume=v.to_json())
@@ -224,7 +233,8 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass) -> InvariantReport:
 def containment_bound(mu_values, n: int, r: int) -> Polytope:
     """Upper-bound body r * conv(union of per-block inverted simplices of
     size max_i mu_i); every extended body is contained in it."""
-    size = r * max(Fraction(x) for x in mu_values)
+    n, r = _integer(n, "n", 1), _integer(r, "r", 1)
+    size = r * max(parse_rat(x, "mu value") for x in mu_values)
     pts = [(Fraction(0),) * (n * r)]
     for i in range(r):
         pts += polytope._block_steps(
@@ -268,8 +278,7 @@ def positive_xi_criterion(model: SurfaceModel, D: PicClass, points) -> bool:
 def nagata_check(r: int, d, m) -> bool:
     """d >= (1/sqrt(r)) * sum(m), tested as r d^2 >= (sum m)^2, for r >= 1
     points and at most r multiplicities."""
-    d = Fraction(d)
-    ms = [Fraction(x) for x in m]
+    (d, *ms), r = _class_numbers(d, m), _integer(r, "r")
     if r < 1 or len(ms) > r:
         raise ValueError(f"the Nagata bound needs r >= 1 points and at most r "
                          f"multiplicities, got r = {r} and {len(ms)}")
@@ -282,8 +291,7 @@ def nagata_check(r: int, d, m) -> bool:
 
 def is_standard_form(d, m) -> bool:
     """m sorted descending, nonnegative, and d >= m1 + m2 + m3."""
-    d = Fraction(d)
-    ms = [Fraction(x) for x in m]
+    d, *ms = _class_numbers(d, m)
     while len(ms) < 3:
         ms.append(Fraction(0))
     if any(ms[i] < ms[i + 1] for i in range(len(ms) - 1)):
@@ -296,8 +304,8 @@ def is_standard_form(d, m) -> bool:
 def conditional_non_effectivity(d, m) -> dict:
     """Conditional verdict: standard form plus negative self-intersection
     rules out effectivity under the non-effectivity hypothesis."""
-    d = Fraction(d)
-    ms = sorted((Fraction(x) for x in m), reverse=True)
+    d, *ms = _class_numbers(d, m)
+    ms.sort(reverse=True)
     self_int = d * d - sum(x * x for x in ms)
     if is_standard_form(d, ms) and self_int < 0:
         return {"verdict": "not-effective", "assumption": TAG_NONEFF,
@@ -310,10 +318,9 @@ def irrationality_certificate(s: int, d, m) -> dict:
     """Certified Seshadri value sqrt(d^2 - sum m_i^2) at a general point,
     conditional on the non-effectivity hypothesis for s+1 points; below
     d^2 = sum m_i^2 the class is not ample, and ok is False."""
+    (d, *ms), s = _class_numbers(d, m), _integer(s, "s")
     if s < 9:
         raise ValueError("certificate applies to s >= 9 points")
-    d = Fraction(d)
-    ms = [Fraction(x) for x in m]
     if len(ms) != s:
         raise ValueError("need exactly s multiplicities")
     if any(ms[i] < ms[i + 1] for i in range(s - 1)) or ms[-1] < 0:
@@ -328,17 +335,19 @@ def irrationality_certificate(s: int, d, m) -> dict:
     if not d < upper:
         return {"ok": False,
                 "failed": f"d = {d} not below the bound {upper}"}
-    L2 = d * d - sum(x * x for x in ms)
+    return _sqrt_certificate(d * d - sum(x * x for x in ms), {},
+                             {"assumption": TAG_NONEFF})
+
+
+def _sqrt_certificate(L2, head, tail) -> dict:
+    """head, then the certified value sqrt(L^2) and tail; or head and a
+    failure where L^2 < 0, the class not ample."""
     if L2 < 0:
-        return {"ok": False,
+        return {**head, "ok": False,
                 "failed": "negative self-intersection; class not ample"}
     eps = RadVal.sqrt(L2)
-    return {
-        "ok": True,
-        "eps": eps,
-        "irrational": not eps.is_rational,
-        "assumption": TAG_NONEFF,
-    }
+    return {**head, "ok": True, "eps": eps, "irrational": not eps.is_rational,
+            **tail}
 
 
 def homogeneous_eps(s: int, d, c) -> dict:
@@ -348,27 +357,16 @@ def homogeneous_eps(s: int, d, c) -> dict:
     (conditional); below that threshold only the lower bound d - 2c is
     certified.  Ampleness of the class is caller-asserted.
     """
+    (d, c), s = _class_numbers(d, [c]), _integer(s, "s")
     if s < 9:
         raise ValueError("quasi-homogeneous branch applies to s >= 9 points")
-    d = Fraction(d)
-    c = Fraction(c)
     if d <= 0:
         raise ValueError("degree must be positive")
     if c < 0:
         raise ValueError("multiplicity c must be nonnegative")
     if c * (s + 4) >= 4 * d:
-        L2 = d * d - s * c * c
-        if L2 < 0:
-            return {"branch": 1, "ok": False,
-                    "failed": "negative self-intersection; class not ample"}
-        eps = RadVal.sqrt(L2)
-        return {"branch": 1, "ok": True, "eps": eps,
-                "irrational": not eps.is_rational,
-                "assumption": TAG_NONEFF_QH,
-                "note": "ampleness caller-asserted"}
-    return {"branch": 2, "ok": True, "eps_lower": d - 2 * c,
-            "assumption": TAG_NONEFF_QH,
-            "note": "ampleness caller-asserted"}
+        return _sqrt_certificate(d * d - s * c * c, {"branch": 1}, _QH)
+    return {"branch": 2, "ok": True, "eps_lower": d - 2 * c, **_QH}
 
 
 def nef_boundary_check(d, m) -> dict:
@@ -378,7 +376,7 @@ def nef_boundary_check(d, m) -> dict:
     Requires multiplicities sorted descending; pads to at least 8 entries.
     """
     # Every condition is homogeneous in (d, m), so it holds of q (d, m).
-    (d, *ms), q = linalg.scaled([_fraction(x) for x in (d, *m)])
+    (d, *ms), q = linalg.scaled(_class_numbers(d, m))
     if any(ms[i] < ms[i + 1] for i in range(len(ms) - 1)):
         raise ValueError("multiplicities must be sorted descending")
     ms += [0] * (8 - len(ms))

@@ -7,39 +7,55 @@ Anything of higher algebraic degree is a hard error.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
-def parse_rat(s) -> Fraction:
-    """Parse a canonical "p/q" (or "p") string into a Fraction."""
-    if isinstance(s, Fraction):
-        return s
-    if type(s) is int:  # a bool is not a rational
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise ValueError(f"not a rational literal: {s!r}")
-    text = s.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d == 0:
-            raise ValueError(f"zero denominator in rational literal: {s!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
-
-
-def _rat(v):
+def parse_rat(x, what="value") -> Fraction:
+    """x as a Fraction: a Fraction as is, an int, or a string "p" or "p/q".
+    Anything else is refused with a ValueError naming x as a what: a float
+    (a binary fraction, not the rational it was written as), a bool, a
+    Decimal, None, and a malformed string."""
+    # A Fraction is immutable, so one passed in is shared, not copied.
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:  # a bool is not a rational
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise ValueError(f"{type(x).__name__} {what} {x!r}; give an exact "
+                         f"rational")
+    num, slash, den = x.strip().partition("/")
     try:
-        return parse_rat(v)
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"{what} {x!r} is not a rational \"p\" or "
+                         f"\"p/q\"") from None
+    if q == 0:
+        raise ValueError(f"zero denominator in {what} {x!r}")
+    return Fraction(p, q)
+
+
+def _integer(x, what="value", low=None) -> int:
+    """x, an int and not a bool, and at least low when low is given; else a
+    ValueError naming x as a what."""
+    if type(x) is not int or low is not None and x < low:
+        raise ValueError(f"{what} {x!r} is not an integer"
+                         + ("" if low is None else f" >= {low}"))
+    return x
+
+
+def _or_none(read, v):
+    """read(v), or None where read refuses v: a JSON value of the wrong
+    shape.  read is a parse_rat or _integer, or reads a list with them."""
+    try:
+        return read(v)
     except ValueError:
         return None
 
 
 def _rats(v):
-    try:
-        return tuple(map(parse_rat, v)) if isinstance(v, list) else None
-    except ValueError:
-        return None
+    if isinstance(v, list):
+        return _or_none(lambda v: tuple(map(parse_rat, v)), v)
+    return None
 
 
 def _rat_lists(v):
@@ -48,25 +64,24 @@ def _rat_lists(v):
 
 
 def _int_lists(v):
-    if isinstance(v, list) and all(
-            isinstance(r, list) and all(type(x) is int for x in r) for r in v):
-        return tuple(map(tuple, v))
+    if isinstance(v, list) and all(isinstance(r, list) for r in v):
+        return _or_none(lambda v: tuple(tuple(map(_integer, r)) for r in v), v)
     return None
 
 
 # JSON value readers for _read_json: (read, what it must be); read returns
 # the value as the constructor takes it, or None.  A bool is not a number.
-_INT = (lambda v: v if type(v) is int else None, "an integer")
+_INT = (lambda v: _or_none(_integer, v), "an integer")
 _STR = (lambda v: v if isinstance(v, str) else None, "a string")
-_RAT = (_rat, "a rational")
+_RAT = (lambda v: _or_none(parse_rat, v), "a rational")
 _RATS = (_rats, "a list of rationals")
 _RAT_LISTS = (_rat_lists, "a list of rational lists")
 _INT_LISTS = (_int_lists, "a list of integer lists")
 _FLAGS = (lambda v: _int_lists(v) or None, "a nonempty list of integer lists")
 _OBJECT = (lambda v: v if isinstance(v, dict) else None, "an object")
-_SCHEMA = (lambda v: v if type(v) is int and v == 1 else None, "1")
+_SCHEMA = (lambda v: v if _or_none(_integer, v) == 1 else None, "1")
 _RADICAND = (lambda v: int(v) if isinstance(v, str) and v.isascii()
-             and v.isdigit() else (v if type(v) is int and v >= 0 else None),
+             and v.isdigit() else _or_none(lambda v: _integer(v, low=0), v),
              "a non-negative integer")
 
 
@@ -93,36 +108,26 @@ def _read_json(obj, of, defaults={}, **readers):
 
 
 def format_rat(q: Fraction) -> str:
-    q = Fraction(q)
+    q = parse_rat(q)
     return _ratio(q.numerator, q.denominator)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s^2 * f with f square-free; return (s, f).  n must be >= 0."""
+    """Write n = s^2 * f with f square-free; return (s, f).  n must be >= 0.
+    Past trial division up to the cube root, what is left of n is 1, a prime,
+    two distinct primes or a prime squared, which isqrt tells apart."""
     if n < 0:
         raise ValueError("negative radicand")
     s, f, m, p = 1, 1, n, 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p:
             p += 1 if p == 2 else 2
         elif m % (p * p):
             m, f = m // p, f * p
         else:
             m, s = m // (p * p), s * p
-    return (s, f * m)
-
-
-def _fraction(x, what="value") -> Fraction:
-    """x as a Fraction.  A float, a binary fraction and not the rational it
-    was written as, and a bool are refused with a ValueError naming x as a
-    what."""
-    # A Fraction is immutable, so one passed in is shared, not copied.
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, (float, bool)):
-        raise ValueError(f"{type(x).__name__} {what} {x!r}; give an exact "
-                         f"rational")
-    return Fraction(x)
+    r = isqrt(m)
+    return (s * r, f) if m > 1 and r * r == m else (s, f * m)
 
 
 def _ratio(p: int, q: int) -> str:
@@ -179,7 +184,7 @@ class RadVal:
     def __new__(cls, coeff, radicand, shift=0):
         if type(radicand) is not int:
             raise ValueError(f"radicand must be an int, got {radicand!r}")
-        c, t = _fraction(coeff), _fraction(shift)
+        c, t = parse_rat(coeff, "coeff"), parse_rat(shift, "shift")
         r, k = squarefree_split(radicand)  # a negative radicand raises
         # t + c r sqrt(k), over the product of the denominators
         return _surd(t.numerator * c.denominator,
@@ -213,12 +218,12 @@ class RadVal:
     # -- constructors ------------------------------------------------
     @staticmethod
     def rational(q) -> "RadVal":
-        return _surd(*_ints(_fraction(q)))
+        return _surd(*_ints(parse_rat(q)))
 
     @staticmethod
     def sqrt(q) -> "RadVal":
         """sqrt of a nonnegative rational, as coeff*sqrt(k)."""
-        q = _fraction(q)
+        q = parse_rat(q)
         if q < 0:
             raise ValueError("sqrt of negative rational")
         # sqrt(p/q) = sqrt(p*q)/q

@@ -22,8 +22,8 @@ from operator import mul
 
 from . import linalg
 from .linalg import Vec
-from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _fraction,
-                      _read_json, format_rat)
+from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _integer,
+                      _read_json, format_rat, parse_rat)
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
 Equality = tuple[Vec, Fraction]   # <normal, x> == offset
@@ -43,8 +43,9 @@ class SliceSpec:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
-        if len(ws) != self.r or any(w <= 0 for w in ws):
+        _integer(self.n, "n", 1)
+        ws = tuple(parse_rat(w, "slice weight") for w in self.weights)
+        if len(ws) != _integer(self.r, "r", 1) or any(w <= 0 for w in ws):
             raise ValueError("slice weights must be r positive rationals")
         object.__setattr__(self, "weights", ws)
 
@@ -75,11 +76,8 @@ class Polytope:
     _halfs = None  # halfspaces(), once read
 
     def __post_init__(self):
-        n = self.ambient_dim
-        # A float or a bool is refused: 0.1 is a binary fraction, not 1/10.
-        pts = [(p, 1) if all(type(x) is int for x in p)
-               else linalg.scaled([_fraction(x, "coordinate") for x in p])
-               for p in map(tuple, self.vertices)]
+        n = _integer(self.ambient_dim, "ambient dimension", 0)
+        pts = list(map(_scaled_point, self.vertices))
         if bad := [len(v) for v, _ in pts if len(v) != n]:
             raise ValueError(
                 f"point of length {bad[0]} in ambient dimension {n}")
@@ -153,11 +151,8 @@ def cone_base(graded_points) -> Polytope:
     """Level-1 slice of the cone over graded points: hull of {p / level}."""
     pts = []
     for p, level in graded_points:
-        level = int(level)
-        if level <= 0:
-            raise ValueError("levels must be positive")
-        v, q = linalg.scaled(p)
-        pts.append((v, q * level))
+        v, q = _scaled_point(p)
+        pts.append((v, q * _integer(level, "level", 1)))
         if len(v) != len(pts[0][0]):
             raise ValueError(f"point of length {len(v)} in ambient "
                              f"dimension {len(pts[0][0])}")
@@ -168,18 +163,16 @@ def cone_base(graded_points) -> Polytope:
 
 def affine_image(P: Polytope, M, t=None) -> Polytope:
     """Hull of {M v + t} over the vertices of P."""
-    rows = [tuple(Fraction(x) for x in row) for row in M]
+    rows = [tuple(parse_rat(x, "matrix entry") for x in row) for row in M]
     out_dim = len(rows)
-    if t is None:
-        t = (Fraction(0),) * out_dim
-    t = tuple(Fraction(x) for x in t)
-    if any(len(row) != P.ambient_dim for row in rows) or len(t) != out_dim:
+    T, qt = _scaled_point((0,) * out_dim if t is None else t, "translation")
+    if any(len(row) != P.ambient_dim for row in rows) or len(T) != out_dim:
         raise ValueError("matrix/translation shape mismatch")
     # With M = A / qm and t = T / qt, M (v / q) + t = (qt A v + q qm T) / s
     # for s = q qm qt.
     qm = lcm(*(x.denominator for row in rows for x in row))
     A = [[x.numerator * (qm // x.denominator) for x in row] for row in rows]
-    (T, qt), q = linalg.scaled(t), P._core.q * qm
+    q = P._core.q * qm
     return Polytope._of(out_dim, ((tuple(
         qt * sum(map(mul, row, v)) + q * y for row, y in zip(A, T)), q * qt)
         for v in P._core.points))
@@ -199,7 +192,7 @@ def contains(outer: Polytope, inner) -> bool:
     if isinstance(inner, Polytope):
         n, s, pts = inner.ambient_dim, inner._core.q, inner._core.points
     else:
-        p, s = linalg.scaled(tuple(map(Fraction, inner)))
+        p, s = _scaled_point(inner)
         n, pts = len(p), [p]
     if n != outer.ambient_dim:
         raise ValueError("containment across different ambient dimensions")
@@ -314,16 +307,25 @@ def inverted_slice_simplex(xi, n: int) -> Polytope:
     The k-th nonzero generator puts weight xi_i on coordinates
     (i-1)n + 1 .. (i-1)n + k of every block i.
     """
-    xs = [Fraction(x) for x in xi]
+    xs = [parse_rat(x, "slice-simplex size") for x in xi]
     if any(x < 0 for x in xs):
         raise ValueError("negative slice-simplex size")
-    if n < 1 or not xs:
+    if _integer(n, "n") < 1 or not xs:
         raise ValueError("need n >= 1 and r >= 1")
     dim = n * len(xs)
     return hull([(Fraction(0),) * dim, *_block_steps(xs, n)], dim)
 
 
 # -- internal helpers ------------------------------------------------
+
+def _scaled_point(p, what="coordinate") -> tuple[tuple[int, ...], int]:
+    """(q p as an int tuple, q) of a caller's point p, each coordinate read
+    by numbers.parse_rat."""
+    p = tuple(p)
+    if all(type(x) is int for x in p):
+        return p, 1
+    return linalg.scaled([parse_rat(x, what) for x in p])
+
 
 def _block_steps(xs, n) -> list[Vec]:
     """The n partial sums of the weighted block directions: the k-th puts

@@ -15,11 +15,11 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import index, mul
+from operator import mul
 
 from . import linalg, lp, polytope
-from .numbers import (_INT, _RAT, _RATS, _STR, _fraction, _read_json,
-                      format_rat)
+from .numbers import (_INT, _RAT, _RATS, _STR, _integer, _read_json,
+                      format_rat, parse_rat)
 from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
@@ -44,8 +44,8 @@ class PicClass:
     m: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _fraction(self.d))
-        object.__setattr__(self, "m", tuple(map(_fraction, self.m)))
+        object.__setattr__(self, "d", parse_rat(self.d))
+        object.__setattr__(self, "m", tuple(map(parse_rat, self.m)))
 
     @property
     def s(self) -> int:
@@ -66,7 +66,7 @@ class PicClass:
         return linalg.scaled((self.d, *self.m))
 
     def scale(self, k) -> "PicClass":
-        k = Fraction(k)
+        k = parse_rat(k, "scale")
         return PicClass(k * self.d, tuple(k * x for x in self.m))
 
     def to_json(self) -> dict:
@@ -78,12 +78,12 @@ class PicClass:
 
 
 def H(s: int) -> PicClass:
-    return PicClass(1, (0,) * s)
+    return PicClass(1, (0,) * _integer(s, "s", 0))
 
 
 def E(s: int, i: int) -> PicClass:
     # The exceptional class itself: 0*H - (-1)*E_i, so m_i = -1.
-    if not 0 <= i < s:
+    if not 0 <= _integer(i, "index i") < _integer(s, "s"):
         raise ValueError(f"exceptional class index i = {i} outside "
                          f"0..{s - 1} (s = {s})")
     m = [Fraction(0)] * s
@@ -249,7 +249,7 @@ def neg_curve_classes(s: int) -> list[PicClass]:
     of C^2 = -1, C.K = -1 (K = -3H + sum E_i) with d >= 0.  Counts are
     asserted against the classical table.
     """
-    return list(_builtin(index(s))[0])
+    return list(_builtin(_integer(s, "s"))[0])
 
 
 def _generator_rows(s: int) -> list[tuple[int, ...]]:
@@ -260,7 +260,7 @@ def _generator_rows(s: int) -> list[tuple[int, ...]]:
 @cache
 def _builtin(s: int) -> tuple[tuple[PicClass, ...], _Rows]:
     """The curve classes and packed rows of SurfaceModel(s), built once per
-    s.  Callers pass index(s), so that 4.0 does not read the entry of 4."""
+    s.  Callers pass an int s, so that 4.0 does not read the entry of 4."""
     rows = _curve_rows(s)
     return _curve_classes(rows), _Rows(rows + _generator_rows(s), len(rows))
 
@@ -277,10 +277,11 @@ class SurfaceModel:
     _rows: _Rows = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _integer(self.s, "s")
         if self.mode == "delpezzo-general":
             if self.neg_curves:
                 raise ValueError("neg_curves are read only with mode 'user'")
-            curves, rows = _builtin(index(self.s))
+            curves, rows = _builtin(self.s)
         elif self.mode == "user":
             curves = tuple(self.neg_curves)
             if not all(c.s == self.s for c in curves):
@@ -488,10 +489,10 @@ def chambers(model: SurfaceModel, L: PicClass, w):
     s, or a w of other than s entries or with a negative one, is refused
     before the walk."""
     _check_s(model, L)
-    w = tuple(w)
+    w = [parse_rat(x, "weight") for x in w]
     if len(w) != model.s or any(x < 0 for x in w):
         raise ValueError(f"weights must be {model.s} nonnegative rationals, "
-                         f"got {list(w)!r}")
+                         f"got [{', '.join(map(format_rat, w))}]")
     return _walk(model, L, w)
 
 
@@ -623,12 +624,12 @@ def flag_points(model: SurfaceModel, points) -> list[int]:
     indices i of the exceptional curves E_i, 0 <= i < s, else a ValueError
     (input error)."""
     try:
-        # index() reads a bool as 0 or 1, but a bool names no point.
-        pts = [None if isinstance(i, bool) else index(i) for i in points]
+        pts = list(points)
     except TypeError:
-        pts = None  # not a list of integers
-    if not pts or None in pts or len(set(pts)) != len(pts) or not all(
-            0 <= i < model.s for i in pts):
+        pts = []  # not a list
+    # numbers._integer's rule: a bool is not an int, and names no point.
+    if not pts or not all(type(i) is int and 0 <= i < model.s
+                          for i in pts) or len(set(pts)) != len(pts):
         raise ValueError(f"flag points must be a nonempty list of distinct "
                          f"indices in 0..{model.s - 1}, got {points!r}")
     return pts
@@ -654,7 +655,8 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     s is refused, by _support; past MAX_CHAMBERS supports or
     MAX_FIBRE_POINTS fibre points the walk is refused."""
     points = flag_points(model, points)
-    grid_step, t_max = Fraction(grid_step), Fraction(t_max)
+    grid_step = parse_rat(grid_step, "grid_step")
+    t_max = parse_rat(t_max, "t_max")
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     if t_max < 0:

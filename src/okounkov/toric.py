@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import linalg, polytope
 from .numbers import (_FLAGS, _INT, _INT_LISTS, _RATS, _SCHEMA, _STR,
-                      _fraction, _read_json, format_rat)
+                      _integer, _read_json, format_rat, parse_rat)
 from .polytope import Polytope
 
 # Largest bounding box lattice_points scans, in lattice points.
@@ -28,11 +28,7 @@ MAX_LATTICE_BOX = 10**6
 def _int_rows(rows, what) -> tuple[tuple[int, ...], ...]:
     """rows as integer tuples; an entry that is no int (a float, a bool) is
     refused, not truncated."""
-    rows = tuple(map(tuple, rows))
-    for x in itertools.chain.from_iterable(rows):
-        if type(x) is not int:
-            raise ValueError(f"{what} {x!r} is not an integer")
-    return rows
+    return tuple(tuple(_integer(x, what) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,7 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError(f"fan dim {self.dim!r} must be an integer >= 1")
+        _integer(self.dim, "fan dim", 1)
         rays = _int_rows(self.rays, "ray entry")
         cones = _int_rows(self.max_cones, "cone index")
         object.__setattr__(self, "rays", rays)
@@ -131,10 +126,10 @@ class ToricDivisor:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(
-            _fraction(c, "coefficient") for c in self.coeffs))
+            parse_rat(c, "coefficient") for c in self.coeffs))
 
     def scale(self, k) -> "ToricDivisor":
-        k = _fraction(k, "scale")
+        k = parse_rat(k, "scale")
         return ToricDivisor(tuple(k * c for c in self.coeffs))
 
     def to_json(self) -> dict:
@@ -190,11 +185,9 @@ class ValuationVector:
     level: int
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("valuation level must be positive")
-        object.__setattr__(
-            self, "entries", tuple(Fraction(e) for e in self.entries)
-        )
+        _integer(self.level, "valuation level", 1)
+        object.__setattr__(self, "entries", tuple(
+            parse_rat(e, "valuation entry") for e in self.entries))
 
 
 def divisor_polytope(fan: Fan, D: ToricDivisor) -> Polytope:
@@ -248,8 +241,7 @@ def _lattice_box(P: Polytope, m: int = 1):
 def lattice_points(P: Polytope, m: int = 1) -> list[tuple[int, ...]]:
     """All lattice points of m P, P a bounded polytope and m a positive
     integer, sorted: a scan of the bounding box of m P."""
-    if m < 1:
-        raise ValueError("lattice_points needs a positive multiple m")
+    _integer(m, "lattice_points multiple m", 1)
     if P.is_empty:
         return []
     ranges, size = _lattice_box(P, m)
@@ -306,8 +298,7 @@ def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
     m_max P estimates the work (with fractional vertices a lower level's
     box can be larger; lattice_points still caps each level); above
     MAX_LATTICE_BOX the call is refused first."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    _integer(m_max, "m_max", 1)
     flags.validate(fan)
     P = divisor_polytope(fan, D)
     size = 0 if P.is_empty else m_max * _lattice_box(P, m_max)[1]

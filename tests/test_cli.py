@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from okounkov import cli, lp, numbers, registry, surface, toric
+from okounkov import cli, lp, numbers, registry, render, surface, toric
 from okounkov.cli import main
 from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
@@ -440,9 +440,12 @@ def test_each_rational_is_read_once(tmp_path, monkeypatch):
     # The input table reads each value once: no handler parses it again.
     seen = []
 
-    def counting(v):
-        seen.append(v)
-        return parse_rat(v)
+    def counting(v, *what):
+        # Every entry reads its numbers through parse_rat too, but only the
+        # JSON literals are strings.
+        if isinstance(v, str):
+            seen.append(v)
+        return parse_rat(v, *what)
 
     # Every JSON reader parses its rationals through numbers.parse_rat.
     monkeypatch.setattr(numbers, "parse_rat", counting)
@@ -781,6 +784,29 @@ def test_render_flag_writes_svg(tmp_path):
     assert code == 0
     svg = (out / "body.svg").read_text()
     assert svg.startswith("<svg") and "polygon" in svg
+
+
+@pytest.mark.parametrize("body, tag, labels", [
+    (Polytope(2, ()), None, []),
+    (Polytope(0, [()]), None, ["(0, 0)"]),
+    (Polytope(1, [(2,), (0,)]), "polyline", ["(0, 0)", "(2, 0)"]),
+    (Polytope(2, [(0, 0), (1, 0), (0, 1)]), "polygon",
+     ["(0, 0)", "(1, 0)", "(0, 1)"]),
+], ids=["empty", "0-D", "1-D", "2-D"])
+def test_render_svg_of_each_dimension(tmp_path, body, tag, labels):
+    path = tmp_path / "body.svg"
+    render.render_svg(body, path)
+    svg = path.read_text()
+    assert ('font-size="16">empty</text>' in svg) == body.is_empty
+    assert ("<poly" in svg) == (tag is not None)
+    assert tag is None or f"<{tag} " in svg
+    assert svg.count("<circle") == len(labels)
+    assert all(f">{label}</text>" in svg for label in labels)
+
+
+def test_render_svg_refuses_three_dimensions(tmp_path):
+    with pytest.raises(ValueError, match="dimension <= 2 only"):
+        render.render_svg(Polytope(3, ()), tmp_path / "body.svg")
 
 
 def test_render_without_polytope_exit_1(tmp_path):

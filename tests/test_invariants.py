@@ -532,6 +532,54 @@ def test_nef_boundary():
         nef_boundary_check(5, [1, 2])
 
 
+# A user list on Bl2 with the curve H - 2 E_2: the Nakayama constant of H
+# there is a surd whose square is irrational.
+_SHARP_LINE = SurfaceModel(2, "user", (E(2, 0), E(2, 1), PicClass(1, (0, 2))))
+# A user list on P^2 itself: no point, so no wall and no volume root.
+_NO_POINT = SurfaceModel(0, "user")
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: seshadri_eps(_NO_POINT, H(0), []),
+     ValueError("no curve constrains the threshold")),
+    (lambda: nakayama_mu(_NO_POINT, H(0)),
+     ValueError("chamber walk found no volume root")),
+    (lambda: xi_constant(hull([(0, 0), (1, 0), (0, 1)], 2), [1], 3, 1),
+     ValueError(r"body must live in R\^\(n\*r\)")),
+    (lambda: bounds_sandwich(_SHARP_LINE, H(2)),
+     ValueError("lower bound needs a nested radical")),
+    (lambda: nagata_check(2, 1, [1, -1]),
+     ValueError("multiplicities must be nonnegative")),
+    (lambda: nagata_check(2, -1, [0]), False),
+    (lambda: is_standard_form(3, [1, 1, -1]), False),
+    (lambda: irrationality_certificate(9, 10, [3] * 8),
+     ValueError("need exactly s multiplicities")),
+    (lambda: irrationality_certificate(9, 10, [3] * 8 + [4]),
+     {"ok": False, "failed": "multiplicities not sorted descending"}),
+    (lambda: irrationality_certificate(9, 5, [2] * 9),
+     {"ok": False, "failed": "m1+m2+m3 = 6 exceeds d = 5"}),
+    (lambda: irrationality_certificate(9, 1, [0] * 9),
+     {"ok": False, "failed": "degenerate: m1 + m2 = 0"}),
+    (lambda: homogeneous_eps(9, 0, 1), ValueError("degree must be positive")),
+    (lambda: homogeneous_eps(9, 1, 1),
+     {"branch": 1, "ok": False,
+      "failed": "negative self-intersection; class not ample"}),
+    # The line H - E1 - E2 is in B+ of 2H - E1 - E2 and meets E1.
+    (lambda: positive_xi_criterion(SurfaceModel(2), PicClass(2, (1, 1)),
+                                   [0]), False),
+], ids=["eps-no-wall", "mu-no-root", "xi-dimension", "sandwich-nested",
+        "nagata-negative-m", "nagata-negative-d", "standard-form-negative-m",
+        "irrationality-count", "irrationality-unsorted",
+        "irrationality-m1-m2-m3", "irrationality-degenerate",
+        "homogeneous-degree", "homogeneous-not-ample", "xi-criterion-meets"])
+def test_refusals_and_failed_verdicts(call, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=str(want)):
+            call()
+    else:
+        assert call() == want
+
+
 def test_report_json():
     rep = bounds_sandwich(SurfaceModel(2), H(2))
     doc = rep.to_json()

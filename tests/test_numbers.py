@@ -4,21 +4,57 @@ import operator
 import pickle
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from okounkov.numbers import RadVal, format_rat, parse_rat, squarefree_split
+from okounkov import invariants as inv, polytope as pt, surface as sf
+from okounkov import toric as tc
+from okounkov.numbers import (RadVal, _integer, format_rat, parse_rat,
+                              squarefree_split)
+from reference import squarefree_split as squarefree_split_trial
 
 
 def test_parse_rat():
     assert parse_rat("3/4") == Fraction(3, 4)
     assert parse_rat("-2/6") == Fraction(-1, 3)
     assert parse_rat("7") == Fraction(7)
+    assert parse_rat(-7) == Fraction(-7)
+    q = Fraction(1, 10)
+    assert parse_rat(q) is q
     for bad in ("1/0", True, False):  # a bool is not a rational
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+
+@pytest.mark.parametrize("x, message", [
+    (0.1, "float weight 0.1; give an exact rational"),
+    (True, "bool weight True; give an exact rational"),
+    (Decimal("0.1"), "Decimal weight Decimal('0.1'); give an exact rational"),
+    (None, "NoneType weight None; give an exact rational"),
+    ("0.1", "weight '0.1' is not a rational \"p\" or \"p/q\""),
+    ("1/", "weight '1/' is not a rational"),
+    ("3H", "weight '3H' is not a rational"),
+    ("2/0", "zero denominator in weight '2/0'"),
+])
+def test_parse_rat_names_what_it_refuses(x, message):
+    # A malformed string was a bare "invalid literal for int()".
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_rat(x, "weight")
+
+
+@pytest.mark.parametrize("x, low, message", [
+    (2.0, None, "n 2.0 is not an integer"),
+    (True, None, "n True is not an integer"),
+    ("2", None, "n '2' is not an integer"),
+    (0, 1, "n 0 is not an integer >= 1"),
+])
+def test_integer_names_what_it_refuses(x, low, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _integer(x, "n", low)
+    assert _integer(3, "n", 1) == 3 and _integer(-3, "n") == -3
 
 
 def test_format_rat_round_trip():
@@ -32,6 +68,21 @@ def test_squarefree_split():
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(0) == (1, 0)
     assert squarefree_split(360) == (6, 10)
+    # What trial division leaves above the cube root: a prime squared, two
+    # large primes, one large prime.
+    assert squarefree_split(2 * 10000019 ** 2) == (10000019, 2)
+    assert squarefree_split(1000003 * 1000033) == (1, 1000003 * 1000033)
+    assert squarefree_split(9 * 1000003) == (3, 1000003)
+    assert squarefree_split(2000026000109) == squarefree_split_trial(
+        2000026000109)
+    for n in range(5000):
+        assert squarefree_split(n) == squarefree_split_trial(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**10))
+def test_squarefree_split_matches_trial_division(n):
+    assert squarefree_split(n) == squarefree_split_trial(n)
 
 
 def test_radval_normalization():
@@ -62,6 +113,8 @@ def test_radval_sqrt_and_square():
     assert v.squared() == Fraction(1, 2)
     assert RadVal.sqrt(9) == RadVal.rational(3)
     assert RadVal.sqrt(10).squared() == 10
+    with pytest.raises(ValueError, match="sqrt of negative rational"):
+        RadVal.sqrt(Fraction(-1, 4))
 
 
 def test_radval_arithmetic():
@@ -463,3 +516,135 @@ def test_radval_refuses_mixed_radicands_like_the_oracle(op, verb):
     for left, right in ((x, y), (X, Y)):
         with pytest.raises(ValueError, match=re.escape(message)):
             op(left, right)
+
+
+# -- every public entry reads a caller's numbers through numbers ------
+
+def _refusals():
+    f = tc.load_fixture("bl1p2")
+    fan, D, flags = f["fan"], f["divisors"]["O1"], f["flags"]["inf"]
+    P = pt.hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+    m2, L = sf.SurfaceModel(2), sf.H(2).scale(2)
+    m1, L1 = sf.SurfaceModel(1), sf.PicClass(2, (0,))
+    return [
+        # invariants
+        ("seshadri_eps", lambda: inv.seshadri_eps(m2, sf.H(2), [0.1, 0.1]),
+         "float weight 0.1"),
+        ("xi_constant-w", lambda: inv.xi_constant(P, [0.5], 2, 1),
+         "float weight 0.5"),
+        ("xi_constant-n", lambda: inv.xi_constant(P, [1], 2.0, 1),
+         "n 2.0 is not an integer"),
+        ("xi_constant-r", lambda: inv.xi_constant(P, [1], 2, True),
+         "r True is not an integer"),
+        ("slice_volume_check-w",
+         lambda: inv.slice_volume_check(P, [0.5], 2, 1, 1),
+         "float weight 0.5"),
+        ("slice_volume_check-vol_x",
+         lambda: inv.slice_volume_check(P, [1], 2, 1, 0.5),
+         "float vol_x 0.5"),
+        ("slice_volume_check-n",
+         lambda: inv.slice_volume_check(P, [1], True, 1, 1),
+         "n True is not an integer"),
+        ("containment_bound", lambda: inv.containment_bound([0.5], 2, 1),
+         "float mu value 0.5"),
+        ("containment_bound-r", lambda: inv.containment_bound([1], 2, True),
+         "r True is not an integer"),
+        ("nagata_check-d", lambda: inv.nagata_check(9, 3.1, [1] * 9),
+         "float degree 3.1"),
+        ("nagata_check-m", lambda: inv.nagata_check(9, 3, [0.5]),
+         "float multiplicity 0.5"),
+        ("nagata_check-r", lambda: inv.nagata_check(True, 3, [1]),
+         "r True is not an integer"),
+        ("is_standard_form", lambda: inv.is_standard_form(3.5, [1]),
+         "float degree 3.5"),
+        ("conditional_non_effectivity",
+         lambda: inv.conditional_non_effectivity(3, [1, 0.5]),
+         "float multiplicity 0.5"),
+        ("irrationality_certificate-s",
+         lambda: inv.irrationality_certificate(10.0, 10, [3] * 10),
+         "s 10.0 is not an integer"),
+        ("irrationality_certificate-d",
+         lambda: inv.irrationality_certificate(10, 10.5, [3] * 10),
+         "float degree 10.5"),
+        ("homogeneous_eps-s", lambda: inv.homogeneous_eps(10.0, 10, 3),
+         "s 10.0 is not an integer"),
+        ("homogeneous_eps-bool-s", lambda: inv.homogeneous_eps(True, 10, 3),
+         "s True is not an integer"),
+        ("homogeneous_eps-c", lambda: inv.homogeneous_eps(10, 10, 0.5),
+         "float multiplicity 0.5"),
+        ("nef_boundary_check", lambda: inv.nef_boundary_check(0.5, [0]),
+         "float degree 0.5"),
+        # polytope
+        ("SliceSpec-w", lambda: pt.SliceSpec(2, 1, (0.1,)),
+         "float slice weight 0.1"),
+        ("SliceSpec-n", lambda: pt.SliceSpec(2.0, 1, (1,)),
+         "n 2.0 is not an integer"),
+        ("SliceSpec-r", lambda: pt.SliceSpec(2, True, (1,)),
+         "r True is not an integer"),
+        ("Polytope-ambient_dim", lambda: pt.Polytope(True, [(0,)]),
+         "ambient dimension True is not an integer"),
+        ("Polytope-float-ambient_dim", lambda: pt.Polytope(1.0, [(0,)]),
+         "ambient dimension 1.0 is not an integer"),
+        ("affine_image-M", lambda: pt.affine_image(P, [[0.5, 0], [0, 1]]),
+         "float matrix entry 0.5"),
+        ("affine_image-t",
+         lambda: pt.affine_image(P, [[1, 0], [0, 1]], (0.5, 0)),
+         "float translation 0.5"),
+        ("contains", lambda: pt.contains(P, (0.5, 0)),
+         "float coordinate 0.5"),
+        ("inverted_slice_simplex-size",
+         lambda: pt.inverted_slice_simplex([0.5], 2),
+         "float slice-simplex size 0.5"),
+        ("inverted_slice_simplex-n",
+         lambda: pt.inverted_slice_simplex([1], 2.0),
+         "n 2.0 is not an integer"),
+        ("cone_base-level", lambda: pt.cone_base([((0, 0), 1.5)]),
+         "level 1.5 is not an integer"),
+        ("cone_base-point", lambda: pt.cone_base([((0.5, 0), 1)]),
+         "float coordinate 0.5"),
+        # surface
+        ("chambers", lambda: sf.chambers(m2, L, [0.5, 0]),
+         "float weight 0.5"),
+        ("PicClass.scale", lambda: L.scale(0.5), "float scale 0.5"),
+        ("H", lambda: sf.H(2.0), "s 2.0 is not an integer"),
+        ("E-i", lambda: sf.E(2, True), "index i True is not an integer"),
+        ("E-s", lambda: sf.E(2.0, 1), "s 2.0 is not an integer"),
+        ("SurfaceModel", lambda: sf.SurfaceModel(True),
+         "s True is not an integer"),
+        ("SurfaceModel-user", lambda: sf.SurfaceModel(True, "user"),
+         "s True is not an integer"),
+        ("neg_curve_classes", lambda: sf.neg_curve_classes(4.0),
+         "s 4.0 is not an integer"),
+        ("surface_body_outer-grid_step",
+         lambda: sf.surface_body_outer(m1, L1, [0], 0.5, 1),
+         "float grid_step 0.5"),
+        ("surface_body_outer-t_max",
+         lambda: sf.surface_body_outer(m1, L1, [0], 1, 0.5),
+         "float t_max 0.5"),
+        # toric
+        ("lattice_points", lambda: tc.lattice_points(P, True),
+         "multiple m True is not an integer"),
+        ("lattice_points-float", lambda: tc.lattice_points(P, 2.0),
+         "multiple m 2.0 is not an integer"),
+        ("semigroup_body_approx",
+         lambda: tc.semigroup_body_approx(fan, D, flags, 2.0),
+         "m_max 2.0 is not an integer"),
+        ("ValuationVector-entry", lambda: tc.ValuationVector((0.5,), 1),
+         "float valuation entry 0.5"),
+        ("ValuationVector-level", lambda: tc.ValuationVector((1,), True),
+         "valuation level True is not an integer"),
+    ]
+
+
+_REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in _REFUSALS],
+                         ids=[r[0] for r in _REFUSALS])
+def test_public_entries_refuse_a_float_or_bool_by_name(call, message):
+    # A float is a binary fraction, not the rational it was written as, and
+    # a bool is no integer: each used to be read (0.1 as 3602879701896397 /
+    # 36028797018963968, True as 1) or to fail deep inside with a bare
+    # TypeError or AttributeError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

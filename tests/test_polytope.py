@@ -203,6 +203,34 @@ def test_intersect_subspace_empty():
     assert Q2.is_empty
 
 
+_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SliceSpec(2, 2, (1,)), "slice weights must be r positive"),
+    (lambda: SliceSpec(2, 1, (0,)), "slice weights must be r positive"),
+    (lambda: cone_base([((0, 0), 1), ((1,), 1)]),
+     "point of length 1 in ambient dimension 2"),
+    (lambda: cone_base([((0, 0), 0)]), "level 0 is not an integer >= 1"),
+    (lambda: minkowski_sum(_SQUARE, hull([(0,)], 1)),
+     "Minkowski sum of bodies in different dimensions"),
+    (lambda: contains(_SQUARE, (0, 0, 0)),
+     "containment across different ambient dimensions"),
+    (lambda: contains(_SQUARE, hull([(0,)], 1)),
+     "containment across different ambient dimensions"),
+    (lambda: intersect_subspace(_SQUARE, SliceSpec(2, 2, (1, 1))),
+     "slice spec does not match ambient dimension"),
+    (lambda: inverted_slice_simplex([1], 0), r"need n >= 1 and r >= 1"),
+    (lambda: inverted_slice_simplex([], 2), r"need n >= 1 and r >= 1"),
+    (lambda: inverted_slice_simplex([-1], 2), "negative slice-simplex size"),
+], ids=["slice-count", "slice-zero", "cone-base-length", "cone-base-level",
+        "minkowski", "contains-point", "contains-body", "slice-dimension",
+        "simplex-n", "simplex-r", "simplex-size"])
+def test_shape_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_empty_bodies_take_the_general_path():
     # The empty record, 0 <= -1 with no vertices, answers every operation.
     empty = Polytope(3, ())

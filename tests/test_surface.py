@@ -118,6 +118,17 @@ def test_user_mode_model():
     assert len(m.neg_curves) == 9
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, "user", (E(3, 0),)), "user curve list has wrong s"),
+    ((2, "delpezzo"), "unknown surface mode 'delpezzo'"),
+    ((2, "delpezzo-general", (E(2, 0),)),
+     "neg_curves are read only with mode 'user'"),
+], ids=["user-wrong-s", "unknown-mode", "builtin-with-curves"])
+def test_model_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        SurfaceModel(*args)
+
+
 def test_user_mode_psef_is_cone_membership():
     # -K = 3H - sum E_i is nef against every generator of the list {E_i},
     # yet lies outside their cone: only cone membership gets this right.
@@ -389,6 +400,10 @@ def test_surface_body_projections():
 def test_surface_json_round_trip():
     m = SurfaceModel(2)
     assert SurfaceModel.from_json(m.to_json()).neg_curves == m.neg_curves
+    user = SurfaceModel(2, "user", (E(2, 0), cls(1, 1, 1)))
+    assert user.to_json() == {"s": 2, "mode": "user", "neg_curves": [
+        {"d": "0", "m": ["-1", "0"]}, {"d": "1", "m": ["1", "1"]}]}
+    assert SurfaceModel.from_json(user.to_json()) == user
     c = cls(F(7, 2), 1, -3)
     assert PicClass.from_json(c.to_json()) == c
 

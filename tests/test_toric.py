@@ -69,6 +69,28 @@ def test_doubly_wound_fan_rejected():
         Fan(2, rays, cones)
 
 
+_P2_RAYS = ((1, 0), (0, 1), (-1, -1))
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: Fan(2, _P2_RAYS, ((0, 0), (1, 2), (2, 0))),
+     ValueError(r"max cone \(0, 0\) must list 2 distinct rays")),
+    (lambda: lattice_points(Polytope(2, ()), 3), []),
+    # u1 >= 0, u2 >= 0 and u1 + u2 <= -1: no section at any level.
+    (lambda: semigroup_body_approx(
+        Fan(2, _P2_RAYS, ((0, 1), (1, 2), (2, 0))),
+        ToricDivisor((0, 0, -1)), ToricFlagSpec(((0, 1),)), 2),
+     Polytope(2, ())),
+], ids=["cone-repeats-a-ray", "lattice-points-of-empty",
+        "semigroup-of-empty"])
+def test_degenerate_inputs(call, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=str(want)):
+            call()
+    else:
+        assert call() == want
+
+
 def test_unused_ray_rejected():
     with pytest.raises(ValueError, match="appear in some max cone"):
         Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)),
@@ -102,7 +124,7 @@ def test_fan_refuses_a_non_integer_entry(rays, cones, message):
 def test_fan_refuses_a_dim_that_is_no_integer(dim):
     # Refused by name before the cone determinants: 2.0 raised a bare
     # TypeError there, and True would be read as 1.
-    with pytest.raises(ValueError, match=f"fan dim {dim!r} must be an "
+    with pytest.raises(ValueError, match=f"fan dim {dim!r} is not an "
                                          f"integer >= 1"):
         Fan(dim, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 

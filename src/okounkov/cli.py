@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import invariants, registry, render, surface, toric
 from .numbers import (_INT, _OBJECT, _RAT, _RATS, _SCHEMA, _STR, RadVal,
@@ -68,7 +69,10 @@ def _run(args) -> int:
         job = json.load(fh)
     _, kind, payload, name, draw = _read_json(
         job, "job", {"input": {}, "output_path": "", "render": False}, **_JOB)
-    result, poly, failed = _HANDLERS[kind](_read_input(kind, payload))
+    handler, forms = _KINDS[kind]
+    form = next((f for f in forms if next(iter(f)) in payload), forms[-1])
+    result, poly, failed = handler(dict(zip(form, _read_json(
+        payload, f"job kind {kind!r} input", _OPTIONAL, **form))))
     if draw and (poly is None or poly.ambient_dim > 2):
         raise ValueError(f"job kind {kind!r} has no renderable polytope")
 
@@ -109,15 +113,15 @@ def _toric_parts(p):
 
 
 def _body(p):
-    """(body, n, r, vol_x) of the named fixture, or of the inline body."""
+    """The named fixture's setup, or the inline body: body, n, r and, for
+    slice-volume, vol_x, by attribute."""
     if "fixture" in p:
-        fx = registry.invariant_setup(p["fixture"])
-        return fx.body, fx.n, fx.r, fx.vol_x
-    return p["body"], p["n"], p["r"], p.get("vol_x")
+        return registry.invariant_setup(p["fixture"])
+    return SimpleNamespace(**p)
 
 
-# -- job handlers: each takes the input that _read_input read and returns
-# (result-json, renderable-polytope-or-None, failure-msg-or-None).
+# -- job handlers: each takes the input that _run read by its form and
+# returns (result-json, renderable-polytope-or-None, failure-msg-or-None).
 
 def _job_toric_body(p):
     body = toric.extended_body_toric(*_toric_parts(p))
@@ -125,9 +129,8 @@ def _job_toric_body(p):
 
 
 def _job_semigroup_sample(p):
-    m_max = p.get("m_max", 3)
-    body = toric.semigroup_body_approx(*_toric_parts(p), m_max)
-    return {**body.to_json(), "m_max": m_max}, body, None
+    body = toric.semigroup_body_approx(*_toric_parts(p), p["m_max"])
+    return {**body.to_json(), "m_max": p["m_max"]}, body, None
 
 
 def _job_surface_zariski(p):
@@ -139,9 +142,9 @@ def _job_surface_zariski(p):
 
 def _job_surface_body(p):
     model = _model(p)
-    body = surface.surface_body_outer(
-        model, p["class"], p.get("points", range(model.s)),
-        p.get("grid_step", Fraction(1, 2)), p.get("t_max", Fraction(1)))
+    points = range(model.s) if p["points"] is None else p["points"]
+    body = surface.surface_body_outer(model, p["class"], points,
+                                      p["grid_step"], p["t_max"])
     out = {**body.to_json(), "meta": dict(body.meta)}
     return out, body, None
 
@@ -152,13 +155,13 @@ def _job_seshadri(p):
 
 
 def _job_nakayama(p):
-    mu = invariants.nakayama_mu(_model(p), p["class"], p.get("points"))
+    mu = invariants.nakayama_mu(_model(p), p["class"], p["points"])
     return {"mu": mu.to_json()}, None, None
 
 
 def _job_xi(p):
-    body, n, r, _ = _body(p)
-    xi = invariants.xi_constant(body, p["weights"], n, r)
+    b = _body(p)
+    xi = invariants.xi_constant(b.body, p["weights"], b.n, b.r)
     return {"xi": format_rat(xi)}, None, None
 
 
@@ -170,8 +173,9 @@ def _job_eps_xi_check(p):
 
 
 def _job_slice_volume(p):
-    body, n, r, vol_x = _body(p)
-    rep = invariants.slice_volume_check(body, p["weights"], n, r, vol_x)
+    b = _body(p)
+    rep = invariants.slice_volume_check(b.body, p["weights"], b.n, b.r,
+                                        b.vol_x)
     ok = rep.all_pass()
     return rep.to_json(), None, (None if ok else "slice-volume check failed")
 
@@ -212,52 +216,16 @@ def _jsonify(obj):
     return obj
 
 
-_HANDLERS = {
-    "toric-body": _job_toric_body,
-    "semigroup-sample": _job_semigroup_sample,
-    "surface-zariski": _job_surface_zariski,
-    "surface-body": _job_surface_body,
-    "seshadri": _job_seshadri,
-    "nakayama": _job_nakayama,
-    "xi": _job_xi,
-    "eps-xi-check": _job_eps_xi_check,
-    "slice-volume": _job_slice_volume,
-    "nagata": _job_nagata,
-    "standard-form": _job_standard_form,
-    "irrationality": _job_irrationality,
-    "homogeneous": _job_homogeneous,
-    "nef-boundary": _job_nef_boundary,
-}
-
-# The job object's readers, as numbers._read_json takes them.
-_JOB = {
-    "schema": _SCHEMA,
-    "kind": (lambda v: v if isinstance(v, str) and v in _HANDLERS else None,
-             f"one of {', '.join(_HANDLERS)}"),
-    "input": _OBJECT,
-    "output_path": (lambda v: v if isinstance(v, str) and v not in ("", "..")
-                    and Path(v).name == v else None,
-                    "a file name, written in --out"),
-    "render": (lambda v: v if type(v) is bool else None, "true or false"),
-}
-
-# The input forms of each kind: key -> the (read, what) of its value, as
-# numbers._read_json takes them; an object's read is its from_json, whose
-# ValueError names the inner key refused.  A job takes the first form whose
-# first key it gives, else the last form.  Kept apart from _HANDLERS so that
-# a handler can be swapped without redeclaring them; _read_input reads the
-# input by them before any work.
+# The input forms: key -> the (read, what) of its value, as
+# numbers._read_json takes them; an object's read is its from_json.
 _CLASS = (PicClass.from_json, "a class {d, m}")
 _SURFACE = {"surface": (SurfaceModel.from_json,
                         "a surface {s, mode, neg_curves}"), "class": _CLASS}
 _S = {"s": _INT, "class": _CLASS}
 _FIXTURE = {"fixture": _STR, "divisor": _STR, "flags": _STR}
-_FAN = {"fan": (toric.Fan.from_json, "an object {dim: an integer, rays, "
-                "max_cones: lists of integer lists}"),
-        "divisor": (toric.ToricDivisor.from_json,
-                    "an object {coeffs: a list of rationals}"),
-        "flags": (toric.ToricFlagSpec.from_json,
-                  "an object {flags: a nonempty list of integer lists}")}
+_FAN = {"fan": (toric.Fan.from_json, "a fan {dim, rays, max_cones}"),
+        "divisor": (toric.ToricDivisor.from_json, "a divisor {coeffs}"),
+        "flags": (toric.ToricFlagSpec.from_json, "a flag spec {flags}")}
 _BODY = {"body": (Polytope.from_json, "a body {ambient_dim, vertices}"),
          "n": _INT, "r": _INT}
 _NAME = {"fixture": _STR}
@@ -265,68 +233,50 @@ _WEIGHTS = {"weights": _RATS}
 _D_M = {"d": _RAT, "m": _RATS}
 # surface.flag_points checks them against s, before any work.
 _POINTS = {"points": (lambda v: v, "flag points")}
-# The keys a job may leave out; every other key of its form is required.
-_OPTIONAL = {"points", "m_max", "grid_step", "t_max"}
+# The keys a job may leave out, with the value each then takes; every other
+# key of a form is required.
+_OPTIONAL = {"points": None, "m_max": 3, "grid_step": Fraction(1, 2),
+             "t_max": Fraction(1)}
 
 
 def _each(forms, extra):
     return tuple({**f, **extra} for f in forms)
 
 
-_INPUT_FORMS = {
-    "toric-body": (_FIXTURE, _FAN),
-    "semigroup-sample": _each((_FIXTURE, _FAN), {"m_max": _INT}),
-    "surface-zariski": (_SURFACE, _S),
-    "surface-body": _each((_SURFACE, _S), {
-        **_POINTS, "grid_step": _RAT, "t_max": _RAT}),
-    "seshadri": _each((_SURFACE, _S), _WEIGHTS),
-    "nakayama": _each((_SURFACE, _S), _POINTS),
-    "xi": _each((_NAME, _BODY), _WEIGHTS),
-    "eps-xi-check": ({**_NAME, **_WEIGHTS},),
-    "slice-volume": _each((_NAME, {**_BODY, "vol_x": _RAT}), _WEIGHTS),
-    "nagata": ({"r": _INT, **_D_M},),
-    "standard-form": (_D_M,),
-    "irrationality": ({"s": _INT, **_D_M},),
-    "homogeneous": ({"s": _INT, "d": _RAT, "c": _RAT},),
-    "nef-boundary": (_D_M,),
+# Each job kind: its handler and its input forms.  A job takes the first
+# form whose first key it gives, else the last, and _run reads the input by
+# it, before any work.
+_KINDS = {
+    "toric-body": (_job_toric_body, (_FIXTURE, _FAN)),
+    "semigroup-sample": (_job_semigroup_sample,
+                         _each((_FIXTURE, _FAN), {"m_max": _INT})),
+    "surface-zariski": (_job_surface_zariski, (_SURFACE, _S)),
+    "surface-body": (_job_surface_body, _each((_SURFACE, _S), {
+        **_POINTS, "grid_step": _RAT, "t_max": _RAT})),
+    "seshadri": (_job_seshadri, _each((_SURFACE, _S), _WEIGHTS)),
+    "nakayama": (_job_nakayama, _each((_SURFACE, _S), _POINTS)),
+    "xi": (_job_xi, _each((_NAME, _BODY), _WEIGHTS)),
+    "eps-xi-check": (_job_eps_xi_check, ({**_NAME, **_WEIGHTS},)),
+    "slice-volume": (_job_slice_volume,
+                     _each((_NAME, {**_BODY, "vol_x": _RAT}), _WEIGHTS)),
+    "nagata": (_job_nagata, ({"r": _INT, **_D_M},)),
+    "standard-form": (_job_standard_form, (_D_M,)),
+    "irrationality": (_job_irrationality, ({"s": _INT, **_D_M},)),
+    "homogeneous": (_job_homogeneous, ({"s": _INT, "d": _RAT, "c": _RAT},)),
+    "nef-boundary": (_job_nef_boundary, (_D_M,)),
 }
-# The input keys each kind reads; any other key is refused.
-_INPUT_KEYS = {kind: set().union(*forms)
-               for kind, forms in _INPUT_FORMS.items()}
 
-
-def _read_input(kind, payload) -> dict:
-    """The payload read by the declared reader of each value, in the form's
-    order; a ValueError names the first key refused: unknown, of another
-    form or kind, missing."""
-    unknown = sorted(set(payload) - _INPUT_KEYS[kind])
-    if unknown:
-        raise ValueError(
-            f"unknown input key {unknown[0]!r} for job kind {kind!r}; "
-            f"accepted: {', '.join(sorted(_INPUT_KEYS[kind]))}")
-    forms = _INPUT_FORMS[kind]
-    form = next((f for f in forms if next(iter(f)) in payload), forms[-1])
-    stray = sorted(set(payload) - form.keys())
-    if stray:
-        raise ValueError(f"input key {stray[0]!r} does not go with "
-                         f"{next(iter(form))!r} in job kind {kind!r}")
-    # The key that chose the form is read first.
-    out = {}
-    for key, (read, what) in form.items():
-        if key in payload:
-            try:
-                out[key] = read(payload[key])
-            except ValueError as exc:
-                raise ValueError(f"input key {key!r} of job kind {kind!r} "
-                                 f"must be {what}: {exc}") from None
-            if out[key] is None:
-                raise ValueError(f"input key {key!r} of job kind {kind!r} "
-                                 f"must be {what}, got {payload[key]!r}")
-    for key, (_, what) in form.items():
-        if key not in payload and key not in _OPTIONAL:
-            raise ValueError(f"missing input key {key!r} ({what}) for job "
-                             f"kind {kind!r}")
-    return out
+# The job object's readers, as numbers._read_json takes them.
+_JOB = {
+    "schema": _SCHEMA,
+    "kind": (lambda v: v if isinstance(v, str) and v in _KINDS else None,
+             f"one of {', '.join(_KINDS)}"),
+    "input": _OBJECT,
+    "output_path": (lambda v: v if isinstance(v, str) and v not in ("", "..")
+                    and Path(v).name == v else None,
+                    "a file name, written in --out"),
+    "render": (lambda v: v if type(v) is bool else None, "true or false"),
+}
 
 
 if __name__ == "__main__":

@@ -77,7 +77,8 @@ def seshadri_eps(model: SurfaceModel, L: PicClass, w) -> RadVal:
     w = [parse_rat(x, "weight") for x in w]
     if len(w) != model.s or any(x <= 0 for x in w):
         raise ValueError("weights must be s positive rationals")
-    return _nef_threshold(next(surface.chambers(model, L, w), None))
+    surface._check_s(model, L)
+    return _nef_threshold(next(surface._walk(model, L, w), None))
 
 
 def _nef_threshold(first) -> RadVal:
@@ -96,7 +97,8 @@ def nakayama_mu(model: SurfaceModel, L: PicClass, points=None) -> RadVal:
     for i in (range(model.s) if points is None
               else surface.flag_points(model, points)):
         w[i] = 1
-    walk = surface.chambers(model, L, w)
+    surface._check_s(model, L)
+    walk = surface._walk(model, L, w)
     first = next(walk, None)
     if first is not None and first[2] == 0 and model.mode == "user" \
             and not surface.is_psef(model, L):
@@ -158,10 +160,9 @@ def xi_constant(body: Polytope, w, n: int, r: int) -> Fraction:
     if any(sum(map(mul, a, g)) for a, _ in eqs for g in gens):
         return Fraction(0)
     # a.(q x) <= b holds at x = a' g, a' >= 0, up to a' = qw b / (q a.(qw g)).
-    best = min((Fraction(qw * b, q * p) for a, b in le for g in gens
-                if (p := sum(map(mul, a, g))) > 0), default=None)
-    if best is None:
-        raise ValueError("unbounded body in simplex directions")
+    # The body is bounded, so each g, in its span, has a facet with a.g > 0.
+    best = min(Fraction(qw * b, q * p) for a, b in le for g in gens
+               if (p := sum(map(mul, a, g))) > 0)
     return max(best, Fraction(0))
 
 
@@ -210,7 +211,8 @@ def bounds_sandwich(model: SurfaceModel, L: PicClass) -> InvariantReport:
     if any(x != 0 for x in L.m):
         raise ValueError("the sandwich needs a class pulled back from P^2 "
                          "(d*H with every m_i = 0)")
-    walk = surface.chambers(model, L, [1] * r)  # eps and mu off one walk
+    surface._check_s(model, L)
+    walk = surface._walk(model, L, [1] * r)  # eps and mu off one walk
     first = next(walk, None)
     eps, mu = _nef_threshold(first), _volume_root(first, walk)
     L2 = intersect(L, L)

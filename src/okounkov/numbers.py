@@ -87,10 +87,10 @@ _RADICAND = (lambda v: int(v) if isinstance(v, str) and v.isascii()
 
 def _read_json(obj, of, defaults={}, **readers):
     """The values of the keys of the JSON object obj, in the order of
-    readers (key -> a reader above, or a from_json whose ValueError goes
-    through); a key left out takes its value in defaults (never written
-    to).  A ValueError names the first key refused: unknown, missing or of
-    the wrong shape."""
+    readers (key -> a reader above, or a from_json); a key left out takes
+    its value in defaults (never written to), None included.  A ValueError
+    names the first key refused: unknown, missing, of the wrong shape, or
+    refused by its from_json, whose message follows the key's."""
     if not isinstance(obj, dict):
         raise ValueError(f"{of} must be an object, got {obj!r}")
     unknown = sorted(obj.keys() - readers.keys())
@@ -99,10 +99,19 @@ def _read_json(obj, of, defaults={}, **readers):
                          f"{', '.join(readers)}")
     out = []
     for key, (read, what) in readers.items():
-        v = read(obj[key]) if key in obj else defaults.get(key)
+        if key not in obj:
+            if key not in defaults:
+                raise ValueError(f"missing {of} key {key!r} ({what})")
+            out.append(defaults[key])
+            continue
+        try:
+            v = read(obj[key])
+        except ValueError as exc:
+            raise ValueError(f"{of} key {key!r} must be {what}: "
+                             f"{exc}") from None
         if v is None:
-            got = repr(obj[key]) if key in obj else "no such key"
-            raise ValueError(f"{of} key {key!r} must be {what}, got {got}")
+            raise ValueError(f"{of} key {key!r} must be {what}, got "
+                             f"{obj[key]!r}")
         out.append(v)
     return out
 

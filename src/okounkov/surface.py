@@ -277,17 +277,31 @@ class SurfaceModel:
     _rows: _Rows = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _integer(self.s, "s")
+        s = _integer(self.s, "s", 0)
         if self.mode == "delpezzo-general":
             if self.neg_curves:
                 raise ValueError("neg_curves are read only with mode 'user'")
-            curves, rows = _builtin(self.s)
+            curves, rows = _builtin(s)
         elif self.mode == "user":
             curves = tuple(self.neg_curves)
-            if not all(c.s == self.s for c in curves):
+            if not all(c.s == s for c in curves):
                 raise ValueError("user curve list has wrong s")
-            rows = _Rows([c._row[0] for c in curves]
-                         + _generator_rows(self.s), len(curves))
+            # The rows' entries, which lp.in_cone would refuse past its bound.
+            if (size := (len(curves) + s + 1) * (s + 1)) > lp.MAX_CONE_CELLS:
+                raise ValueError(f"user model of {size} row entries exceeds "
+                                 f"MAX_CONE_CELLS = {lp.MAX_CONE_CELLS}")
+            rows = [c._row[0] for c in curves]
+            # A curve named twice makes every support holding both singular.
+            first = {}
+            for i, r in enumerate(rows):
+                g = math.gcd(*r) or 1
+                j = first.setdefault(tuple(x // g for x in r), i)
+                if j != i:
+                    raise ValueError(
+                        f"user curve list names one curve twice: entries "
+                        f"{j} and {i}, {curves[j].to_json()} and "
+                        f"{curves[i].to_json()}")
+            rows = _Rows(rows + _generator_rows(s), len(curves))
         else:
             raise ValueError(f"unknown surface mode {self.mode!r}")
         object.__setattr__(self, "neg_curves", curves)
@@ -497,7 +511,9 @@ def chambers(model: SurfaceModel, L: PicClass, w):
 
 
 def _walk(model: SurfaceModel, L: PicClass, w):
-    """The generator of chambers(model, L, w)."""
+    """The generator of chambers(model, L, w), for an L of model.s
+    multiplicities and weights already read: s nonnegative ints or
+    Fractions."""
     n = len(L.m) + 1  # x = q L and u = q (-W) on one scale q
     row, _ = linalg.scaled((L.d, *L.m, 0, *w))
     x, u, supp, tn, td = row[:n], row[n:], [], 0, 1

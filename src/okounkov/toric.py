@@ -268,6 +268,7 @@ def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
     if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
                and x.denominator == 1 for x in u):
         raise ValueError(f"u = {u!r} is not a lattice point")
+    _integer(level, "valuation level", 1)
     flags.validate(fan)
     # divisor_polytope first checks the coefficient count against the rays.
     P = divisor_polytope(fan, D)

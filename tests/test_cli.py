@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -329,9 +330,11 @@ def test_unknown_input_key_exit_1(tmp_path, capsys, kind, payload, key):
                                    "input": payload})
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith(f"input error: unknown input key {key!r} "
-                          f"for job kind {kind!r}; accepted: ")
-    assert all(k in err for k in cli._INPUT_KEYS[kind])
+    assert err.startswith(f"input error: job kind {kind!r} input key "
+                          f"{key!r} is unknown; accepted: ")
+    # The keys of the form that the input's first key chooses.
+    form = next(f for f in cli._KINDS[kind][1] if next(iter(f)) in payload)
+    assert err.endswith(f"accepted: {', '.join(form)}\n")
 
 
 def test_input_must_be_an_object(tmp_path, capsys):
@@ -409,7 +412,7 @@ _JOB_OF_KIND = {json.loads(p.read_text())["kind"]: p for p in sorted(
     (Path(__file__).parent.parent / "jobs").glob("*.json"))}
 
 
-@pytest.mark.parametrize("kind", cli._HANDLERS)
+@pytest.mark.parametrize("kind", cli._KINDS)
 def test_malformed_grid_step_exit_1_for_every_kind(tmp_path, capsys, kind):
     # --grid-step is no option: the parser refuses it, whatever the kind,
     # before the job is read.
@@ -591,26 +594,39 @@ def _fan_input(part, **fields):
     return {**_INLINE_FAN, part: {**_INLINE_FAN[part], **fields}}
 
 
-@pytest.mark.parametrize("kind, payload, message", [
+# The contract table: (kind, payload, the message the line must hold).  A
+# row given as (..., id) keeps the id it was added under, which quoted the
+# line's wording of that time; the job kind and the input key now come
+# first, as numbers._read_json words every key.
+_CONTRACT = [
     # wrong kinds of value; a bool is not an integer
     ("seshadri", {"s": 2, "class": _CLASS, "weights": 3},
+     "job kind 'seshadri' input key 'weights' must be a list of rationals, "
+     "got 3",
      "input key 'weights' of job kind 'seshadri' must be a list of "
      "rationals, got 3"),
     ("seshadri", {"s": 2, "class": "3H", "weights": ["1", "1"]},
+     "job kind 'seshadri' input key 'class' must be a class {d, m}: class "
+     "must be an object, got '3H'",
      "input key 'class' of job kind 'seshadri' must be a class {d, m}"),
     ("seshadri", {"surface": 5, "class": _CLASS, "weights": ["1", "1"]},
+     "job kind 'seshadri' input key 'surface' must be a surface",
      "input key 'surface' of job kind 'seshadri' must be a surface"),
     ("seshadri", {"s": True, "class": _CLASS, "weights": ["1", "1"]},
+     "job kind 'seshadri' input key 's' must be an integer, got True",
      "input key 's' of job kind 'seshadri' must be an integer, got True"),
     ("surface-zariski", {"s": "2", "class": _CLASS},
+     "job kind 'surface-zariski' input key 's' must be an integer",
      "input key 's' of job kind 'surface-zariski' must be an integer"),
     ("surface-zariski", {"surface": {"s": 2, "neg_curves": 3},
                          "class": _CLASS}, "must be a surface"),
     ("surface-body", {"s": 2, "class": _CLASS, "grid_step": 0.5},
+     "job kind 'surface-body' input key 'grid_step' must be a rational",
      "input key 'grid_step' of job kind 'surface-body' must be a rational"),
     ("surface-body", {"s": 2, "class": {"d": "1", "m": ["0", "x"]}},
      "must be a class {d, m}"),
     ("nagata", {"r": 9, "d": True, "m": ["1"] * 9},
+     "job kind 'nagata' input key 'd' must be a rational",
      "input key 'd' of job kind 'nagata' must be a rational"),
     ("nagata", {"r": 9, "d": "1/0", "m": ["1"] * 9}, "must be a rational"),
     ("homogeneous", {"s": 12.0, "d": "4", "c": "1"}, "must be an integer"),
@@ -619,6 +635,8 @@ def _fan_input(part, **fields):
     ("toric-body", {"fixture": "bl1p2", "divisor": {"O1": 1},
                     "flags": "inf"}, "must be a string"),
     ("toric-body", {"fan": "bl1p2", "divisor": {}, "flags": {}},
+     "job kind 'toric-body' input key 'fan' must be a fan {dim, rays, "
+     "max_cones}: fan must be an object, got 'bl1p2'",
      "input key 'fan' of job kind 'toric-body' must be an object"),
     ("xi", {"body": {"ambient_dim": "2", "vertices": []}, "n": 2, "r": 1,
             "weights": ["1"]}, "must be a body {ambient_dim, vertices}"),
@@ -626,28 +644,45 @@ def _fan_input(part, **fields):
                       "weights": ["1"]}, "must be a rational"),
     # missing keys, in the form that the given keys choose
     ("seshadri", {"s": 2, "weights": ["1", "1"]},
+     "missing job kind 'seshadri' input key 'class' (a class {d, m})",
      "missing input key 'class' (a class {d, m}) for job kind 'seshadri'"),
     ("seshadri", {"class": _CLASS, "weights": ["1", "1"]},
+     "missing job kind 'seshadri' input key 's' (an integer)",
      "missing input key 's' (an integer)"),
-    ("nakayama", {"surface": {"s": 2}}, "missing input key 'class'"),
+    ("nakayama", {"surface": {"s": 2}},
+     "missing job kind 'nakayama' input key 'class'",
+     "missing input key 'class'"),
     ("xi", {"body": _INLINE_BODY, "r": 1, "weights": ["1"]},
+     "missing job kind 'xi' input key 'n' (an integer)",
      "missing input key 'n' (an integer) for job kind 'xi'"),
     ("toric-body", {"fixture": "bl1p2", "divisor": "O1"},
+     "missing job kind 'toric-body' input key 'flags' (a string)",
      "missing input key 'flags' (a string)"),
-    ("eps-xi-check", {"fixture": "bl2p2"}, "missing input key 'weights'"),
-    ("standard-form", {"m": ["1"]}, "missing input key 'd' (a rational)"),
-    # keys of two forms at once
+    ("eps-xi-check", {"fixture": "bl2p2"},
+     "missing job kind 'eps-xi-check' input key 'weights'",
+     "missing input key 'weights'"),
+    ("standard-form", {"m": ["1"]},
+     "missing job kind 'standard-form' input key 'd' (a rational)",
+     "missing input key 'd' (a rational)"),
+    # keys of two forms at once: a key of the other form is unknown to the
+    # form that the first key chose
     ("xi", {"fixture": "bl2p2", "n": 2, "weights": ["1", "1"]},
+     "job kind 'xi' input key 'n' is unknown; accepted: fixture, weights",
      "input key 'n' does not go with 'fixture' in job kind 'xi'"),
     ("seshadri", {"surface": {"s": 2}, "s": 2, "class": _CLASS,
                   "weights": ["1", "1"]},
+     "job kind 'seshadri' input key 's' is unknown; accepted: surface, "
+     "class, weights",
      "input key 's' does not go with 'surface' in job kind 'seshadri'"),
     # inline toric objects of the wrong shape: "rays": 5 was an internal
     # error, "dim": 2.5 read as 2, a cone index past the rays an
     # IndexError and -1 a wrap round to the last ray
     ("toric-body", _fan_input("fan", rays=5),
+     "job kind 'toric-body' input key 'fan' must be a fan {dim, rays, "
+     "max_cones}: fan key 'rays' must be a list of integer lists, got 5",
      "input key 'fan' of job kind 'toric-body' must be an object {dim"),
     ("semigroup-sample", _fan_input("fan", dim=2.5),
+     "job kind 'semigroup-sample' input key 'fan' must be a fan",
      "input key 'fan' of job kind 'semigroup-sample' must be an object"),
     ("toric-body", _fan_input("fan", dim=True), "input key 'fan'"),
     ("toric-body", _fan_input("fan", rays=[[1.0, 0], [0, 1], [1, 1],
@@ -658,12 +693,16 @@ def _fan_input(part, **fields):
                                                 [-1, 0]]), "input key 'fan'"),
     ("toric-body", _fan_input("fan", name="bl1p2"), "input key 'fan'"),
     ("toric-body", _fan_input("divisor", coeffs=3),
+     "job kind 'toric-body' input key 'divisor' must be a divisor {coeffs}: "
+     "divisor key 'coeffs' must be a list of rationals, got 3",
      "input key 'divisor' of job kind 'toric-body' must be an object "
      "{coeffs: a list of rationals}"),
     ("semigroup-sample", _fan_input("divisor", coeffs=["0", "0", "0", "x"]),
      "input key 'divisor'"),
     ("toric-body", _fan_input("flags", flags=[[2, "0"]]), "input key 'flags'"),
     ("toric-body", _fan_input("flags", flags=[]),
+     "job kind 'toric-body' input key 'flags' must be a flag spec {flags}: "
+     "flags key 'flags' must be a nonempty list of integer lists, got []",
      "input key 'flags' of job kind 'toric-body' must be an object "
      "{flags: a nonempty list of integer lists}"),
     # well-shaped, checked by the constructors (a short divisor was an
@@ -679,13 +718,101 @@ def _fan_input(part, **fields):
     ("nakayama", {"surface": {"s": 1, "mode": "user", "neg_curve": [_CURVE]},
                   "class": {"d": "1", "m": ["0"]}},
      "surface key 'neg_curve' is unknown; accepted: s, mode, neg_curves"),
-])
+    # one object of each from_json the forms use, refused inside: the line
+    # names the input key, then the key inside it
+    ("toric-body", _fan_input("fan", max_cones=5),
+     "job kind 'toric-body' input key 'fan' must be a fan {dim, rays, "
+     "max_cones}: fan key 'max_cones' must be a list of integer lists, "
+     "got 5"),
+    ("semigroup-sample", _fan_input("divisor", coeffs=[True] * 4),
+     "job kind 'semigroup-sample' input key 'divisor' must be a divisor "
+     "{coeffs}: divisor key 'coeffs' must be a list of rationals, got "
+     "[True, True, True, True]"),
+    ("toric-body", _fan_input("flags", flag=[[2, 0]]),
+     "job kind 'toric-body' input key 'flags' must be a flag spec {flags}: "
+     "flags key 'flag' is unknown; accepted: flags"),
+    ("seshadri", {"surface": {"s": 2, "mode": 5}, "class": _CLASS,
+                  "weights": ["1", "1"]},
+     "job kind 'seshadri' input key 'surface' must be a surface {s, mode, "
+     "neg_curves}: surface key 'mode' must be a string, got 5"),
+    ("nakayama", {"s": 2, "class": {"d": "1"}},
+     "job kind 'nakayama' input key 'class' must be a class {d, m}: "
+     "missing class key 'm' (a list of rationals)"),
+    ("slice-volume", {"body": {"ambient_dim": 2, "vertex": []}, "n": 2,
+                      "r": 1, "vol_x": "1", "weights": ["1"]},
+     "job kind 'slice-volume' input key 'body' must be a body {ambient_dim, "
+     "vertices}: polytope key 'vertex' is unknown; accepted: ambient_dim, "
+     "vertices, meta"),
+    # a class inside a user curve list: three keys deep
+    ("surface-zariski", {"surface": {"s": 1, "mode": "user", "neg_curves": [
+        {"d": "0", "m": [-1.0]}]}, "class": {"d": "1", "m": ["0"]}},
+     "job kind 'surface-zariski' input key 'surface' must be a surface {s, "
+     "mode, neg_curves}: surface key 'neg_curves' must be a list of "
+     "classes: class key 'm' must be a list of rationals, got [-1.0]"),
+]
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    pytest.param(*row[:3], id=f"{row[0]}-payload{i}-{row[3]}")
+    if len(row) == 4 else row for i, row in enumerate(_CONTRACT)])
 def test_input_contract_exit_1(tmp_path, capsys, kind, payload, message):
     code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
                                    "input": payload})
     assert code == 1 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, payload, key, default", [
+    ("nakayama", {"s": 2, "class": _CLASS}, "points", None),
+    ("surface-body", {"s": 2, "class": _CLASS}, "points", None),
+    ("surface-body", {"s": 2, "class": _CLASS, "points": [0]}, "grid_step",
+     Fraction(1, 2)),
+    ("surface-body", {"s": 2, "class": _CLASS, "points": [0]}, "t_max",
+     Fraction(1)),
+    ("semigroup-sample", {"fixture": "bl1p2", "divisor": "O1",
+                          "flags": "inf"}, "m_max", 3),
+])
+def test_optional_input_key_takes_its_default(tmp_path, monkeypatch, kind,
+                                              payload, key, default):
+    seen = []
+    handler, forms = cli._KINDS[kind]
+    monkeypatch.setitem(cli._KINDS, kind, (
+        lambda p: seen.append(p) or handler(p), forms))
+    code, _ = run_job(tmp_path, {"schema": 1, "kind": kind,
+                                 "input": payload})
+    assert code == 0
+    assert seen[0][key] == default and type(seen[0][key]) is type(default)
+
+
+def test_repeated_user_curve_exit_1(tmp_path, capsys):
+    # The line through p_1 and p_2 named twice was an internal error: a
+    # singular support in the chamber walk.
+    line = {"d": "1", "m": ["1", "1"]}
+    code, out = run_job(tmp_path, {"schema": 1, "kind": "nakayama", "input": {
+        "surface": {"s": 2, "mode": "user", "neg_curves": [
+            {"d": "0", "m": ["-1", "0"]}, {"d": "0", "m": ["0", "-1"]},
+            line, line]}, "class": {"d": "2", "m": ["0", "0"]}}})
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "input error: job kind 'nakayama' input key 'surface' must be a "
+        "surface {s, mode, neg_curves}: user curve list names one curve "
+        f"twice: entries 2 and 3, {line} and {line}\n")
+
+
+def test_oversize_user_model_exit_1(tmp_path, capsys):
+    # 1,501^2 row entries were built before the class was read.
+    code, out = run_job(tmp_path, {"schema": 1, "kind": "surface-zariski",
+                                   "input": {"surface": {"s": 1500,
+                                                         "mode": "user"},
+                                             "class": {"d": "1", "m": []}}})
+    assert code == 1 and not out.exists()
+    assert "user model of 2253001 row entries exceeds MAX_CONE_CELLS" in \
+        capsys.readouterr().err
+
+
+_FIXTURE_PARTS = {"fan": "a fan", "divisors": "an object of named divisors"}
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -720,16 +847,21 @@ def test_malformed_fixture_exit_1(tmp_path, monkeypatch, capsys, field,
                                              "divisor": "O1",
                                              "flags": "inf"}})
     assert code == 1 and not out.exists()
+    # A value below a key of the file is refused under that key.
+    if len(path) > 2:
+        message = (f"fixture 'bl1p2' key {path[1]!r} must be "
+                   f"{_FIXTURE_PARTS[path[1]]}: {message}")
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_every_input_key_has_a_declared_kind():
-    for kind, forms in cli._INPUT_FORMS.items():
-        assert kind in cli._HANDLERS and forms
+    for kind, (handler, forms) in cli._KINDS.items():
+        assert callable(handler) and forms
         for form in forms:
             assert all(callable(read) and isinstance(what, str)
                        for read, what in form.values())
-    assert cli._OPTIONAL <= set().union(*cli._INPUT_KEYS.values())
+    assert set(cli._OPTIONAL) <= {key for _, forms in cli._KINDS.values()
+                                  for form in forms for key in form}
 
 
 def test_missing_job_file_exit_1(tmp_path):
@@ -906,7 +1038,8 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(payload):
         raise RuntimeError("chamber walk did not terminate")
 
-    monkeypatch.setitem(cli._HANDLERS, "nagata", broken)
+    monkeypatch.setitem(cli._KINDS, "nagata",
+                        (broken, cli._KINDS["nagata"][1]))
     code, _ = run_job(tmp_path, {
         "schema": 1, "kind": "nagata",
         "input": {"r": 2, "d": "1", "m": ["1", "1"]},
@@ -922,7 +1055,8 @@ def test_internal_key_error_exit_3(tmp_path, monkeypatch, capsys):
     def broken(payload):
         return {}["missing"]
 
-    monkeypatch.setitem(cli._HANDLERS, "nagata", broken)
+    monkeypatch.setitem(cli._KINDS, "nagata",
+                        (broken, cli._KINDS["nagata"][1]))
     code, out = run_job(tmp_path, {
         "schema": 1, "kind": "nagata",
         "input": {"r": 2, "d": "1", "m": ["1", "1"]},

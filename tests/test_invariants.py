@@ -351,6 +351,25 @@ def test_sandwich_rejects_zero_and_negative_degree(s):
         bounds_sandwich(SurfaceModel(s), H(s).scale(-1))
 
 
+def test_walks_take_the_weights_they_checked(monkeypatch):
+    # seshadri_eps, nakayama_mu and bounds_sandwich hand their own weights
+    # to the walk; surface.chambers, which reads weights again, is not run.
+    def no_chambers(*args):
+        raise AssertionError("surface.chambers called")
+
+    monkeypatch.setattr(surface, "chambers", no_chambers)
+    model, L = SurfaceModel(3), H(3).scale(3)
+    assert seshadri_eps(model, L, [1, 1, 1]) == RadVal.rational(F(3, 2))
+    assert nakayama_mu(model, L) == RadVal.rational(2)
+    assert bounds_sandwich(model, L).all_pass()
+    for call in (lambda: seshadri_eps(model, H(2), [1, 1, 1]),
+                 lambda: nakayama_mu(model, H(2)),
+                 lambda: bounds_sandwich(model, H(2))):
+        with pytest.raises(ValueError, match="a class of s = 2 on a model "
+                                             "of s = 3"):
+            call()
+
+
 def test_chambers_of_the_cubic_on_three_points():
     # 3H - t(E_1 + E_2 + E_3): vol = 9 - 3t^2 until the three lines through
     # two of the points enter at t = 3/2, then 9 (2 - t)^2; the walk ends at

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from okounkov import invariants, linalg, polytope, surface
+from okounkov import invariants, linalg, lp, polytope, surface
 from okounkov.numbers import format_rat
 from okounkov.polytope import contains, volume
 from okounkov.surface import (
@@ -118,15 +118,56 @@ def test_user_mode_model():
     assert len(m.neg_curves) == 9
 
 
+_L12 = cls(1, 1, 1)  # the line through p_1 and p_2 on Bl_2
+
+
 @pytest.mark.parametrize("args, message", [
     ((2, "user", (E(3, 0),)), "user curve list has wrong s"),
     ((2, "delpezzo"), "unknown surface mode 'delpezzo'"),
     ((2, "delpezzo-general", (E(2, 0),)),
      "neg_curves are read only with mode 'user'"),
-], ids=["user-wrong-s", "unknown-mode", "builtin-with-curves"])
+    ((-1, "user"), "s -1 is not an integer >= 0"),
+    ((2, "user", (E(2, 0), E(2, 1), _L12, _L12)),
+     "user curve list names one curve twice: entries 2 and 3"),
+    ((2, "user", (E(2, 0).scale(2), E(2, 1), E(2, 0))),
+     "user curve list names one curve twice: entries 0 and 2"),
+], ids=["user-wrong-s", "unknown-mode", "builtin-with-curves",
+        "user-negative-s", "user-repeated-curve", "user-rescaled-curve"])
 def test_model_refusals(args, message):
     with pytest.raises(ValueError, match=message):
         SurfaceModel(*args)
+
+
+def test_repeated_user_curve_gives_no_body():
+    # With L12 named twice the walk skipped every support holding both
+    # copies, as singular, and the body came out with 5 vertices and
+    # volume 2/3, printed as exact; without the copy it has 6 and 4/3.
+    curves = (E(2, 0), E(2, 1), _L12)
+    body = surface_body_outer(SurfaceModel(2, "user", curves), H(2).scale(2),
+                              [0, 1], F(1, 2), F(1))
+    assert len(body.vertices) == 6 and volume(body) == F(4, 3)
+    with pytest.raises(ValueError, match="names one curve twice"):
+        SurfaceModel(2, "user", curves + (_L12.scale(2),))
+
+
+def test_user_model_size_is_checked_before_its_rows(monkeypatch):
+    # (curves + s + 1) (s + 1) row entries, the product lp.in_cone refuses
+    # past MAX_CONE_CELLS, read when the model is built.
+    def no_rows(s):
+        raise AssertionError("rows built")
+
+    with monkeypatch.context() as m:
+        m.setattr(surface, "_generator_rows", no_rows)
+        with pytest.raises(ValueError, match="^user model of 251001 row "
+                           "entries exceeds MAX_CONE_CELLS = 100000$"):
+            SurfaceModel(500, "user")
+        with pytest.raises(ValueError, match="s -1 is not an integer"):
+            SurfaceModel(-1, "user")
+    monkeypatch.setattr(lp, "MAX_CONE_CELLS", 9)
+    assert len(SurfaceModel(2, "user")._rows) == 3
+    with pytest.raises(ValueError, match="^user model of 12 row entries "
+                       "exceeds MAX_CONE_CELLS = 9$"):
+        SurfaceModel(2, "user", (E(2, 0),))
 
 
 def test_user_mode_psef_is_cone_membership():
@@ -142,11 +183,12 @@ def test_user_mode_psef_is_cone_membership():
 
 
 def test_user_mode_inconsistent_curve_list():
-    # E_1 and 2E_1 give a singular support system for H + 3E_1, a class
-    # inside the cone of the list.
+    # E_1 + E_2 is no curve: H + E_1 + E_2, a class inside the cone of the
+    # list, meets all three negatively, and three curves on Bl_2 are never
+    # a negative definite support.
     m = SurfaceModel(2, mode="user",
-                     neg_curves=(E(2, 0), E(2, 0).scale(2)))
-    D = cls(1, -3, 0)
+                     neg_curves=(E(2, 0), E(2, 1), E(2, 0) + E(2, 1)))
+    D = cls(1, -1, -1)
     assert is_psef(m, D)
     with pytest.raises(ValueError, match="curve list is inconsistent"):
         zariski(m, D)
@@ -711,8 +753,8 @@ def test_support_state_belongs_to_one_model(monkeypatch):
 
 def test_inconsistent_user_list_raises_on_every_call():
     m = SurfaceModel(2, mode="user",
-                     neg_curves=(E(2, 0), E(2, 0).scale(2)))
-    D = cls(1, -3, 0)
+                     neg_curves=(E(2, 0), E(2, 1), E(2, 0) + E(2, 1)))
+    D = cls(1, -1, -1)
     for call in (zariski, vol, zariski, is_big):
         with pytest.raises(ValueError, match="curve list is inconsistent"):
             call(m, D)

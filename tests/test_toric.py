@@ -161,8 +161,12 @@ _BL1P2_FAN = {"dim": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, -1]],
      "got True"),
     (Fan, {**_BL1P2_FAN, "max_cones": [[0, 2.0]]},
      "fan key 'max_cones' must be a list of integer lists, got [[0, 2.0]]"),
-    (Fan, {"dim": 2, "rays": []}, "fan key 'max_cones' must be a list of "
-     "integer lists, got no such key"),
+    # The id quotes the wording this row was added with; a missing key now
+    # has a line of its own.
+    pytest.param(Fan, {"dim": 2, "rays": []}, "missing fan key 'max_cones' "
+                 "(a list of integer lists)", id="Fan-obj4-fan key "
+                 "'max_cones' must be a list of integer lists, got no such "
+                 "key"),
     (Fan, [2], "fan must be an object, got [2]"),
     (ToricDivisor, {"coeffs": 3}, "divisor key 'coeffs' must be a list of "
      "rationals, got 3"),
@@ -331,6 +335,19 @@ def test_monomial_valuation_zero():
     v = monomial_valuation(f["fan"], f["divisors"]["O1"], f["flags"]["inf"],
                            (0, 0))
     assert v.entries == (0, 0)
+
+
+def test_monomial_valuation_reads_level_before_any_work(monkeypatch):
+    calls = []
+    real = toric.divisor_polytope
+    monkeypatch.setattr(toric, "divisor_polytope",
+                        lambda *args: calls.append(args) or real(*args))
+    f = fx("bl1p2")
+    with pytest.raises(ValueError, match="valuation level 1.5 is not an "
+                                         "integer >= 1"):
+        monomial_valuation(f["fan"], f["divisors"]["O1"], f["flags"]["inf"],
+                           (0, 0), level=1.5)
+    assert calls == []
 
 
 def test_monomial_valuation_examples():

@@ -96,19 +96,26 @@ def _model(p) -> SurfaceModel:
     return p["surface"] if "surface" in p else SurfaceModel(p["s"])
 
 
-def _known(names, key, p, of=""):
+def _known(names, key, p, of, which=""):
     if p[key] not in names:
-        raise ValueError(f"input key {key!r} names no {key}{of}: {p[key]!r}; "
-                         f"accepted: {', '.join(sorted(names))}")
+        raise ValueError(f"{of} key {key!r} names no {key}{which}: "
+                         f"{p[key]!r}; accepted: {', '.join(sorted(names))}")
 
 
-def _toric_parts(p):
+def _toric_parts(p, kind):
+    of = f"job kind {kind!r} input"
     if "fan" in p:
-        return p["fan"], p["divisor"], p["flags"]
-    _known(toric.fixture_names(), "fixture", p)
+        fan, D = p["fan"], p["divisor"]
+        if len(D.coeffs) != len(fan.rays):
+            raise ValueError(
+                f"{of} key 'divisor' must be a divisor {{coeffs}} with one "
+                f"coefficient per ray of key 'fan' ({len(fan.rays)}), got "
+                f"{len(D.coeffs)}")
+        return fan, D, p["flags"]
+    _known(toric.fixture_names(), "fixture", p, of)
     fx = toric.load_fixture(p["fixture"])
-    _known(fx["divisors"], "divisor", p, f" of fixture {p['fixture']!r}")
-    _known(fx["flags"], "flags", p, f" of fixture {p['fixture']!r}")
+    _known(fx["divisors"], "divisor", p, of, f" of fixture {p['fixture']!r}")
+    _known(fx["flags"], "flags", p, of, f" of fixture {p['fixture']!r}")
     return fx["fan"], fx["divisors"][p["divisor"]], fx["flags"][p["flags"]]
 
 
@@ -124,12 +131,13 @@ def _body(p):
 # returns (result-json, renderable-polytope-or-None, failure-msg-or-None).
 
 def _job_toric_body(p):
-    body = toric.extended_body_toric(*_toric_parts(p))
+    body = toric.extended_body_toric(*_toric_parts(p, "toric-body"))
     return body.to_json(), body, None
 
 
 def _job_semigroup_sample(p):
-    body = toric.semigroup_body_approx(*_toric_parts(p), p["m_max"])
+    body = toric.semigroup_body_approx(*_toric_parts(p, "semigroup-sample"),
+                                       p["m_max"])
     return {**body.to_json(), "m_max": p["m_max"]}, body, None
 
 

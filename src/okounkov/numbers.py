@@ -10,6 +10,17 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 
+# The Fractions of the integers -256..256, built once and shared by every
+# reader: Fraction(int) costs about 0.5 us in pure Python, and a body's
+# vertex and facet entries are mostly small integers.
+_FRACTION = {k: Fraction(k) for k in range(-256, 257)}
+
+
+def _fraction(x: int) -> Fraction:
+    """The integer x as a Fraction, from _FRACTION when it is there."""
+    return _FRACTION[x] if x in _FRACTION else Fraction(x)
+
+
 def parse_rat(x, what="value") -> Fraction:
     """x as a Fraction: a Fraction as is, an int, or a string "p" or "p/q".
     Anything else is refused with a ValueError naming x as a what: a float

@@ -4,10 +4,13 @@ A body is the convex hull of the points it is built from: the constructor
 keeps the sorted vertices and the H-representation (facet halfspaces plus
 affine-hull equalities) it computes on the way, as integer rows.  The
 producers below hand it integer points on one common scale, and the rows
-become Fractions only when halfspaces() is read.  Both conversions are
-_cone of a homogenised system: the vertices of {c + a.x >= 0} are the rays
-(t, z), t > 0, of its cone, and a hull's facets the rays (c, a) of its
-polar cone.  Volumes are measured in the Euclidean metric induced from the
+become Fractions only when halfspaces() is read; integer entries in
+-256..256 take the Fractions numbers._FRACTION shares.  Both conversions
+are _cone of a homogenised system: the vertices of {c + a.x >= 0} are the
+rays (t, z), t > 0, of its cone, and a hull's facets the rays (c, a) of
+its polar cone, and both run the one double description _dd, which sets
+zero and repeated rows aside and starts from a simplex spread over the
+lexicographic order of the rows.  Volumes are measured in the Euclidean metric induced from the
 ambient space, so lower-dimensional bodies get the honest surface measure
 (a diagonal segment has length sqrt(2)).
 """
@@ -22,8 +25,8 @@ from operator import mul
 
 from . import linalg
 from .linalg import Vec
-from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _integer,
-                      _read_json, format_rat, parse_rat)
+from .numbers import (_INT, _OBJECT, _RAT_LISTS, RadVal, _fraction,
+                      _integer, _read_json, format_rat, parse_rat)
 
 Halfspace = tuple[Vec, Fraction]  # <normal, x> <= offset
 Equality = tuple[Vec, Fraction]   # <normal, x> == offset
@@ -103,7 +106,7 @@ class Polytope:
                                  if g > 1 else pts)
         self._core = _hrep_from_vertices(q, ints, self.ambient_dim)
         self.vertices = tuple(
-            tuple(map(Fraction, p) if q == 1 else (Fraction(x, q) for x in p))
+            tuple(map(_fraction, p) if q == 1 else (Fraction(x, q) for x in p))
             for p in self._core.points)
 
     @property
@@ -117,8 +120,8 @@ class Polytope:
         if self._halfs is None:
             c, q = self._core, self._core.q
             self._halfs = tuple(
-                [(tuple(map(Fraction, a)),
-                  Fraction(b) if q == 1 else Fraction(b, q)) for a, b in rows]
+                [(tuple(map(_fraction, a)),
+                  _fraction(b) if q == 1 else Fraction(b, q)) for a, b in rows]
                 for rows in (c.facets, c.eqs))
         return self._halfs
 
@@ -390,28 +393,52 @@ def _dd(rows):
     """Extreme rays of the pointed cone {x : row . x >= 0}, integer rows.
 
     Motzkin's double description (Fukuda & Prodon, "Double description
-    method revisited", 1996): start from the simplicial cone of the first
-    n independent rows, then add the other rows one at a time, both in
-    lexicographic order (cddlib's default; it tests far fewer pairs than
-    the input order on the surface bodies' hulls).  A new row
-    keeps the rays on its side and joins each adjacent pair of rays it
-    separates; two rays are adjacent when no third ray is tight at every
-    row tight at both.  Returns [(ray, mask)] with each ray a primitive
-    integer tuple and mask the bitmask of the rows tight at it, or None
-    when the rows have rank below n (the cone is not pointed).
+    method revisited", 1996) on the distinct nonzero rows.  A zero row is
+    tight at every ray and a repeat wherever its first copy is, so those
+    rows are set aside and their bits ORed into the masks at the end.
+
+    The start is the simplicial cone of n independent rows.  With k > n + 1
+    distinct rows in lexicographic order it is the first ceil(n/2) and the
+    last floor(n/2) of them, a simplex spread over both ends of the order:
+    a 10-point 3-D moment cloud's hull makes 28 rays from it, 43 from the
+    first n.  With k = n + 1 one row is left to insert whichever simplex
+    starts, so the first n start.  A singular start falls back to
+    _independent's pick, the first n rows when they are independent, with
+    no second try of the first n.  The other rows are then added one at a
+    time in lexicographic order (cddlib's default).  Adding them
+    alternately from both ends made fewer rays on the clouds too, but the
+    Bl5 -K r = 5 body 5.6 times slower to build.
+
+    A new row keeps the rays on its side and joins each adjacent pair of
+    rays it separates; two rays are adjacent when no third ray is tight at
+    every row tight at both.  Returns [(ray, mask)] with each ray a
+    primitive integer tuple and mask the bitmask of the rows tight at it,
+    or None when the rows have rank below n (the cone is not pointed).
     """
     n = len(rows[0])
-    order = sorted(range(len(rows)), key=rows.__getitem__)
+    # The distinct nonzero rows in lexicographic order; equal rows sort
+    # next to each other, so a repeat follows its first copy.
+    distinct, zero, copies = [], 0, []
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        a = rows[i]
+        if not any(a):
+            zero |= 1 << i
+        elif distinct and rows[distinct[-1]] == a:
+            copies.append((distinct[-1], i))
+        else:
+            distinct.append(i)
+    k = len(distinct)
 
     def start(basis):
         # [B | I] eliminated, for the rows B of the basis; None when singular.
         m = [list(rows[i]) + [int(i == j) for j in basis] for i in basis]
         return m if len(m) == n and linalg.bareiss(m, n, jordan=True) else None
 
-    # The first n rows are _independent's pick whenever they are independent.
-    basis = order[:n]
+    basis = (distinct[:(n + 1) // 2] + distinct[k - n // 2:] if k > n + 1
+             else distinct[:n])
     if (m := start(basis)) is None:
-        basis = [order[k] for k in _independent(rows[i] for i in order)[0]]
+        basis = [distinct[j]
+                 for j in _independent(rows[i] for i in distinct)[0]]
         if (m := start(basis)) is None:
             return None
     # Column j of the inverse, |det| times it in m, is tight at every basis
@@ -422,7 +449,7 @@ def _dd(rows):
         r = [row[n + j] for row in m]
         g = gcd(*r)
         rays.append((tuple(x // g for x in r), full ^ (1 << i)))
-    for i in order:
+    for i in distinct:
         if full >> i & 1:
             continue
         a = rows[i]
@@ -459,7 +486,14 @@ def _dd(rows):
                 g = gcd(*r)
                 out.append((tuple(x // g for x in r), z | 1 << i))
         rays = out
-    return rays
+    if not (zero or copies):
+        return rays
+    out = []
+    for r, m in rays:
+        for j, i in copies:
+            m |= (m >> j & 1) << i
+        out.append((r, m | zero))
+    return out
 
 
 def _cone(le, eq, n):

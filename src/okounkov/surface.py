@@ -18,8 +18,8 @@ from functools import cache, cached_property
 from operator import mul
 
 from . import linalg, lp, polytope
-from .numbers import (_INT, _RAT, _RATS, _STR, _integer, _read_json,
-                      format_rat, parse_rat)
+from .numbers import (_FRACTION, _INT, _RAT, _RATS, _STR, _integer,
+                      _read_json, format_rat, parse_rat)
 from .polytope import Polytope
 
 # Classical counts of exceptional classes on Bl_s(P^2), s = 1..8.
@@ -232,12 +232,9 @@ def _curve_rows(s: int) -> list[tuple[int, ...]]:
     return rows
 
 
-# The entries of _curve_rows, each built once and shared by all the classes.
-_ENTRIES = {k: Fraction(k) for k in range(-1, 7)}
-
-
 def _curve_classes(rows) -> tuple[PicClass, ...]:
-    return tuple(PicClass(_ENTRIES[r[0]], tuple(_ENTRIES[x] for x in r[1:]))
+    # The entries of _curve_rows, -1..6, are shared from numbers._FRACTION.
+    return tuple(PicClass(_FRACTION[r[0]], tuple(_FRACTION[x] for x in r[1:]))
                  for r in rows)
 
 

@@ -60,8 +60,8 @@ class Fan:
                 raise ValueError(f"max cone {c} must list {n} distinct rays")
             # A negative index would wrap round to a ray from the end.
             if not all(0 <= i < len(rays) for i in c):
-                raise ValueError(f"max cone {c} names a ray outside "
-                                 f"0..{len(rays) - 1}")
+                raise ValueError(f"fan key 'max_cones': max cone {c} names "
+                                 f"a ray outside 0..{len(rays) - 1}")
             d = linalg.bareiss([list(rays[i]) for i in c], n)
             if abs(d) != 1:
                 raise ValueError(

@@ -477,7 +477,8 @@ def test_unknown_fixture_name_exit_1(tmp_path, capsys, kind, names,
     code, out = run_job(tmp_path, {"schema": 1, "kind": kind, "input": dict(
         zip(("fixture", "divisor", "flags"), names))})
     assert code == 1 and not out.exists()
-    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert capsys.readouterr().err == (f"input error: job kind {kind!r} "
+                                       f"{message}\n")
 
 
 @pytest.mark.parametrize("kind", ["xi", "eps-xi-check", "slice-volume"])
@@ -708,6 +709,8 @@ _CONTRACT = [
     # well-shaped, checked by the constructors (a short divisor was an
     # IndexError in toric-body)
     ("toric-body", _fan_input("divisor", coeffs=["0"]),
+     "job kind 'toric-body' input key 'divisor' must be a divisor {coeffs} "
+     "with one coefficient per ray of key 'fan' (4), got 1",
      "divisor coefficient count does not match ray count"),
     ("toric-body", _fan_input("fan", dim=3), "ray dimension mismatch"),
     # a surface read by SurfaceModel.from_json: curves without the user mode
@@ -750,6 +753,35 @@ _CONTRACT = [
      "mode, neg_curves}: surface key 'neg_curves' must be a list of "
      "classes: class key 'm' must be a list of rationals, got [-1.0]"),
 ]
+
+
+_P2 = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+       "max_cones": [[0, 1], [1, 2], [2, 0]]}
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("toric-body", {"fan": _P2, "divisor": {"coeffs": ["1", "0"]},
+                    "flags": {"flags": [[0, 1]]}},
+     "job kind 'toric-body' input key 'divisor' must be a divisor {coeffs} "
+     "with one coefficient per ray of key 'fan' (3), got 2"),
+    ("semigroup-sample", {"fan": {**_P2, "max_cones": [[0, 9], [1, 2],
+                                                       [2, 0]]},
+                          "divisor": {"coeffs": ["1", "0", "0"]},
+                          "flags": {"flags": [[0, 1]]}},
+     "job kind 'semigroup-sample' input key 'fan' must be a fan {dim, rays, "
+     "max_cones}: fan key 'max_cones': max cone (0, 9) names a ray outside "
+     "0..2"),
+    ("toric-body", {"fixture": "nope", "divisor": "O1", "flags": "inf"},
+     "job kind 'toric-body' input key 'fixture' names no fixture: 'nope'; "
+     "accepted: " + ", ".join(toric.fixture_names())),
+], ids=["divisor-coefficients", "cone-index", "fixture"])
+def test_toric_input_line_names_kind_and_key_path(tmp_path, capsys, kind,
+                                                  payload, message):
+    # Each line names the job kind and every key down to the one refused.
+    code, out = run_job(tmp_path, {"schema": 1, "kind": kind,
+                                   "input": payload})
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("kind, payload, message", [

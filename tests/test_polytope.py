@@ -319,6 +319,40 @@ def test_volume_measures_each_face_once(monkeypatch, body, dets, vol):
     assert len(calls) == dets
 
 
+@pytest.mark.parametrize("body, rays", [
+    (lambda: hull([tuple(4 * t ** e for e in range(1, 4))
+                   for t in range(-5, 5)], 3), 28),
+    (lambda: hull(itertools.product((0, 1), repeat=5), 5), 36),
+    (lambda: _minus_K_body(4, 4), 1446),
+    (lambda: _minus_K_body(5, 4), 1867),
+], ids=["moment-d3", "5-cube", "Bl4-K-r4", "Bl5-K-r4"])
+def test_dd_makes_the_rays_of_its_start_and_order(monkeypatch, body, rays):
+    # Each ray _dd makes, start rays included, is made primitive by one
+    # gcd, so the count follows the start simplex and the insertion order:
+    # a spread start, then lexicographic order.  The first-n start made 43,
+    # 36, 1,261 and 1,720.
+    calls = []
+    real_dd, real_gcd = polytope._dd, polytope.gcd
+
+    def dd(rows):
+        monkeypatch.setattr(polytope, "gcd",
+                            lambda *a: calls.append(1) or real_gcd(*a))
+        try:
+            return real_dd(rows)
+        finally:
+            monkeypatch.setattr(polytope, "gcd", real_gcd)
+
+    monkeypatch.setattr(polytope, "_dd", dd)
+    body()
+    assert len(calls) == rays
+
+
+def test_bl5_minus_K_r5_keeps_its_vertices():
+    # The heaviest body the tests build: the start and the insertion order
+    # change how _dd gets there, not the body.
+    assert len(_minus_K_body(5, 5).vertices) == 438
+
+
 def test_volume_runs_no_double_description(monkeypatch):
     # volume reads the facets hull cached; it runs no _dd of its own.
     moment = [tuple(5 * t ** e for e in range(1, 5))

@@ -305,14 +305,27 @@ def _ref_frame(points):
 
 
 def _ref_dd(rows):
-    # Rows in lexicographic order, for the initial basis and after it.
+    # The distinct nonzero rows, each first copy in lexicographic order,
+    # start the cone and are added after it.  The start is the first
+    # ceil(n/2) and last floor(n/2) of them when more than n + 1 and
+    # independent, else the RREF pivots of their transpose.  The masks over
+    # all the rows are read off the rays at the end.
     n = len(rows[0])
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    _, basis = linalg.rref([list(col) for col in zip(*(rows[i]
-                                                       for i in order))])
-    if len(basis) < n:
-        return None
-    basis = [order[k] for k in basis]
+    first = {}
+    for i, a in enumerate(rows):
+        if any(a):
+            first.setdefault(tuple(a), i)
+    order = sorted(first.values(), key=rows.__getitem__)
+    k = len(order)
+    spread = order[:(n + 1) // 2] + order[k - n // 2:]
+    if k > n + 1 and len(linalg.rref([rows[i] for i in spread])[1]) == n:
+        basis = spread
+    else:
+        _, basis = linalg.rref([list(col) for col in zip(*(rows[i]
+                                                           for i in order))])
+        if len(basis) < n:
+            return None
+        basis = [order[j] for j in basis]
     inv, _ = linalg.rref([list(rows[i]) + [int(i == j) for j in basis]
                           for i in basis])
     full = sum(1 << i for i in basis)
@@ -337,7 +350,8 @@ def _ref_dd(rows):
                 g = math.gcd(*r)
                 out.append((tuple(x // g for x in r), z | 1 << i))
         rays = out
-    return rays
+    return [(r, sum(1 << i for i, a in enumerate(rows) if not dot(a, r)))
+            for r, _ in rays]
 
 
 def _ref_hrep(points, n):
@@ -447,11 +461,41 @@ def test_integer_core_matches_fraction_reference(case):
     st.tuples(*[st.integers(-3, 3)] * (n - 1)), st.integers(2, 3))))
 def test_dd_from_dependent_first_rows_matches_fraction_reference(case):
     # The rows (-4, a) and (-4 k, k a) come first in lexicographic order and
-    # are proportional, so the first n rows are dependent and _dd starts
-    # from the independent rows _independent picks.
+    # are proportional, so the first n rows are dependent, as is the spread
+    # start for n >= 3, and _dd starts from the independent rows
+    # _independent picks.
     rows, a, k = case
     rows = [(-4, *a), (-4 * k, *(k * x for x in a)), *rows]
     assert polytope._dd(rows) == _ref_dd(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=8)),
+    st.data())
+def test_dd_ignores_zero_repeated_and_permuted_rows(rows, data):
+    # Zero rows, repeats and the order of the rows change no (ray, mask)
+    # pair once each mask is mapped back to the original rows: a zero row
+    # is tight at every ray and a repeat wherever its original is.
+    n = len(rows[0])
+    extra = data.draw(st.lists(st.integers(-1, len(rows) - 1), max_size=4))
+    source = [*range(len(rows)), *extra]  # -1: a zero row
+    perm = data.draw(st.permutations(range(len(source))))
+    big = [rows[source[p]] if source[p] >= 0 else (0,) * n for p in perm]
+    want, got = polytope._dd(rows), polytope._dd(big)
+    if want is None:
+        assert got is None
+        return
+    back = []
+    for ray, mask in got:
+        orig = 0
+        for b, p in enumerate(perm):
+            if mask >> b & 1 and source[p] >= 0:
+                orig |= 1 << source[p]
+        assert all(mask >> b & 1 == (source[p] < 0 or orig >> source[p] & 1)
+                   for b, p in enumerate(perm))
+        back.append((ray, orig))
+    assert sorted(back) == sorted(want)
 
 
 @pytest.mark.parametrize("full", [True, False])

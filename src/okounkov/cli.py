@@ -119,12 +119,17 @@ def _toric_parts(p, kind):
     return fx["fan"], fx["divisors"][p["divisor"]], fx["flags"][p["flags"]]
 
 
-def _body(p):
+def _setup(p, kind):
+    """The named invariant fixture's setup, its name checked first."""
+    of = f"job kind {kind!r} input"
+    _known(registry.INVARIANT_FIXTURES, "fixture", p, of)
+    return registry.invariant_setup(p["fixture"])
+
+
+def _body(p, kind):
     """The named fixture's setup, or the inline body: body, n, r and, for
     slice-volume, vol_x, by attribute."""
-    if "fixture" in p:
-        return registry.invariant_setup(p["fixture"])
-    return SimpleNamespace(**p)
+    return _setup(p, kind) if "fixture" in p else SimpleNamespace(**p)
 
 
 # -- job handlers: each takes the input that _run read by its form and
@@ -168,20 +173,20 @@ def _job_nakayama(p):
 
 
 def _job_xi(p):
-    b = _body(p)
+    b = _body(p, "xi")
     xi = invariants.xi_constant(b.body, p["weights"], b.n, b.r)
     return {"xi": format_rat(xi)}, None, None
 
 
 def _job_eps_xi_check(p):
-    fx = registry.invariant_setup(p["fixture"])
+    fx = _setup(p, "eps-xi-check")
     rep = invariants.check_eps_eq_xi(SurfaceModel(fx.s), fx.L, p["weights"],
                                      fx.body, fx.n)
     return rep.to_json(), None, (None if rep.all_pass() else "eps != xi")
 
 
 def _job_slice_volume(p):
-    b = _body(p)
+    b = _body(p, "slice-volume")
     rep = invariants.slice_volume_check(b.body, p["weights"], b.n, b.r,
                                         b.vol_x)
     ok = rep.all_pass()

@@ -7,11 +7,12 @@ comes from the toric backend, the others from the chamber walk of the
 parametric surface backend.
 
 Each setup is built once per process, on its first call, and once more
-only when what its build reads changes: for `bl1p2` the toric fixture file
-(its path under `toric.fixture_dir()`, modification time and size), for
-the two chamber-walk setups nothing.  Later calls return the same
-`FixtureSetup`, so its body and class are shared: callers read them and
-never mutate them (a body's `meta`, too).
+only when what its build reads changes: for `bl1p2` the version of the
+toric fixture file (`toric.fixture_version`: its path under
+`toric.fixture_dir()`, modification time and size, the key the toric
+fixture memo reads too), for the two chamber-walk setups nothing.  Later
+calls return the same `FixtureSetup`, so its body and class are shared:
+callers read them and never mutate them (a body's `meta`, too).
 """
 from __future__ import annotations
 
@@ -75,13 +76,10 @@ _MEMO: dict[str, tuple[object, FixtureSetup]] = {}
 
 def _version(name: str):
     """What the build of `name` reads, as a key: the toric fixture file's
-    path, st_mtime_ns and st_size for bl1p2 (a missing file raises here as
-    `toric.load_fixture` would), None for the chamber-walk setups."""
-    if name != "bl1p2":
-        return None
-    path = toric.fixture_dir() / "bl1p2.json"
-    st = path.stat()
-    return str(path), st.st_mtime_ns, st.st_size
+    version (`toric.fixture_version`; a missing file raises there as
+    `toric.load_fixture` would) for bl1p2, None for the chamber-walk
+    setups."""
+    return toric.fixture_version("bl1p2") if name == "bl1p2" else None
 
 
 def invariant_setup(name: str) -> FixtureSetup:

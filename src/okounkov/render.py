@@ -5,13 +5,17 @@ the vertices together with the origin is scaled uniformly (preserving
 aspect ratio) to fit the 400x400 interior, and the y axis points up.
 Vertex labels are exact rational coordinates.  No randomness, no
 timestamps: identical input gives byte-identical output.
+
+The body is read as its integer points X / q (`Polytope._core`): a pixel
+coordinate is the exact ratio (X - LX) * 400 / SPAN of integers, made a
+float by int true division, which rounds correctly and so equals float()
+of the same Fraction.  The labels are the exact ratios X / q.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .numbers import format_rat
+from .numbers import _ratio
 from .polytope import Polytope
 
 _SIZE = 480
@@ -36,21 +40,23 @@ def render_svg(P: Polytope, path) -> None:
         _write(path, parts)
         return
 
-    verts = [_pad2(v) for v in P.vertices]
-    xs = [v[0] for v in verts] + [Fraction(0)]
-    ys = [v[1] for v in verts] + [Fraction(0)]
-    lo = (min(xs), min(ys))
-    hi = (max(xs), max(ys))
-    span = max(hi[0] - lo[0], hi[1] - lo[1], Fraction(1))
-    scale = Fraction(_INNER) / span
+    # The vertices as integer points on the scale q, padded to 2-D.
+    q = P._core.q
+    verts = [(*p, 0, 0)[:2] for p in P._core.points]
+    xs = [v[0] for v in verts] + [0]
+    ys = [v[1] for v in verts] + [0]
+    lx, ly = min(xs), min(ys)
+    span = max(max(xs) - lx, max(ys) - ly, q)
 
     def to_px(v):
-        x = _MARGIN + float((v[0] - lo[0]) * scale)
-        y = _SIZE - _MARGIN - float((v[1] - lo[1]) * scale)
+        # Int true division rounds the exact ratio correctly, as float()
+        # of the Fraction does.
+        x = _MARGIN + (v[0] - lx) * _INNER / span
+        y = _SIZE - _MARGIN - (v[1] - ly) * _INNER / span
         return x, y
 
     # Axes through the origin.
-    ox, oy = to_px((Fraction(0), Fraction(0)))
+    ox, oy = to_px((0, 0))
     parts.append(
         f'<line x1="0" y1="{oy:.2f}" x2="{_SIZE}" y2="{oy:.2f}" '
         f'stroke="#cccccc"/>'
@@ -59,7 +65,7 @@ def render_svg(P: Polytope, path) -> None:
         f'<line x1="{ox:.2f}" y1="0" x2="{ox:.2f}" y2="{_SIZE}" '
         f'stroke="#cccccc"/>'
     )
-    pix = [to_px(v) for v in _boundary_order(verts)]
+    pix = [to_px(v) for v in _boundary_order(verts, q)]
     if len(pix) >= 2:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in pix)
         tag = "polygon" if len(pix) >= 3 else "polyline"
@@ -69,7 +75,7 @@ def render_svg(P: Polytope, path) -> None:
         )
     for v in verts:
         x, y = to_px(v)
-        label = f"({format_rat(v[0])}, {format_rat(v[1])})"
+        label = f"({_ratio(v[0], q)}, {_ratio(v[1], q)})"
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" '
                      f'fill="#08519c"/>')
         parts.append(
@@ -80,23 +86,17 @@ def render_svg(P: Polytope, path) -> None:
     _write(path, parts)
 
 
-def _pad2(v):
-    if len(v) == 2:
-        return (v[0], v[1])
-    if len(v) == 1:
-        return (v[0], Fraction(0))
-    return (Fraction(0), Fraction(0))
-
-
-def _boundary_order(verts):
-    """Vertices in counterclockwise order around their centroid."""
+def _boundary_order(verts, q):
+    """The integer points verts / q in counterclockwise order around their
+    centroid."""
     if len(verts) <= 2:
         return sorted(verts)
-    cx = sum((v[0] for v in verts), Fraction(0)) / len(verts)
-    cy = sum((v[1] for v in verts), Fraction(0)) / len(verts)
+    n = len(verts)
+    sx, sy = (sum(c) for c in zip(*verts))
 
     def angle(v):
-        return math.atan2(float(v[1] - cy), float(v[0] - cx))
+        # v / q minus the centroid is (n v - sum) / (n q), exactly.
+        return math.atan2((n * v[1] - sy) / (n * q), (n * v[0] - sx) / (n * q))
 
     return sorted(verts, key=angle)
 

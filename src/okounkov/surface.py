@@ -681,8 +681,15 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     N0 = {model.neg_curves[k]: (nb, model._rows[k])
           for k, nb in zip(support, n) if nb}
     sh = [N0[f][0] if f in N0 else 0 for f in flags]  # den shift_i
-    x, q = sum((f.scale(Fraction(-a, den)) for f, a in zip(flags, sh)), D)._row
-    us = [f.scale(-q)._row[0] for f in flags]  # q D_t = x + sum t_i us_i
+    # D' = D - sum shift_i E_i puts m_i + a / den on E_i: the row x on the
+    # scale q, the lcm of its denominators; q D_t = x + sum t_i us_i.
+    row, qD = D._row
+    X = [den * c for c in row]
+    for i, a in zip(points, sh):
+        X[i + 1] += qD * a
+    g = math.gcd(den * qD, *X)
+    x, q = tuple(c // g for c in X), den * qD // g
+    us = [tuple(q * (j == i + 1) for j in range(len(x))) for i in points]
     curves = set(model._rows[:len(model.neg_curves)])
     unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
     todo = [tuple(sorted(row for c, (_, row) in N0.items() if c not in flags))]

@@ -272,7 +272,8 @@ def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
     flags.validate(fan)
     # divisor_polytope first checks the coefficient count against the rays.
     P = divisor_polytope(fan, D)
-    val = ValuationVector(_valuations(fan, D, flags, level, [u])[0], level)
+    (row, qm), = _valuations(fan, D, flags, level, [u])
+    val = ValuationVector(tuple(Fraction(x, qm // level) for x in row), level)
     if not polytope.contains(P, [Fraction(x, level) for x in u]):
         raise ValueError(f"lattice point {u} outside m P for m = {level}, "
                          f"P the divisor polytope")
@@ -280,15 +281,18 @@ def monomial_valuation(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
 
 
 def _valuations(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec, m: int,
-                points) -> list[tuple]:
+                points) -> list[tuple[tuple[int, ...], int]]:
     """The valuation vectors of the sections of m D at the lattice points
-    u of m P: block (i, j) entry m a_v + <u, v> at the flag ray
-    v = v_j^{(i)}, in integer dots."""
+    u of m P, each as (q w, q m): w has the block (i, j) entry m a_v + <u, v>
+    at the flag ray v = v_j^{(i)}, and q is the lcm of the denominators of
+    the a_v, so q w is an integer row and q m its level."""
     rays = [i for f in flags.flags for i in f]
-    a = [m * D.coeffs[i] for i in rays]
+    q = math.lcm(*(D.coeffs[i].denominator for i in rays))
+    a = [m * (c.numerator * (q // c.denominator))
+         for c in (D.coeffs[i] for i in rays)]
     vecs = [fan.rays[i] for i in rays]
-    return [tuple(ai + sum(map(mul, u, v)) for ai, v in zip(a, vecs))
-            for u in points]
+    return [(tuple(ai + q * sum(map(mul, u, v)) for ai, v in zip(a, vecs)),
+             q * m) for u in points]
 
 
 def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
@@ -308,8 +312,8 @@ def semigroup_body_approx(fan: Fan, D: ToricDivisor, flags: ToricFlagSpec,
                          f"{size} lattice points, above MAX_LATTICE_BOX = "
                          f"{MAX_LATTICE_BOX}; lower m_max")
     # Level m reads the lattice points of m P, the polytope of m D.
-    graded = [(v, m) for m in range(1, m_max + 1)
-              for v in _valuations(fan, D, flags, m, lattice_points(P, m))]
+    graded = [g for m in range(1, m_max + 1)
+              for g in _valuations(fan, D, flags, m, lattice_points(P, m))]
     if not graded:
         nr = fan.dim * flags.r
         return Polytope(nr, ())
@@ -332,17 +336,47 @@ def _named(cls, what):
             if isinstance(v, dict) else None, what)
 
 
+# name -> (version, the fixture as parsed): one entry per name, replaced
+# when the fixture file's version changes.  Filled by calls only, never at
+# import.  Two threads that miss at once each parse the file; one of them
+# is kept.
+_MEMO: dict[str, tuple[tuple, dict]] = {}
+
+
+def fixture_version(name: str) -> tuple[str, int, int]:
+    """The version of fixture `name`'s file: its path under fixture_dir(),
+    st_mtime_ns and st_size.  A missing file raises FileNotFoundError with
+    the text open() gives it."""
+    path = fixture_dir() / f"{name}.json"
+    st = path.stat()
+    return str(path), st.st_mtime_ns, st.st_size
+
+
 def load_fixture(name: str) -> dict:
     """Load a shipped fixture: fan + named divisors + named flag specs, each
-    read by its from_json."""
-    with open(fixture_dir() / f"{name}.json") as fh:
-        raw = json.load(fh)
-    _, name, fan, divisors, flags = _read_json(
-        raw, f"fixture {name!r}", {"name": name, "divisors": {}, "flags": {}},
-        schema=_SCHEMA, name=_STR, fan=(Fan.from_json, "a fan"),
-        divisors=_named(ToricDivisor, "an object of named divisors"),
-        flags=_named(ToricFlagSpec, "an object of named flags"))
-    return {"name": name, "fan": fan, "divisors": divisors, "flags": flags}
+    read by its from_json.
+
+    Each file is parsed once per version (fixture_version: path, mtime and
+    size) in a process.  The fan, divisors and flag specs are frozen and
+    shared between calls; the returned dict and its `divisors` and `flags`
+    dicts are the caller's own.  A missing or malformed file raises on
+    every call and is never stored."""
+    version = fixture_version(name)
+    hit = _MEMO.get(name)
+    if hit is None or hit[0] != version:
+        with open(version[0]) as fh:
+            raw = json.load(fh)
+        _, fx_name, fan, divisors, flags = _read_json(
+            raw, f"fixture {name!r}",
+            {"name": name, "divisors": {}, "flags": {}},
+            schema=_SCHEMA, name=_STR, fan=(Fan.from_json, "a fan"),
+            divisors=_named(ToricDivisor, "an object of named divisors"),
+            flags=_named(ToricFlagSpec, "an object of named flags"))
+        hit = _MEMO[name] = (version, {"name": fx_name, "fan": fan,
+                                       "divisors": divisors, "flags": flags})
+    fx = hit[1]
+    return {**fx, "divisors": dict(fx["divisors"]),
+            "flags": dict(fx["flags"])}
 
 
 def fixture_names() -> list[str]:

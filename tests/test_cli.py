@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from okounkov import cli, lp, numbers, registry, render, surface, toric
 from okounkov.cli import main
 from okounkov.numbers import parse_rat
 from okounkov.polytope import Polytope
+
+import reference
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -973,6 +976,33 @@ def test_render_svg_of_each_dimension(tmp_path, body, tag, labels):
     assert tag is None or f"<{tag} " in svg
     assert svg.count("<circle") == len(labels)
     assert all(f">{label}</text>" in svg for label in labels)
+
+
+def _random_bodies(seed):
+    """Seeded bodies of dimension <= 2: the empty body, single points,
+    segments and polygons, with negative coordinates and denominators 3, 7
+    and 11, some within a unit box of the origin (the span is then 1)."""
+    rng = random.Random(seed)
+    bodies = [Polytope(2, ()), Polytope(1, ()), Polytope(0, [()]),
+              Polytope(1, [(Fraction(-5, 3),)]),
+              Polytope(1, [(Fraction(-2, 7),), (Fraction(9, 11),)])]
+    for k in (1, 2, 2, 3, 4, 5, 8) * 9:
+        bound = rng.choice((3, 11, 40, 300))
+        bodies.append(Polytope(2, [
+            tuple(Fraction(rng.randint(-bound, bound),
+                           rng.choice((1, 3, 7, 11))) for _ in range(2))
+            for _ in range(k)]))
+    return bodies
+
+
+def test_render_svg_matches_the_fraction_renderer(tmp_path):
+    # render_svg reads the integer points; reference.render_svg is the
+    # Fraction renderer it replaced.  Every byte must agree.
+    ints, fracs = tmp_path / "ints.svg", tmp_path / "fracs.svg"
+    for body in _random_bodies(7):
+        render.render_svg(body, ints)
+        reference.render_svg(body, fracs)
+        assert ints.read_bytes() == fracs.read_bytes(), body.vertices
 
 
 def test_render_svg_refuses_three_dimensions(tmp_path):

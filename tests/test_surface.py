@@ -427,6 +427,42 @@ def test_surface_body_shift_uses_own_exceptional_multiplicity():
     assert 2 * volume(body) == vol(m3, L) == 5
 
 
+def test_surface_body_setup_rows_match_the_fraction_construction(
+        monkeypatch):
+    # surface_body_outer sets up q D_t = x + sum t_i us_i in integers from
+    # D._row.  It must give the rows of D' = D - sum shift_i E_i, shift_i
+    # the multiplicity of E_i in N(D), on the lcm of D''s denominators, and
+    # us_i the row of -q E_i, as Fractions build them.
+    class Seen(Exception):
+        pass
+
+    def first_chamber(model, supp, x, *us):
+        raise Seen(x, us)
+
+    monkeypatch.setattr(surface, "_chamber", first_chamber)
+    rng = random.Random(5)
+    big = shifted = scaled = 0
+    for _ in range(60):
+        s = rng.randint(1, 5)
+        model = SurfaceModel(s)
+        D = PicClass(F(rng.randint(1, 12), rng.choice((1, 2, 3))), tuple(
+            F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in range(s)))
+        if not is_big(model, D):
+            continue
+        points = rng.sample(range(s), rng.randint(1, min(s, 2)))
+        N = dict(zariski(model, D).negative_support)
+        shifts = [N.get(E(s, i), 0) for i in points]
+        shifted += any(shifts)
+        x, q = sum((E(s, i).scale(-a) for i, a in zip(points, shifts)), D)._row
+        us = tuple(E(s, i).scale(-q)._row[0] for i in points)
+        with pytest.raises(Seen) as exc:
+            surface_body_outer(model, D, points, F(1, 2), F(1))
+        assert exc.value.args == (x, us)
+        big += 1
+        scaled += q > 1
+    assert big >= 30 and shifted >= 5 and scaled >= 10
+
+
 def test_surface_body_projections():
     m1, m2 = SurfaceModel(1), SurfaceModel(2)
     from okounkov import polytope

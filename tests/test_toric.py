@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import os
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -375,17 +378,26 @@ def test_monomial_valuation_refuses_a_non_lattice_point(u, monkeypatch):
 def test_monomial_valuation_is_the_samplers_graded_point(monkeypatch):
     # Level m means a section of m D at a lattice point of m P: the sampler's
     # graded point, with a divisor nonzero on the flag rays so that m a_v
-    # shows.  A point of 2 P outside P is refused at level 1 only.
+    # shows.  The sampler hands cone_base integer rows p on the level q m, q
+    # the lcm of the flag-ray denominators; with rational coefficients there
+    # q > 1, so a scale error shows in p / level.  A point of 2 P outside P
+    # is refused at level 1 only.
     f = fx("bl1p2")
-    D, flags = f["divisors"]["4H-E"], ToricFlagSpec(((1, 3),))
-    graded = []
-    monkeypatch.setattr(polytope, "cone_base",
-                        lambda pts: graded.extend(pts) or Polytope(2, ()))
-    semigroup_body_approx(f["fan"], D, flags, 3)
-    P = divisor_polytope(f["fan"], D)
-    want = [(monomial_valuation(f["fan"], D, flags, u, level=m).entries, m)
-            for m in (1, 2, 3) for u in lattice_points(P, m)]
-    assert graded == want and len(want) > 3
+    flags = ToricFlagSpec(((1, 3),))
+    for D, q in ((f["divisors"]["4H-E"], 1),
+                 (ToricDivisor((F(1, 2), F(1, 3), 0, F(5, 7))), 21)):
+        graded = []
+        monkeypatch.setattr(polytope, "cone_base",
+                            lambda pts: graded.extend(pts) or Polytope(2, ()))
+        semigroup_body_approx(f["fan"], D, flags, 3)
+        P = divisor_polytope(f["fan"], D)
+        want = [tuple(e / m for e in monomial_valuation(
+                    f["fan"], D, flags, u, level=m).entries)
+                for m in (1, 2, 3) for u in lattice_points(P, m)]
+        assert [tuple(F(x, level) for x in p) for p, level in graded] == want
+        assert len(want) > 3 and all(
+            type(x) is int for p, _ in graded for x in p)
+        assert {level for _, level in graded} == {q, 2 * q, 3 * q}
     u = max(lattice_points(P, 2))
     assert monomial_valuation(f["fan"], D, flags, u, level=2).level == 2
     with pytest.raises(ValueError, match="outside m P for m = 1"):
@@ -544,7 +556,6 @@ def test_slice_lemma_bl3():
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):
-    import json
     src = toric.load_fixture("p2")
     custom = {
         "schema": 1,
@@ -598,3 +609,102 @@ def test_fan_checks_run_on_integer_determinants(monkeypatch):
         assert Fan(fan.dim, fan.rays, fan.max_cones) == fan
     with pytest.raises(ValueError, match="ray determinant 2 "):
         Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+
+
+# -- the fixture memo ------------------------------------------------
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Start from an empty fixture memo and count the fan parses, one per
+    fixture file read."""
+    monkeypatch.setattr(toric, "_MEMO", {})
+    calls = []
+    real = Fan.from_json
+
+    def counted(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(Fan, "from_json", staticmethod(counted))
+    return calls
+
+
+def _bl1p2_doc(scale):
+    doc = json.loads((toric._FIXTURE_DIR / "bl1p2.json").read_text())
+    doc["divisors"]["O1"]["coeffs"] = ["0", "0", "0", str(scale)]
+    return doc
+
+
+def test_fixture_is_parsed_once(parses):
+    first = toric.load_fixture("bl1p2")
+    for _ in range(4):
+        assert toric.load_fixture("bl1p2") == first
+    assert len(parses) == 1
+
+
+def test_fixture_dicts_are_the_callers(parses):
+    first = toric.load_fixture("bl1p2")
+    want = {"name": "bl1p2", "fan": first["fan"],
+            "divisors": dict(first["divisors"]), "flags": dict(first["flags"])}
+    first["divisors"]["O1"] = first["divisors"].pop("O2")
+    first["flags"].clear()
+    first["fan"] = None
+    again = toric.load_fixture("bl1p2")
+    assert again == want and len(parses) == 1
+    # The objects in them are shared, and frozen.
+    assert again["fan"] is want["fan"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        again["divisors"]["O1"].coeffs = ()
+
+
+def test_fixture_dir_switch_reparses(tmp_path, monkeypatch, parses):
+    shipped = toric.load_fixture("bl1p2")
+    (tmp_path / "bl1p2.json").write_text(json.dumps(_bl1p2_doc(2)))
+    monkeypatch.setenv("OKOUNKOV_FIXTURES", str(tmp_path))
+    doubled = toric.load_fixture("bl1p2")
+    assert doubled["divisors"]["O1"] == shipped["divisors"]["O1"].scale(2)
+    assert toric.load_fixture("bl1p2") == doubled
+    monkeypatch.delenv("OKOUNKOV_FIXTURES")
+    assert toric.load_fixture("bl1p2") == shipped
+    # One entry per name: switching back parses again.
+    assert len(parses) == 3 and list(toric._MEMO) == ["bl1p2"]
+
+
+def test_rewritten_fixture_file_reparses(tmp_path, monkeypatch, parses):
+    path = tmp_path / "bl1p2.json"
+    path.write_text(json.dumps(_bl1p2_doc(2)))
+    monkeypatch.setenv("OKOUNKOV_FIXTURES", str(tmp_path))
+    O1 = toric.load_fixture("bl1p2")["divisors"]["O1"]
+    # Same size, later modification time: the file's clock may not tick
+    # between two writes, so the test sets it.
+    ns = path.stat().st_mtime_ns
+    path.write_text(json.dumps(_bl1p2_doc(3)))
+    os.utime(path, ns=(ns, ns + 10**9))
+    assert toric.load_fixture("bl1p2")["divisors"]["O1"] == O1.scale(F(3, 2))
+    # Same modification time, another size.
+    path.write_text(json.dumps(_bl1p2_doc(12)))
+    os.utime(path, ns=(ns, ns + 10**9))
+    assert toric.load_fixture("bl1p2")["divisors"]["O1"] == O1.scale(6)
+    assert len(parses) == 3
+
+
+def test_fixture_errors_raise_every_call_and_are_not_stored(
+        tmp_path, monkeypatch, parses):
+    monkeypatch.setenv("OKOUNKOV_FIXTURES", str(tmp_path))
+    path = tmp_path / "bl1p2.json"
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError, match=re.escape(
+                f"[Errno 2] No such file or directory: '{path}'")):
+            toric.load_fixture("bl1p2")
+    path.write_text(json.dumps({**_bl1p2_doc(1), "extra": 1}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^fixture 'bl1p2' key 'extra' "
+                           "is unknown; accepted: "):
+            toric.load_fixture("bl1p2")
+    bad = _bl1p2_doc(1)
+    bad["fan"]["rays"][2] = [1, 2]
+    path.write_text(json.dumps(bad))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-smooth cone"):
+            toric.load_fixture("bl1p2")
+    assert toric._MEMO == {} and len(parses) == 2

@@ -406,10 +406,9 @@ def _solve(support, *xs):
 
 def _support(model: SurfaceModel, D: PicClass):
     """The Zariski decomposition D = P + N by support growth, as integer
-    state: (support, p, n, den), or None exactly when D is not
-    pseudoeffective.  support lists indices into model.neg_curves, P = p /
-    den, and the curve support[j], whose row is q C, has multiplicity
-    q n[j] / den (zero for a curve that joined the support and left N).
+    state (support, p, n, den), or None exactly when D is not psef: P = p /
+    den, and support lists N's curves, as indices into model.neg_curves;
+    curve support[j], whose row is q C, has multiplicity q n[j] / den > 0.
 
     The state is kept with D, as D._row is: one entry of D.__dict__,
     outside the dataclass fields, tagged with model._rows and read back
@@ -440,8 +439,8 @@ def _grow(rows: _Rows, x, q: int):
     Neg(D): its Gram matrix is negative definite, the multiplicities stay
     >= 0, it has at most s curves, and the loop ends with nef P (Bauer,
     J. Algebraic Geom. 2009).  Nef P plus N >= 0 shows D psef, so any other
-    outcome rejects D: None.  On a user list that outcome, after the cone
-    test accepted D, means the list is inconsistent.
+    outcome rejects D: None, which on a user list whose cone holds D means
+    the list is inconsistent.  The curves that left N (n = 0) are dropped.
     """
     support, p, det, n = [], x, 1, ()  # P = p / (det q)
     while True:
@@ -450,7 +449,8 @@ def _grow(rows: _Rows, x, q: int):
         new = rows.negative(scan)
         if not new:
             if rows.nef(scan):  # P is nef
-                return tuple(support), tuple(p), tuple(n), det * q
+                return (tuple(itertools.compress(support, n)), tuple(p),
+                        tuple(filter(None, n)), det * q)
             return None
         support.extend(new)
         sol = _solve([rows[k] for k in support], x)
@@ -471,16 +471,16 @@ def _big(model: SurfaceModel, D: PicClass, what: str):
 
 def _chamber(model: SurfaceModel, supp, x, *us):
     """One walk step: the family x + sum t_j u_j (integer rows on one scale
-    q > 0) solved once on the support rows supp.  None unless _solve
-    answers; else (det, ps, cols): on the chamber P = (p_0 + sum t_j p_j)
-    / (det q) for the rows ps of x, u_1, ..., and the homogeneous wall rows
-    w, w_0 + sum t_j w_j >= 0, are zip(*cols): each support curve's
+    q > 0) solved once on the curves supp, indices into model._rows.  None
+    unless _solve answers; else (det, ps, cols): on the chamber P = (p_0 +
+    sum t_j p_j) / (det q) for the rows ps of x, u_1, ..., and the wall
+    rows w, w_0 + sum t_j w_j >= 0, are zip(*cols): each support curve's
     multiplicity, then P.g for each g in model._rows (0 on supp), times
     positive scales.  Columns, because a scan gives one per p_j."""
-    if (sol := _solve(supp, x, *us)) is None:
+    rows = model._rows
+    if (sol := _solve(tuple(rows[k] for k in supp), x, *us)) is None:
         return None
     det, pn = sol
-    rows = model._rows
     return det, [p for p, _ in pn], [n + rows.values(_dots(rows, p))
                                      for p, n in pn]
 
@@ -519,7 +519,7 @@ def _walk(model: SurfaceModel, L: PicClass, w):
         sup = _support(model, L)
         if sup is None:
             return
-        supp = [model._rows[c] for c, nb in zip(sup[0], sup[2]) if nb]
+        supp = list(sup[0])
         ch = _chamber(model, supp, x, u)
     for _ in range(MAX_CHAMBERS):
         if ch is None:
@@ -554,9 +554,9 @@ def _walk(model: SurfaceModel, L: PicClass, w):
         if A * td * td + B * tn * td + C * tn * tn <= 0:
             return  # there the ray leaves the big cone, which chambers tile
         supp = ([c for j, c in enumerate(supp) if j not in now]
-                + [model._rows[j - k] for j in now if j >= k])
+                + [j - k for j in now if j >= k])
         ch = _chamber(model, supp, x, u)
-    raise RuntimeError("chamber walk did not terminate")
+    raise ValueError(f"chamber walk exceeds MAX_CHAMBERS = {MAX_CHAMBERS}")
 
 
 def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
@@ -568,7 +568,7 @@ def zariski(model: SurfaceModel, D: PicClass) -> ZariskiDecomp:
     P = PicClass(Fraction(p[0], den), tuple(Fraction(v, den) for v in p[1:]))
     curves = [model.neg_curves[k] for k in support]
     return ZariskiDecomp(P, tuple((c, Fraction(c._row[1] * nb, den))
-                                  for c, nb in zip(curves, n) if nb))
+                                  for c, nb in zip(curves, n)))
 
 
 def check_zariski(model: SurfaceModel, D: PicClass, Z: ZariskiDecomp) -> list[str]:
@@ -624,11 +624,11 @@ def base_loci(model: SurfaceModel, D: PicClass) -> dict:
     bminus = support of the Zariski negative part; bplus additionally
     collects the model curves orthogonal to the positive part.
     """
-    support, p, n, _ = _big(model, D, "base loci")
-    bminus = [model.neg_curves[k] for k, nb in zip(support, n) if nb]
-    extra = [C for C, x in zip(model.neg_curves,
-                               model._rows.values(_dots(model._rows, p)))
-             if x == 0 and C not in bminus]
+    support, p, _, _ = _big(model, D, "base loci")
+    bminus = [model.neg_curves[k] for k in support]
+    dots = model._rows.values(_dots(model._rows, p))
+    extra = [C for k, C in enumerate(model.neg_curves)
+             if dots[k] == 0 and k not in support]
     return {"bminus": bminus, "bplus": bminus + extra}
 
 
@@ -654,18 +654,18 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
 
     Flag points on E_i are general, so block i is shift_i + t_i over [0,
     P(t).E_i]: shift_i is the multiplicity of E_i in N(D), and P(t) is the
-    positive part of D' - sum t_i E_i, D' = D - sum shift_i E_i (Lazarsfeld
-    & Mustata 2009, Thm 6.4).  P(t) is affine on each Zariski chamber
-    (Bauer, Kuronya & Szemberg 2004): a breadth-first walk from the support
-    of D' takes one _chamber step per support, _dd gives the chamber's
-    vertices and the walls tight at each, and the walls tight on the same
-    vertices are crossed together (support curves leave, curves enter), in
-    lower-dimensional chambers too, unless that leaves t >= 0.  _solve
-    answers only negative definite supports (one of more than s curves
-    costs no elimination), and on them P nef and N >= 0 is the Zariski
-    decomposition, so the body is the hull of all fibre ends.  grid_step >
-    0 and t_max >= 0 are checked and echoed in meta only; a D of the wrong
-    s is refused, by _support; past MAX_CHAMBERS supports or
+    positive part of D' - sum t_i E_i, D' = D - sum shift_i E_i (Lazarsfeld &
+    Mustata 2009, Thm 6.4).  P(t) is affine on each Zariski chamber (Bauer,
+    Kuronya & Szemberg 2004): a breadth-first walk from the support of D',
+    N(D)'s curves less the flags, takes one _chamber step per support (sorted
+    model._rows indices), _dd gives the chamber's vertices and the walls tight
+    at each, and the walls tight on the same vertices are crossed together
+    (support curves leave, curves enter), in lower-dimensional chambers too,
+    unless that leaves t >= 0.  _solve answers only negative definite supports
+    (one of more than s curves costs no elimination), and on them P nef and
+    N >= 0 is the Zariski decomposition, so the body is the hull of all fibre
+    ends.  grid_step > 0 and t_max >= 0 are checked and echoed in meta only; a
+    D of the wrong s is refused, by _support; past MAX_CHAMBERS supports or
     MAX_FIBRE_POINTS fibre points the walk is refused."""
     points = flag_points(model, points)
     grid_step = parse_rat(grid_step, "grid_step")
@@ -676,11 +676,12 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
         raise ValueError("t_max must be nonnegative")
     r = len(points)
     support, _, n, den = _big(model, D, "surface body")
-    flags = [E(model.s, i) for i in points]
-    # The rows of N(D)'s curves, and the multiplicity of each E_i (scale 1).
-    N0 = {model.neg_curves[k]: (nb, model._rows[k])
-          for k, nb in zip(support, n) if nb}
-    sh = [N0[f][0] if f in N0 else 0 for f in flags]  # den shift_i
+    # Each flag E_i's index among the model's curves, by row; None if unnamed.
+    curves = model._rows[:model._rows.curves]
+    flags = [curves.index(e) if e in curves else None for e in (
+        (0, *(-int(j == i) for j in range(model.s))) for i in points)]
+    N0 = dict(zip(support, n))  # E_i's row is E_i: scale 1
+    sh = [N0.get(f, 0) for f in flags]  # den shift_i
     # D' = D - sum shift_i E_i puts m_i + a / den on E_i: the row x on the
     # scale q, the lcm of its denominators; q D_t = x + sum t_i us_i.
     row, qD = D._row
@@ -690,9 +691,8 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
     g = math.gcd(den * qD, *X)
     x, q = tuple(c // g for c in X), den * qD // g
     us = [tuple(q * (j == i + 1) for j in range(len(x))) for i in points]
-    curves = set(model._rows[:len(model.neg_curves)])
     unit = [tuple(int(j == k) for j in range(r + 1)) for k in range(r + 1)]
-    todo = [tuple(sorted(row for c, (_, row) in N0.items() if c not in flags))]
+    todo = [tuple(sorted(set(support).difference(flags)))]
     seen, pts = set(todo), []
     for k, supp in enumerate(todo):  # todo grows as the walk goes
         if k == MAX_CHAMBERS:
@@ -720,10 +720,10 @@ def surface_body_outer(model: SurfaceModel, D: PicClass, points: list[int],
                for j in range(len(walls) + r + 1)]
         # Beyond a face in t_i = 0, short of the whole chamber, t_i < 0.
         edge = set(ons[len(walls) + 1:]) - {(1 << len(verts)) - 1}
-        for j, g in enumerate(supp + model._rows):  # P.g = 0 on the support
-            if ons[j] and ons[j] not in edge and (
-                    j < len(supp) or g in curves and g not in supp):
-                groups.setdefault(ons[j], set()).add(g)
+        for j, c in enumerate(itertools.chain(supp, range(len(curves)))):
+            if ons[j] and ons[j] not in edge and (  # P.c = 0 on supp
+                    j < len(supp) or c not in supp):
+                groups.setdefault(ons[j], set()).add(c)
         new = {tuple(sorted(set(supp) ^ gs)) for gs in groups.values()} - seen
         seen |= new
         todo += sorted(new)

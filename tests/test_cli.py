@@ -551,6 +551,21 @@ def test_chamber_cap_exit_1(tmp_path, capsys, monkeypatch):
     assert "MAX_CHAMBERS = 3" in capsys.readouterr().err
 
 
+def test_nakayama_chamber_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # 3H on Bl3 crosses one wall, at t = 3/2, before its volume root at 2:
+    # with room for one chamber the walk refuses with the bound named, an
+    # input error as for a surface body.
+    job = {"schema": 1, "kind": "nakayama",
+           "input": {"s": 3, "class": {"d": "3", "m": ["0", "0", "0"]}}}
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 1)
+    code, out = run_job(tmp_path, job)
+    assert code == 1 and not out.exists()
+    assert "input error: chamber walk exceeds MAX_CHAMBERS = 1" in \
+        capsys.readouterr().err
+    monkeypatch.setattr(surface, "MAX_CHAMBERS", 2)
+    assert run_job(tmp_path, job)[0] == 0
+
+
 def test_surface_body_fibre_point_cap_exit_1(tmp_path, capsys):
     # -K on Bl8 at its default points, all eight: the walk passes
     # MAX_FIBRE_POINTS long before the final hull would start.

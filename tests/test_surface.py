@@ -150,6 +150,46 @@ def test_repeated_user_curve_gives_no_body():
         SurfaceModel(2, "user", curves + (_L12.scale(2),))
 
 
+def test_flag_curves_are_found_by_row_on_user_lists():
+    # A user list holding the built-in curves in another order names E_i at
+    # another index.  The body walk finds each flag curve by its row, so
+    # the shift of a flag E_i in N(D) and the start support come out as on
+    # the built-in model; a wrong index shows only where some E_i is in N(D).
+    rng = random.Random(35)
+    bodies = shifted = 0
+    for s in range(2, 6):
+        builtin = SurfaceModel(s)
+        curves = list(builtin.neg_curves)
+        while any(curves[i] == E(s, i) for i in range(s)):  # every E_i moves
+            rng.shuffle(curves)
+        user = SurfaceModel(s, "user", tuple(curves))
+        while bodies < 6 * (s - 1):
+            D = cls(rng.randint(1, 4), *(rng.randint(-2, 2) for _ in range(s)))
+            if not is_big(builtin, D):
+                continue
+            points = sorted(rng.sample(range(s), rng.randint(1, 2)))
+            w = [int(i in points) for i in range(s)]
+            N = dict(zariski(builtin, D).negative_support)
+            shifted += any(E(s, i) in N for i in points)
+            bodies += 1
+            assert surface_body_outer(user, D, points, F(1, 2), F(1)) == \
+                surface_body_outer(builtin, D, points, F(1, 2), F(1))
+            assert invariants.nakayama_mu(user, D, points) == \
+                invariants.nakayama_mu(builtin, D, points)
+            assert list(surface.chambers(user, D, w)) == \
+                list(surface.chambers(builtin, D, w))
+    assert bodies == 24 and shifted > 0
+    # E_1 named as E_1 / 2 has the row of E_1: 2H + E_1 shifts block 1 by
+    # the multiplicity 1 of E_1 in N, which a lookup by class missed.
+    curves = (E(2, 0).scale(F(1, 2)), *SurfaceModel(2).neg_curves[1:])
+    D = cls(2, -1, 0)
+    body = surface_body_outer(SurfaceModel(2, "user", curves), D, [0, 1],
+                              F(1, 2), F(1))
+    assert body == surface_body_outer(SurfaceModel(2), D, [0, 1], F(1, 2),
+                                      F(1))
+    assert min(v[0] for v in body.vertices) == 1
+
+
 def test_user_model_size_is_checked_before_its_rows(monkeypatch):
     # (curves + s + 1) (s + 1) row entries, the product lp.in_cone refuses
     # past MAX_CONE_CELLS, read when the model is built.
@@ -356,6 +396,33 @@ def test_base_loci():
     assert bl2["bminus"] == [cls(1, 1, 1)]
     with pytest.raises(ValueError, match="big"):
         base_loci(m2, cls(1, 1, 1))
+
+
+def test_support_holds_exactly_the_curves_of_n():
+    # The support loop answers N's curves only, each with multiplicity > 0:
+    # zariski lists them in its order, and base_loci matches an oracle built
+    # from zariski and intersect alone.
+    rng = random.Random(1)
+    supports = extras = 0
+    for s in range(1, 9):
+        model = SurfaceModel(s)
+        for _ in range(40):
+            D = cls(rng.randint(0, 5), *(rng.randint(-2, 3) for _ in range(s)))
+            if (sup := surface._support(model, D)) is None:
+                continue
+            support, _, n, _ = sup
+            assert len(n) == len(support) and all(nb > 0 for nb in n)
+            Z = zariski(model, D)
+            N = [c for c, _ in Z.negative_support]
+            assert N == [model.neg_curves[k] for k in support]
+            supports += bool(support)
+            if not is_big(model, D):
+                continue
+            extra = [C for C in model.neg_curves
+                     if intersect(Z.positive, C) == 0 and C not in N]
+            extras += bool(extra)
+            assert base_loci(model, D) == {"bminus": N, "bplus": N + extra}
+    assert supports > 20 and extras > 5
 
 
 def test_nef_iff_trivial_negative_part():
@@ -625,7 +692,7 @@ def test_chambers_bounded_by_max_chambers(monkeypatch):
     model = SurfaceModel(3)
     assert len(list(surface.chambers(model, H(3), [1, 1, 1]))) == 2
     monkeypatch.setattr(surface, "MAX_CHAMBERS", 1)
-    with pytest.raises(RuntimeError, match="chamber walk did not terminate"):
+    with pytest.raises(ValueError, match="MAX_CHAMBERS = 1"):
         list(surface.chambers(model, H(3), [1, 1, 1]))
     # The nef test of a class that is not nef is no chamber: 2H + E_1 along
     # E_2 + E_3 starts from the support E_1 and fits in two.
@@ -929,7 +996,7 @@ def _ref_walk(model, L, w):
         sup = surface._support(model, L)
         if sup is None:
             return
-        supp = [model._rows[c] for c, nb in zip(sup[0], sup[2]) if nb]
+        supp = list(sup[0])
         ch = surface._chamber(model, supp, x, u)
     while True:
         _, (p0, p1), cols = ch
@@ -953,7 +1020,7 @@ def _ref_walk(model, L, w):
             return
         now = {j for a, b, j in ts if F(a, b) <= F(tn, td)}
         supp = ([c for j, c in enumerate(supp) if j not in now]
-                + [model._rows[j - k] for j in sorted(now) if j >= k])
+                + [j - k for j in sorted(now) if j >= k])
         ch = surface._chamber(model, supp, x, u)
 
 
